@@ -32,13 +32,18 @@ def main() -> int:
 
     print(f"{'branch':12s} {'r':>2s} {'mult':16s} {'n;betas':12s} "
           f"{'semigroup':12s} {'delta':>5s} {'mu':>4s} weights")
+    resolutions = {}
     for name, b in branches.items():
-        rd = resolve(b)
+        rd = resolutions[name] = resolve(b)
         g = dual_graph(rd)
         c = char_exponents(b)
         inv = invariant_set(b)
-        assert inv.mult_seq == rd.multiplicities()
-        assert inv.delta == delta_mu(rd)[0]
+        # cross-oracle: blowup engine vs. Euclidean division on (n; betas)
+        if inv.mult_seq != rd.multiplicities() or inv.delta != delta_mu(rd)[0]:
+            print(f"{name}: blowup mult={list(rd.multiplicities())} delta={delta_mu(rd)[0]} "
+                  f"!= Euclidean mult={list(inv.mult_seq)} delta={inv.delta}",
+                  file=sys.stderr)
+            return 1
         weights = ",".join(str(w) for _, w in g.vertices)
         print(f"{name:12s} {rd.r:2d} {str(list(rd.multiplicities())):16s} "
               f"{str((c.n, list(c.betas))):12s} {str(list(inv.semigroup_gens)):12s} "
@@ -52,7 +57,7 @@ def main() -> int:
             continue
         # deep pairs need a smaller germ window; shrink until the graphs converge
         radius = args.radius
-        if resolve(branches[a]).r > 4 or branches[a].n > 2:
+        if resolutions[a].r > 4 or branches[a].n > 2:
             radius = min(radius, 0.01)
         plan = build_plan(branches[a], branches[b], sample_radius=radius)
         rep = verify_isotopy(branches[a], branches[b], plan, n_samples=args.samples,

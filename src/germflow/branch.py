@@ -213,8 +213,11 @@ def parse_branch(text: str, label: str = "") -> Branch:
 
 
 def parse_branch_file(path, label: str | None = None) -> Branch:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     if label is None:
         import os
         label = os.path.splitext(os.path.basename(path))[0]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .bivar import implicitize, poly_to_text
 from .branch import parse_branch_file
-from .errors import GermflowError
+from .errors import GermflowError, NotEquisingularError
 from .invariants import char_exponents, equisingular, invariant_set
 from .isotopy import build_plan, verify_isotopy
 from .resolution import dual_graph, resolve
@@ -113,11 +113,11 @@ def cmd_equisingular(args, cfg: Config, out) -> int:
 def cmd_isotopy(args, cfg: Config, out) -> int:
     a = _load(args.file_a, cfg)
     b = _load(args.file_b, cfg)
-    verdict = equisingular(a, b, precision=cfg.precision)
-    if not verdict.equal:
-        out.append(f"not equisingular: {verdict.certificate}")
+    try:
+        plan = build_plan(a, b, sample_radius=cfg.radius, precision=cfg.precision)
+    except NotEquisingularError as exc:
+        out.append(f"not equisingular: {exc.certificate}")
         return 2
-    plan = build_plan(a, b, sample_radius=cfg.radius, precision=cfg.precision)
     report = verify_isotopy(a, b, plan, n_samples=cfg.samples, radius=cfg.radius,
                             tol=cfg.tol, h=cfg.step)
     out.append(f"stages={len(plan.stages)}")

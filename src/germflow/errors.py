@@ -6,7 +6,7 @@ class GermflowError(Exception):
 
 
 class ParseError(GermflowError):
-    """Input text does not match the branch / polynomial grammar."""
+    """Input cannot be read, or its text does not match the branch / polynomial grammar."""
 
     def __init__(self, message, line=None, col=None):
         self.line = line
@@ -50,6 +50,10 @@ class PlanError(GermflowError):
 
 class NotEquisingularError(PlanError):
     """Plan requested for a pair of branches that are not equisingular."""
+
+    def __init__(self, certificate: str):
+        self.certificate = certificate
+        super().__init__(f"branches are not equisingular: {certificate}")
 
 
 class DegenerateSlopeError(PlanError):

@@ -306,7 +306,7 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
     """
     verdict = equisingular(g1, g2, precision=precision, max_steps=max_steps)
     if not verdict.equal:
-        raise NotEquisingularError(f"branches are not equisingular: {verdict.certificate}")
+        raise NotEquisingularError(verdict.certificate)
 
     s1 = initial_state(g1.with_precision(precision) if g1.exact else g1)
     s2 = initial_state(g2.with_precision(precision) if g2.exact else g2)
@@ -332,17 +332,20 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
                                   amount=amount, level=0)
                     stages.append(PlanStage(f, ()))
                     s1 = _update_moving_state(s1, f)
-                assert state_slope(s1) == c2
+                if state_slope(s1) != c2:
+                    raise PlanError("internal: level-0 shears missed the target slope")
                 continue
             stages.append(_multiplicative_stage(s1, s2, c1, c2, t1max, tuple(path)))
             s1 = _update_moving_state(s1, stages[-1].field)
-            assert state_slope(s1) == state_slope(s2)
+            if state_slope(s1) != c2:
+                raise PlanError("internal: multiplicative stage missed the target slope")
             continue
 
         chart, c = ("B", Fraction(0)) if c1 is INF else ("A", Fraction(c1))
         s1 = apply_step(s1, chart, c)
         s2 = apply_step(s2, chart, c)
-        assert (s1.u_label, s1.v_label) == (s2.u_label, s2.v_label)
+        if (s1.u_label, s1.v_label) != (s2.u_label, s2.v_label):
+            raise PlanError("internal: shared blowup gave different divisor labels")
         path.append((chart, c))
     raise PlanError("plan construction did not terminate")
 

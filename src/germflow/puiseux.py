@@ -1,9 +1,19 @@
 """Newton-Puiseux expansion of one rational branch of f(x, y) = 0.
 
-The classical Newton-polygon iteration, restricted to rational data: every
-edge equation must have a rational root (after extracting the q-th power
-structure of the edge), otherwise the expansion is refused with an explicit
-error instead of a floating approximation.
+The classical Newton-polygon iteration, restricted to rational data.  Along
+an irreducible germ every step has a single Newton-polygon edge, and its
+edge polynomial in C = c^q is a perfect power lc * (C - r)^d (Casas-Alvero,
+Singularities of Plane Curves, 2000; Wall, Singular Points of Plane Curves,
+2004).  So the root is read off in closed form, r = -psi[d-1] / (d psi[d]),
+and the power structure is checked exactly: an edge polynomial that is not a
+perfect power (C^2 - 2, C^2 + 1, a node) means several branches over C and
+is refused with ReducibleError.  The coefficient c is the exact rational q-th
+root of r; when it does not exist the expansion is refused with
+IrrationalRootError instead of a floating approximation.
+
+An edge with even q and r < 0 after an even denominator only reflects the
+sign chosen for earlier roots: the gauge x_k -> -x_k of the current
+parameter leaves x = x_k^denom fixed and turns C into -C.
 """
 from __future__ import annotations
 
@@ -16,76 +26,23 @@ from .errors import IrrationalRootError, PrecisionError, PuiseuxError, Reducible
 from .series import TruncatedSeries
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _iroot(n: int, q: int) -> int | None:
+    """Exact integer q-th root of n >= 1 by integer Newton iteration, or None."""
+    x = 1 << -(-n.bit_length() // q)  # at least the root
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x if x ** q == n else None
+        x = y
 
 
-def _deflate(coeffs: list[Fraction], r: Fraction):
-    """Divide sum(coeffs[k] C^k) by (C - r); return (quotient, remainder)."""
-    d = len(coeffs) - 1
-    quot = [Fraction(0)] * d
-    carry = Fraction(coeffs[d])
-    for k in range(d - 1, -1, -1):
-        quot[k] = carry
-        carry = coeffs[k] + carry * r
-    return quot, carry
-
-
-def rational_roots(coeffs: list[Fraction]) -> list[tuple[Fraction, int]]:
-    """Rational roots with multiplicities of sum(coeffs[k] * C^k)."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return []
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [Fraction(c * den) for c in coeffs]
-    cands = set()
-    for p in _divisors(int(ints[0])) or [1]:
-        for q in _divisors(int(ints[-1])):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    roots = []
-    for r in sorted(cands):
-        mult = 0
-        work = ints[:]
-        while len(work) > 1:
-            quot, rem = _deflate(work, r)
-            if rem != 0:
-                break
-            mult += 1
-            work = quot
-        if mult:
-            roots.append((r, mult))
-    return roots
-
-
-def _qth_root(c: Fraction, q: int) -> Fraction | None:
-    if q == 1:
-        return c
-    if c == 0 or (c < 0 and q % 2 == 0):
-        return None
-    sign = -1 if c < 0 else 1
-
-    def iroot(n):
-        r = round(n ** (1.0 / q))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** q == n:
-                return cand
-        return None
-
-    pn = iroot(abs(c.numerator))
-    pd = iroot(c.denominator)
-    if pn is None or pd is None:
-        return None
-    return Fraction(sign * pn, pd)
+def _edge_root(psi: list[Fraction]) -> tuple[Fraction, int]:
+    """(r, d) with psi = psi[d] * (C - r)^d; ReducibleError if psi is no such power."""
+    d = len(psi) - 1
+    r = -psi[d - 1] / (d * psi[d])
+    if any(psi[k] != psi[d] * math.comb(d, k) * (-r) ** (d - k) for k in range(d)):
+        raise ReducibleError("edge equation splits into several branches")
+    return r, d
 
 
 def _branch_edges(f: BivarPoly):
@@ -174,18 +131,19 @@ def newton_puiseux(f: BivarPoly, n_max: int = 16, precision: int = 64) -> Branch
         if len(edges) > 1:
             raise ReducibleError("Newton polygon has several edges (several branches)")
         q, m, psi = edges[0]
-        roots = rational_roots(psi)
-        if not roots:
+        r, last_mult = _edge_root(psi)
+        if q % 2 == 0 and r < 0 and denom % 2 == 0:
+            # gauge x_k -> -x_k; m is odd, so C -> -C
+            e = int(gamma * denom)
+            cur = BivarPoly.from_terms({(a, b): v * (-1) ** (a + e * b)
+                                        for (a, b), v in cur.terms})
+            out_terms = [(g, -c if int(g * denom) % 2 else c) for g, c in out_terms]
+            r = -r
+        num, den = _iroot(abs(r.numerator), q), _iroot(r.denominator, q)
+        if num is None or den is None or (r < 0 and q % 2 == 0):
             raise IrrationalRootError(
-                "edge equation has no rational root; branch needs irrational coefficients")
-        deg = len(psi) - 1
-        if len(roots) > 1 or deg > roots[0][1]:
-            raise ReducibleError("edge equation splits into several branches")
-        big_c, last_mult = roots[0]
-        c = _qth_root(big_c, q)
-        if c is None:
-            raise IrrationalRootError(
-                f"edge coefficient needs an irrational {q}-th root of {big_c}")
+                f"edge coefficient needs an irrational {q}-th root of {r}")
+        c = Fraction(num if r > 0 else -num, den)
         denom *= q
         if denom > n_max:
             raise PuiseuxError(f"denominator {denom} exceeds n_max={n_max}")

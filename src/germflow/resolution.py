@@ -123,7 +123,8 @@ def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
     """One blowup in the given chart, recentred by translation c."""
     if chart == "A":
         v = state.ys.divide(state.xs).add_const(-c)
-        assert v.order() is None or v.order() >= 1
+        if v.order() == 0:
+            raise ResolutionError("translation does not move the centre to the chart origin")
         return ChartState(
             xs=state.xs,
             ys=v,
@@ -132,7 +133,8 @@ def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
             level=state.level + 1,
         )
     u = state.xs.divide(state.ys).add_const(-c)
-    assert u.order() is None or u.order() >= 1
+    if u.order() == 0:
+        raise ResolutionError("translation does not move the centre to the chart origin")
     return ChartState(
         xs=u,
         ys=state.ys,

@@ -137,7 +137,7 @@ def test_isotopy_not_equisingular(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
                            path(corpus_dir, "two_pair"), "--no-timing")
     assert code == 2
-    assert "not equisingular" in out
+    assert "not equisingular: r differs (3 vs 5)\noutcome=fail\n" in out
 
 
 def test_isotopy_trace_format(capsys, corpus_dir, tmp_path):
@@ -181,6 +181,30 @@ def test_malformed_file_reports_position(capsys, tmp_path):
     code, _, err = run_cli(capsys, "resolve", str(bad), "--no-timing")
     assert code == 1
     assert "line 2" in err and "col" in err
+
+
+def test_missing_file_reports_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "resolve", str(tmp_path / "missing.branch"),
+                             "--no-timing")
+    assert code == 1
+    assert err.startswith("error: cannot read") and "No such file" in err
+    assert "outcome" not in out
+
+
+def test_unreadable_file_reports_error(capsys, tmp_path):
+    # a directory cannot be read as a branch file
+    code, _, err = run_cli(capsys, "invariants", str(tmp_path), "--no-timing")
+    assert code == 1
+    assert err.startswith("error: cannot read")
+
+
+def test_non_utf8_file_reports_error(capsys, corpus_dir, tmp_path):
+    bad = tmp_path / "latin1.branch"
+    bad.write_bytes("# caf\xe9\nx = t^2\ny = t^3\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"), str(bad),
+                           "--no-timing")
+    assert code == 1
+    assert err.startswith("error: cannot read") and "utf-8" in err
 
 
 def test_show_config(capsys, corpus_dir):

@@ -1,4 +1,9 @@
+import contextlib
+import signal
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germflow import implicitize, newton_puiseux, parse_branch, parse_poly, poly_on_branch
 from germflow.branch import normalize_branch
@@ -81,3 +86,73 @@ def test_roundtrip_swapped_axes():
     b = parse_branch("x = t^3\ny = t^2").with_precision(64)
     back = newton_puiseux(implicitize(b), n_max=16, precision=64)
     assert same_up_to_t_sign(b, back)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def roundtrip(text):
+    b = parse_branch(text).with_precision(64)
+    with deadline(5):
+        back = newton_puiseux(implicitize(b), n_max=16, precision=64)
+    assert same_up_to_t_sign(b, back)
+
+
+@pytest.mark.parametrize("text", [
+    # the second edge needs a root of a negative C unless the first root's
+    # sign is gauged
+    "x = t^4\ny = -1 t^6 + t^7",
+    "x = t^4\ny = -1 t^4 - 3 t^6 - 4/3 t^7",
+    "x = t^4\ny = -1 t^6 - 4/3 t^9",
+    # edge constants with large numerators and denominators
+    "x = t^3\ny = -3813/1385 t^3 - 8396/9997 t^4",
+])
+def test_roundtrip_rational_coefficients(text):
+    roundtrip(text)
+
+
+def test_large_edge_constant_is_fast():
+    with deadline(5):
+        b = newton_puiseux(parse_poly("f = y^2 - 100000000000000000000*x^3"))
+    assert b.xs.as_dict() == {2: 1}
+    assert b.ys.as_dict() == {3: 10 ** 10}
+
+
+def test_conjugate_edge_roots_are_reducible():
+    # C^2 - 2 has two conjugate roots: two branches over C
+    with pytest.raises(ReducibleError):
+        newton_puiseux(parse_poly("f = y^2 - 2*x^2"))
+
+
+FAMILIES = [(2, (3,)), (2, (5,)), (3, (4,)), (3, (5,)), (4, (5,)), (4, (6, 7)),
+            (4, (6, 9)), (6, (7,)), (6, (8, 9)), (6, (9, 10))]
+COEFS = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+
+
+@st.composite
+def signed_branches(draw):
+    """A member of a family (n; betas) with signed rational coefficients; free
+    terms at multiples of n below beta_1 or just past beta_g keep (n; betas)."""
+    n, betas = draw(st.sampled_from(FAMILIES))
+    free = [e for e in range(n, betas[0], n)] + [betas[-1] + k for k in (1, 2, 3)]
+    exps = sorted(set(betas) | set(draw(st.lists(st.sampled_from(free), max_size=2))))
+    terms = " + ".join(f"{draw(COEFS)} t^{e}" for e in exps)
+    return f"x = t^{n}\ny = {terms}".replace("+ -", "- ")
+
+
+@settings(max_examples=40)
+@given(signed_branches())
+def test_roundtrip_property(text):
+    roundtrip(text)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from germflow import parse_branch, proximity_matrix, resolve
 from germflow.branch import Branch
-from germflow.resolution import ChartState, blowup_step, dual_graph
+from germflow.errors import ResolutionError
+from germflow.resolution import ChartState, apply_step, blowup_step, dual_graph
 from germflow.series import TruncatedSeries
 
 
@@ -40,6 +41,14 @@ def test_blowup_translation_recenters():
     assert rec.translation == 1
     assert new.ys.as_dict() == {1: Fraction(1)}
     assert new.v_label is None  # label dropped after a nonzero translation
+
+
+@pytest.mark.parametrize("chart", ["A", "B"])
+def test_apply_step_rejects_a_translation_off_the_branch(chart):
+    # the cusp's tangent is v = 0 (chart A) and, swapped, u = 0 (chart B)
+    xs, ys = (S({2: 1}), S({3: 1})) if chart == "A" else (S({3: 1}), S({2: 1}))
+    with pytest.raises(ResolutionError):
+        apply_step(ChartState(xs, ys), chart, Fraction(5))
 
 
 def test_resolve_cusp():
