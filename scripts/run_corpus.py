@@ -11,8 +11,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from germflow import (build_plan, char_exponents, delta_mu, dual_graph, equisingular,
-                      invariant_set, parse_branch_file, resolve, verify_isotopy)
+from germflow import (build_plan, char_exponents, delta_mu, dual_graph, invariant_set,
+                      parse_branch_file, resolve, verify_isotopy)
+from germflow.errors import NotEquisingularError
 
 
 def main() -> int:
@@ -53,13 +54,14 @@ def main() -> int:
           f"(radius={args.radius}, samples={args.samples}, h={args.step}):")
     names = sorted(branches)
     for a, b in itertools.combinations(names, 2):
-        if not equisingular(branches[a], branches[b]).equal:
-            continue
         # deep pairs need a smaller germ window; shrink until the graphs converge
         radius = args.radius
         if resolutions[a].r > 4 or branches[a].n > 2:
             radius = min(radius, 0.01)
-        plan = build_plan(branches[a], branches[b], sample_radius=radius)
+        try:
+            plan = build_plan(branches[a], branches[b], sample_radius=radius)
+        except NotEquisingularError:
+            continue
         rep = verify_isotopy(branches[a], branches[b], plan, n_samples=args.samples,
                              radius=radius, tol=1e-3, h=args.step)
         kinds = ",".join(f"{st.field.kind}@{st.field.level}" for st in plan.stages)

@@ -4,19 +4,17 @@ Implicitization eliminates the parameter t from (x - t^n, y - y(t)) through
 the resultant of the pair, computed on the Sylvester matrix with Bareiss
 fraction-free elimination so every intermediate value stays a polynomial.
 
-Polynomial file grammar:  "f = " sum of terms  coef "*"? "x^"a? "y^"b?
-with an omitted exponent meaning 1 for a written variable and 0 for an
-absent one.
+Polynomial text `f = ...` follows the branch-file grammar of branch.py over
+the variables x, y (in that order within a term); `parse_poly` reads it.
 """
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branch import Branch
-from .errors import ParseError, SeriesError
+from .branch import Branch, _parse_lines
+from .errors import SeriesError
 from .series import TruncatedSeries
 
 
@@ -103,11 +101,19 @@ class BivarPoly:
         return BivarPoly.from_terms(quo)
 
     def eval(self, x: complex, y: complex) -> complex:
-        return sum(float(c) * x ** a * y ** b for (a, b), c in self.terms)
+        """Value at (x, y); an overflowing power saturates the value to inf."""
+        try:
+            return sum(float(c) * x ** a * y ** b for (a, b), c in self.terms)
+        except OverflowError:
+            return complex(math.inf, 0.0)
 
     def grad(self, x: complex, y: complex) -> tuple[complex, complex]:
-        fx = sum(float(c) * a * x ** (a - 1) * y ** b for (a, b), c in self.terms if a)
-        fy = sum(float(c) * b * x ** a * y ** (b - 1) for (a, b), c in self.terms if b)
+        """(df/dx, df/dy) at (x, y), saturated to inf like `eval`."""
+        try:
+            fx = sum(float(c) * a * x ** (a - 1) * y ** b for (a, b), c in self.terms if a)
+            fy = sum(float(c) * b * x ** a * y ** (b - 1) for (a, b), c in self.terms if b)
+        except OverflowError:
+            return complex(math.inf, 0.0), complex(math.inf, 0.0)
         return fx, fy
 
     def normalized(self) -> "BivarPoly":
@@ -242,109 +248,13 @@ def poly_to_text(f: BivarPoly) -> str:
             body = f"{mag}*{var}"
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
+    # the grammar has no unary minus: a negative leading term needs its coefficient
+    text = body if sign == "+" else f"-{body}" if body[0].isdigit() else f"-1*{body}"
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return "f = " + text
 
 
-_PTOKEN = re.compile(r"\s*(?:(?P<int>-?\d+)|(?P<sym>[xy^*/+-]))")
-
-
 def parse_poly(text: str) -> BivarPoly:
-    """Parse the polynomial file grammar into a BivarPoly."""
-    body = None
-    line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        m = re.match(r"\s*f\s*=", line)
-        if not m:
-            raise ParseError("expected 'f = ...'", line_no, 1)
-        if body is not None:
-            raise ParseError("duplicate f-line", line_no, 1)
-        body = (line[m.end():], line_no, m.end())
-    if body is None:
-        raise ParseError("missing f-line", 1, 1)
-
-    text, line_no, offset = body
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _PTOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", line_no, offset + pos + 1)
-        if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), offset + m.start() + 1))
-        else:
-            tokens.append((m.group("sym"), None, offset + m.start() + 1))
-        pos = m.end()
-
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None, None)
-
-    def take():
-        nonlocal i
-        tok = peek()
-        i += 1
-        return tok
-
-    def fail(msg, col=None):
-        raise ParseError(msg, line_no, col if col is not None else (peek()[2] or 1))
-
-    def parse_exp(var):
-        take()  # the variable symbol
-        if peek()[0] == "^":
-            take()
-            kind, val, col = take()
-            if kind != "int" or val < 0:
-                fail("expected a non-negative exponent", col)
-            return val
-        return 1
-
-    acc: dict[tuple[int, int], Fraction] = {}
-    sign = 1
-    if not tokens:
-        fail("empty polynomial", offset + 1)
-    while True:
-        coef = Fraction(1)
-        saw_coef = False
-        kind, val, col = peek()
-        if kind == "int":
-            take()
-            coef = Fraction(val)
-            saw_coef = True
-            if peek()[0] == "/":
-                take()
-                kind2, den, col2 = take()
-                if kind2 != "int" or den <= 0:
-                    fail("expected a positive denominator", col2)
-                coef /= den
-            if peek()[0] == "*":
-                take()
-        a = b = 0
-        if peek()[0] == "x":
-            a = parse_exp("x")
-        if peek()[0] == "y":
-            b = parse_exp("y")
-        if a == 0 and b == 0 and not saw_coef:
-            fail("expected a term")
-        key = (a, b)
-        acc[key] = acc.get(key, Fraction(0)) + sign * coef
-        kind, _, col = peek()
-        if kind is None:
-            break
-        if kind == "+":
-            sign = 1
-        elif kind == "-":
-            sign = -1
-        else:
-            fail("expected '+' or '-' between terms", col)
-        take()
-    return BivarPoly.from_terms(acc)
+    """Parse an `f = ...` document: the branch-file grammar over x and y."""
+    return BivarPoly.from_terms(_parse_lines(text, "f", "xy", bare=True)["f"])

@@ -1,11 +1,18 @@
-"""Branch germs: exact Puiseux parametrizations (x(t), y(t)) and their parser.
+"""Branch germs: exact Puiseux parametrizations (x(t), y(t)), and the text
+grammar that branch files and polynomial text share.
 
-Branch file grammar (UTF-8, line oriented, '#' starts a comment):
+Grammar (UTF-8, line oriented, '#' starts a comment) over names N and an
+ordered variable set V:
 
-    line := "x = " poly | "y = " poly
+    line := name "=" poly                 name in N, one line per name
     poly := term (("+"|"-") term)*
-    term := [coef ["*"]] "t" "^" uint | coef
-    coef := int | int "/" uint
+    term := [coef ["*"]] power+ | coef    "*" must be followed by a power
+    power := v "^" uint                   v in V, each at most once, in V order
+    coef := int | int "/" uint            denominator > 0
+
+Branch files have N = {x, y} and V = (t).  Polynomial text (`bivar.parse_poly`)
+has N = {f} and V = (x, y); there, and only there, a bare variable means
+exponent 1 (`x` is `x^1`), while `t` always needs its "^".
 
 Exactly one x-line and one y-line are required; x must be the pure monomial
 t^n.  Branches are canonicalized at parse time: when n is even, the
@@ -19,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, SeriesError
 from .series import TruncatedSeries
 
 
@@ -34,7 +41,8 @@ class Branch:
     def n(self) -> int:
         """Order of x(t); the multiplicity-at-ingestion when x = t^n."""
         o = self.xs.order()
-        assert o is not None
+        if o is None:
+            raise SeriesError("x(t) is zero up to its precision")
         return o
 
     def monomial_x(self) -> bool:
@@ -68,35 +76,30 @@ def normalize_branch(b: Branch) -> Branch:
     return b
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>-?\d+)|(?P<sym>[t^*/+-]))")
-
-
-def _tokenize(text: str, line_no: int, offset: int):
+def _tokenize(text: str, line_no: int, offset: int, variables: str):
+    token = re.compile(rf"\s*(?:(?P<int>-?\d+)|(?P<sym>[{variables}^*/+-]))")
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        m = token.match(text, pos)
+        if not m:
             rest = text[pos:].lstrip()
             if not rest:
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", line_no, offset + pos + 1)
-        col = offset + m.start("int" if m.group("int") else "sym") + 1
-        if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), col))
-        else:
-            tokens.append((m.group("sym"), None, col))
+        kind = m.lastgroup
+        tok, col = m.group(kind), offset + m.start(kind) + 1
+        tokens.append(("int", int(tok), col) if kind == "int" else (tok, None, col))
         pos = m.end()
     return tokens
 
 
-class _PolyParser:
-    """Shared term-sequence parser for the branch grammar (variable t)."""
+class _TermParser:
+    """Sum of terms over `variables`; with `bare`, a variable without "^" has exponent 1."""
 
-    def __init__(self, tokens, line_no):
-        self.tokens = tokens
-        self.i = 0
-        self.line = line_no
+    def __init__(self, tokens, line_no: int, variables: str, bare: bool):
+        self.tokens, self.i, self.line = tokens, 0, line_no
+        self.variables, self.bare = tuple(variables), bare
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
@@ -107,92 +110,88 @@ class _PolyParser:
         return tok
 
     def error(self, msg, col=None):
-        if col is None:
-            col = self.peek()[2] or 1
-        raise ParseError(msg, self.line, col)
+        raise ParseError(msg, self.line, col or self.peek()[2] or 1)
 
-    def parse_coef(self) -> Fraction:
-        kind, value, col = self.take()
-        if kind != "int":
-            self.error("expected an integer coefficient", col)
-        if self.peek()[0] == "/":
-            self.take()
-            kind2, den, col2 = self.take()
-            if kind2 != "int" or den <= 0:
-                self.error("expected a positive denominator", col2)
-            return Fraction(value, den)
-        return Fraction(value)
-
-    def parse_uint(self) -> int:
-        kind, value, col = self.take()
-        if kind != "int" or value < 0:
-            self.error("expected a non-negative exponent", col)
-        return value
-
-    def parse_term(self) -> tuple[int, Fraction]:
-        kind, _, col = self.peek()
-        coef = Fraction(1)
-        saw_coef = False
-        if kind == "int":
-            coef = self.parse_coef()
-            saw_coef = True
+    def parse_term(self) -> tuple[tuple[int, ...], Fraction]:
+        start, coef = self.i, Fraction(1)
+        if self.peek()[0] == "int":
+            coef = Fraction(self.take()[1])
+            if self.peek()[0] == "/":
+                self.take()
+                kind, den, col = self.take()
+                if kind != "int" or den <= 0:
+                    self.error("expected a positive denominator", col)
+                coef /= den
             if self.peek()[0] == "*":
                 self.take()
-                if self.peek()[0] != "t":
-                    self.error("expected t after '*'")
-        kind, _, col = self.peek()
-        if kind == "t":
+                if self.peek()[0] not in self.variables:
+                    self.error(f"expected {' or '.join(self.variables)} after '*'")
+        exps = [0] * len(self.variables)
+        for k, var in enumerate(self.variables):
+            if self.peek()[0] != var:
+                continue
             self.take()
-            if self.peek()[0] != "^":
-                self.error("expected '^' after t")
-            self.take()
-            return self.parse_uint(), coef
-        if not saw_coef:
-            self.error("expected a term", col)
-        return 0, coef
+            if self.peek()[0] == "^":
+                self.take()
+                kind, e, col = self.take()
+                if kind != "int" or e < 0:
+                    self.error("expected a non-negative exponent", col)
+                exps[k] = e
+            elif self.bare:
+                exps[k] = 1
+            else:
+                self.error(f"expected '^' after {var}")
+        if self.i == start:
+            self.error("expected a term")
+        return tuple(exps), coef
 
-    def parse_poly(self) -> dict[int, Fraction]:
-        acc: dict[int, Fraction] = {}
+    def parse_terms(self) -> dict[tuple[int, ...], Fraction]:
+        acc: dict[tuple[int, ...], Fraction] = {}
         sign = 1
         while True:
-            exp, coef = self.parse_term()
-            acc[exp] = acc.get(exp, Fraction(0)) + sign * coef
-            kind, _, col = self.peek()
+            key, coef = self.parse_term()
+            acc[key] = acc.get(key, Fraction(0)) + sign * coef
+            kind, _, col = self.take()
             if kind is None:
                 break
-            if kind == "+":
-                sign = 1
-            elif kind == "-":
-                sign = -1
-            else:
+            if kind not in ("+", "-"):
                 self.error("expected '+' or '-' between terms", col)
-            self.take()
-        return {e: c for e, c in acc.items() if c != 0}
+            sign = 1 if kind == "+" else -1
+        return {k: c for k, c in acc.items() if c != 0}
 
 
-def parse_branch(text: str, label: str = "") -> Branch:
-    """Parse a branch document into an exact, canonicalized Branch."""
-    polys: dict[str, dict[int, Fraction]] = {}
+def _parse_lines(text: str, names: str, variables: str, bare: bool):
+    """{name: terms} for a document of `name = body` lines, one per name.
+
+    Each body is parsed as its line is read, so errors come in text order.
+    """
+    head = re.compile(rf"\s*([{names}])\s*=")
+    bodies: dict[str, dict[tuple[int, ...], Fraction]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        m = re.match(r"\s*([xy])\s*=", line)
+        m = head.match(line)
         if not m:
-            raise ParseError("expected 'x = ...' or 'y = ...'", line_no, len(line) - len(line.lstrip()) + 1)
-        var = m.group(1)
-        if var in polys:
-            raise ParseError(f"duplicate {var}-line", line_no, m.start(1) + 1)
-        body = line[m.end():]
-        tokens = _tokenize(body, line_no, m.end())
+            expected = " or ".join(f"'{name} = ...'" for name in names)
+            raise ParseError(f"expected {expected}", line_no, len(line) - len(line.lstrip()) + 1)
+        name = m.group(1)
+        if name in bodies:
+            raise ParseError(f"duplicate {name}-line", line_no, m.start(1) + 1)
+        tokens = _tokenize(line[m.end():], line_no, m.end(), variables)
         if not tokens:
             raise ParseError("empty polynomial", line_no, m.end() + 1)
-        polys[var] = _PolyParser(tokens, line_no).parse_poly()
-    for var in "xy":
-        if var not in polys:
-            raise ParseError(f"missing {var}-line", 1, 1)
+        bodies[name] = _TermParser(tokens, line_no, variables, bare).parse_terms()
+    for name in names:
+        if name not in bodies:
+            raise ParseError(f"missing {name}-line", 1, 1)
+    return bodies
 
-    x_terms, y_terms = polys["x"], polys["y"]
+
+def parse_branch(text: str, label: str = "") -> Branch:
+    """Parse a branch document into an exact, canonicalized Branch."""
+    polys = _parse_lines(text, "xy", "t", bare=False)
+    x_terms, y_terms = ({e: c for (e,), c in polys[var].items()} for var in "xy")
     if len(x_terms) != 1 or next(iter(x_terms.values())) != 1:
         raise ParseError("x must be the pure monomial t^n", 1, 1)
     n = next(iter(x_terms))

@@ -54,6 +54,14 @@ def _load(path, cfg: Config):
     return b.with_precision(cfg.precision)
 
 
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GermflowError(f"cannot write {path}: {exc}") from exc
+
+
 def _dot_text(graph) -> str:
     lines = ["graph dual {"]
     for label, weight in graph.vertices:
@@ -81,8 +89,7 @@ def cmd_resolve(args, cfg: Config, out) -> int:
     out.append("edges: " + " ".join(f"E{i}--E{j}" for i, j in g.edges))
     out.append(f"arrow=E{g.arrow}")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(_dot_text(g))
+        _write(args.dot, _dot_text(g))
         out.append(f"dot written to {args.dot}")
     return 0
 
@@ -134,13 +141,12 @@ def cmd_isotopy(args, cfg: Config, out) -> int:
                f"max_step_error={report.max_step_error!r}")
     out.append("PASS" if report.passed else "FAIL")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for i, rec in enumerate(report.records):
-                fh.write(f"sample={i} t={rec.t.real!r},{rec.t.imag!r} "
-                         f"start={_fmt_complex(rec.start[0])},{_fmt_complex(rec.start[1])} "
-                         f"end={_fmt_complex(rec.end[0])},{_fmt_complex(rec.end[1])} "
-                         f"dist={rec.dist!r}\n")
-            fh.write(f"max_dist={report.max_distance!r} pass={report.passed}\n")
+        lines = [f"sample={i} t={rec.t.real!r},{rec.t.imag!r} "
+                 f"start={_fmt_complex(rec.start[0])},{_fmt_complex(rec.start[1])} "
+                 f"end={_fmt_complex(rec.end[0])},{_fmt_complex(rec.end[1])} "
+                 f"dist={rec.dist!r}\n" for i, rec in enumerate(report.records)]
+        lines.append(f"max_dist={report.max_distance!r} pass={report.passed}\n")
+        _write(args.trace, "".join(lines))
         out.append(f"trace written to {args.trace}")
     if not report.passed and cfg.exit_status:
         return 2

@@ -521,7 +521,7 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
             val = abs(f2.eval(p1[0], p1[1]))
             gx, gy = f2.grad(p1[0], p1[1])
             gnorm = math.hypot(gx.real, gx.imag, gy.real, gy.imag)
-            dist_implicit = val / gnorm if gnorm > 1e-300 else math.inf
+            dist_implicit = val / gnorm if val < math.inf and gnorm > 1e-300 else math.inf
         else:
             dist_implicit = math.nan
         records.append(SampleRecord(complex(t), p0, p1, dist, dist_implicit))

@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from germflow import implicitize, parse_branch, parse_poly, poly_on_branch, poly_to_text
+from germflow import (BivarPoly, implicitize, parse_branch, parse_poly, poly_on_branch,
+                      poly_to_text)
 from germflow.branch import eval_branch
-from germflow.errors import SeriesError
+from germflow.errors import ParseError, SeriesError
 
 
 def to_sympy(f):
@@ -83,6 +85,21 @@ def test_poly_text_roundtrip():
     assert parse_poly(poly_to_text(f)) == f
 
 
+def test_negative_leading_unit_term_roundtrip():
+    f = BivarPoly.from_terms({(3, 2): Fraction(-1), (0, 1): Fraction(2)})
+    assert poly_to_text(f) == "f = -1*x^3y^2 + 2*y"
+    assert parse_poly(poly_to_text(f)) == f
+
+
+def test_poly_text_roundtrip_random():
+    rng = random.Random(11)
+    for _ in range(300):
+        f = BivarPoly.from_terms({(rng.randint(0, 5), rng.randint(0, 5)):
+                                  Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                  for _ in range(rng.randint(0, 6))})
+        assert parse_poly(poly_to_text(f)) == f, poly_to_text(f)
+
+
 def test_parse_poly_forms():
     f = parse_poly("f = y^2 - x^3")
     assert f.as_dict() == {(0, 2): Fraction(1), (3, 0): Fraction(-1)}
@@ -91,6 +108,41 @@ def test_parse_poly_forms():
                            (0, 0): Fraction(-1, 2)}
     h = parse_poly("f = x^2y^3")
     assert h.as_dict() == {(2, 3): Fraction(1)}
+
+
+def test_parse_poly_zero_exponent_alone_is_a_term():
+    assert parse_poly("f = x^0") == BivarPoly.const(1)
+    assert parse_poly("f = y - x^0 y^0") == parse_poly("f = y - 1")
+
+
+# parse_poly shares the branch-file grammar and its error rules
+@pytest.mark.parametrize("text, message, line, col", [
+    ("# only a comment\n", "missing f-line", 1, 1),
+    ("f = y^2\nf = x^3", "duplicate f-line", 2, 1),
+    ("f = y^2\n  f = x^3", "duplicate f-line", 2, 3),
+    ("  g = y", "expected 'f = ...'", 1, 3),
+    ("f = y^2 - 1/0 x", "expected a positive denominator", 1, 13),
+    ("f = y^2 - 1/0 x\nf = x", "expected a positive denominator", 1, 13),
+    ("f = y^2 - x^3 + $", "unexpected character '$'", 1, 16),
+    ("f = y^2 - t", "unexpected character 't'", 1, 10),
+    ("f = 2*y + 3*", "expected x or y after '*'", 1, 1),
+    ("f = 3* + y", "expected x or y after '*'", 1, 8),
+    ("f = x^  -1", "expected a non-negative exponent", 1, 9),
+    ("f = y x", "expected '+' or '-' between terms", 1, 7),
+    ("f =", "empty polynomial", 1, 4),
+])
+def test_parse_poly_errors(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        f"line {line} col {col}: {message}", line, col)
+
+
+def test_eval_and_grad_saturate_on_overflow():
+    f = parse_poly("f = y^2 - x^3")
+    big = complex(1e200, 1.0)
+    assert f.eval(big, 0j) == complex(math.inf, 0.0)
+    assert f.grad(big, 0j) == (complex(math.inf, 0.0), complex(math.inf, 0.0))
 
 
 def test_exact_division():

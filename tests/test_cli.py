@@ -207,6 +207,39 @@ def test_non_utf8_file_reports_error(capsys, corpus_dir, tmp_path):
     assert err.startswith("error: cannot read") and "utf-8" in err
 
 
+def test_unwritable_dot_path_reports_error(capsys, corpus_dir, tmp_path):
+    dot = tmp_path / "missing" / "cusp.dot"
+    code, out, err = run_cli(capsys, "resolve", path(corpus_dir, "cusp"), "--no-timing",
+                             "--dot", str(dot))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {dot}: ") and "No such file" in err
+    assert "outcome" not in out
+
+
+def test_unwritable_trace_path_reports_error(capsys, corpus_dir, tmp_path):
+    trace = tmp_path / "missing" / "trace.txt"
+    code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
+                             path(corpus_dir, "cusp_2t3"), "--no-timing", "--samples", "2",
+                             "--step", "0.01", "--trace", str(trace))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {trace}: ") and "No such file" in err
+    assert "outcome" not in out
+
+
+def test_isotopy_far_sample_reports_fail(capsys, tmp_path):
+    # one flowed sample lands near 1e103; the implicit-equation check
+    # saturates to inf instead of raising OverflowError
+    a, b = tmp_path / "a.branch", tmp_path / "b.branch"
+    a.write_text("x = t^4\ny = 2 t^4 - 1/2 t^6 - t^9 - t^10\n")
+    b.write_text("x = t^4\ny = t^4 + t^6 + t^9 - t^11\n")
+    code, out, err = run_cli(capsys, "isotopy", str(a), str(b), "--radius", "0.002",
+                             "--samples", "3", "--step", "0.05", "--precision", "32",
+                             "--no-timing")
+    assert code == 0 and err == ""
+    assert "max_dist=1.78" in out and "e+103\n" in out
+    assert out.endswith("FAIL\noutcome=ok\n")
+
+
 def test_show_config(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "resolve", path(corpus_dir, "cusp"),
                            "--no-timing", "--show-config")

@@ -425,6 +425,15 @@ def test_verify_cross_check_implicit_distance():
         assert rec.dist_implicit <= 10.0 * max(rec.dist, 1e-12)
 
 
+def test_verify_far_sample_saturates_implicit_distance():
+    a = parse_branch("x = t^4\ny = 2 t^4 - 1/2 t^6 - t^9 - t^10").with_precision(32)
+    b = parse_branch("x = t^4\ny = t^4 + t^6 + t^9 - t^11").with_precision(32)
+    plan = build_plan(a, b, sample_radius=0.002, precision=32)
+    rep = verify_isotopy(a, b, plan, n_samples=3, radius=0.002, h=0.05)
+    assert not rep.passed
+    assert [math.isinf(rec.dist_implicit) for rec in rep.records] == [False, False, True]
+
+
 def test_richardson_estimate_small():
     rep = run_pair("x = t^2\ny = t^3", "x = t^2\ny = 2 t^3")
     assert rep.max_step_error < 1e-9
