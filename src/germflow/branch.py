@@ -77,7 +77,7 @@ def normalize_branch(b: Branch) -> Branch:
 
 
 def _tokenize(text: str, line_no: int, offset: int, variables: str):
-    token = re.compile(rf"\s*(?:(?P<int>-?\d+)|(?P<sym>[{variables}^*/+-]))")
+    token = re.compile(rf"\s*(?:(?P<int>-?[0-9]+)|(?P<sym>[{variables}^*/+-]))")
     tokens = []
     pos = 0
     while pos < len(text):
@@ -89,7 +89,13 @@ def _tokenize(text: str, line_no: int, offset: int, variables: str):
             raise ParseError(f"unexpected character {rest[0]!r}", line_no, offset + pos + 1)
         kind = m.lastgroup
         tok, col = m.group(kind), offset + m.start(kind) + 1
-        tokens.append(("int", int(tok), col) if kind == "int" else (tok, None, col))
+        if kind == "int":
+            try:
+                tokens.append(("int", int(tok), col))
+            except ValueError:  # longer than the interpreter's int-from-text digit limit
+                raise ParseError("integer too long", line_no, col) from None
+        else:
+            tokens.append((tok, None, col))
         pos = m.end()
     return tokens
 

@@ -103,59 +103,55 @@ def graph_match_field(s1: TruncatedSeries, s2: TruncatedSeries, bump: BumpSpec,
                      level=level, s1=s1, s2=s2)
 
 
-def _raw_field(f: FieldSpec):
+def _speed(f: FieldSpec, fixed: complex):
+    """Raw speed of the moving coordinate w along a trajectory whose other
+    coordinate is `fixed`: every stage field is zero in that coordinate."""
     if f.kind == "multiplicative":
-        lam = f.lam
-        a = float(f.shear)
-        if f.orientation == "v":
-            return lambda x, y: (0j, lam * (y - a * x))
-        return lambda x, y: (lam * (x - a * y), 0j)
+        lam, a = f.lam, float(f.shear)
+        return lambda w: lam * (w - a * fixed)
     if f.kind == "shear":
-        s = float(f.amount)
-        if f.orientation == "v":
-            return lambda x, y: (0j, s * x)
-        return lambda x, y: (s * y, 0j)
-    if f.kind == "graph-match":
-        diff = f.s2.sub(f.s1)
-        if f.orientation == "v":
-            return lambda x, y: (0j, diff.eval(x))
-        return lambda x, y: (diff.eval(y), 0j)
-    raise PlanError(f"unknown field kind {f.kind!r}")
+        speed = float(f.amount) * fixed
+    elif f.kind == "graph-match":
+        speed = f.s2.sub(f.s1).eval(fixed)
+    else:
+        raise PlanError(f"unknown field kind {f.kind!r}")
+    return lambda w: speed
 
 
-def field_closure(f: FieldSpec):
-    raw = _raw_field(f)
-    bump = f.bump
-    if bump is None:
-        return raw
-
-    def glued(x, y):
-        rho = bump_value(bump, (x, y))
-        if rho == 0.0:
-            return (0j, 0j)
-        fx, fy = raw(x, y)
-        return (rho * fx, rho * fy)
-
-    return glued
+def _raw_field(f: FieldSpec):
+    """The unglued field as a map (x, y) -> (dx/dt, dy/dt)."""
+    if f.orientation == "v":
+        return lambda x, y: (0j, _speed(f, x)(y))
+    return lambda x, y: (_speed(f, y)(x), 0j)
 
 
 def integrate_flow(f: FieldSpec, p: Point, h: float = 1e-3) -> Point:
-    """Time-1 flow of the glued field by classical fixed-step RK4."""
-    fn = field_closure(f)
+    """Time-1 flow of the glued field by classical fixed-step RK4.
+
+    The coordinate the field does not push is constant along the trajectory,
+    so RK4 runs on the moving coordinate alone and the other is returned as
+    given."""
+    moves_v = f.orientation == "v"
+    fixed, w = p if moves_v else p[::-1]
+    speed, bump = _speed(f, fixed), f.bump
+
+    def fn(w):
+        if bump is None:
+            return speed(w)
+        rho = bump_value(bump, (fixed, w) if moves_v else (w, fixed))
+        return 0j if rho == 0.0 else rho * speed(w)
+
     n = max(1, round(1.0 / h))
     step = 1.0 / n
-    x, y = p
     for _ in range(n):
-        k1 = fn(x, y)
-        k2 = fn(x + 0.5 * step * k1[0], y + 0.5 * step * k1[1])
-        k3 = fn(x + 0.5 * step * k2[0], y + 0.5 * step * k2[1])
-        k4 = fn(x + step * k3[0], y + step * k3[1])
-        x = x + step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y = y + step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)
-            and math.isfinite(y.real) and math.isfinite(y.imag)):
+        k1 = fn(w)
+        k2 = fn(w + 0.5 * step * k1)
+        k3 = fn(w + 0.5 * step * k2)
+        k4 = fn(w + step * k3)
+        w = w + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not all(math.isfinite(c) for c in (fixed.real, fixed.imag, w.real, w.imag)):
         raise NumericError("non-finite value during flow integration")
-    return (x, y)
+    return (fixed, w) if moves_v else (w, fixed)
 
 
 # -- chart transport -------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PrecisionError, SeriesError
 
@@ -250,18 +251,25 @@ class TruncatedSeries:
             tuple((e, -c if e % 2 else c) for e, c in self.terms), self.precision
         )
 
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[int, float], ...]:
+        # converted on first evaluation, not at construction: most series
+        # built by compose/invert_parameter are never evaluated
+        return tuple((e, _to_float(c)) for e, c in self.terms)
+
     def eval(self, t: complex) -> complex:
         """Horner evaluation over the stored terms at a complex argument."""
-        if not self.terms:
+        terms = self._float_terms
+        if not terms:
             return 0j
         try:
             acc = 0j
             prev = None
-            for e, c in reversed(self.terms):
+            for e, c in reversed(terms):
                 if prev is None:
-                    acc = complex(_to_float(c))
+                    acc = complex(c)
                 else:
-                    acc = acc * t ** (prev - e) + _to_float(c)
+                    acc = acc * t ** (prev - e) + c
                 prev = e
             return acc * t ** prev
         except OverflowError:

@@ -154,3 +154,19 @@ def test_with_precision_extends_exact_data():
     b64 = b.with_precision(64)
     assert b64.xs.precision == 64
     assert b64.ys.as_dict() == b.ys.as_dict()
+
+
+def test_overlong_integer_is_a_parse_error():
+    # longer than the interpreter's limit on converting text to int
+    with pytest.raises(ParseError) as exc:
+        parse_branch("x = t^2\ny = t^3 + 1" + "2" * 5000 + " t^5")
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        "line 2 col 11: integer too long", 2, 11)
+
+
+def test_non_ascii_digit_is_an_unexpected_character():
+    # U+0663 ARABIC-INDIC DIGIT THREE is a Unicode decimal digit, not an integer
+    with pytest.raises(ParseError) as exc:
+        parse_branch("x = t^2\ny = ٣ t^3")
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        "line 2 col 4: unexpected character '٣'", 2, 4)

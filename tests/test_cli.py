@@ -183,6 +183,15 @@ def test_malformed_file_reports_position(capsys, tmp_path):
     assert "line 2" in err and "col" in err
 
 
+def test_overlong_integer_reports_error(capsys, tmp_path):
+    bad = tmp_path / "long.branch"
+    bad.write_text("x = t^2\ny = t^3 + 1" + "2" * 5000 + " t^5\n")
+    code, out, err = run_cli(capsys, "invariants", str(bad), "--no-timing")
+    assert code == 1
+    assert err == "error: line 2 col 11: integer too long\n"
+    assert "outcome" not in out
+
+
 def test_missing_file_reports_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "resolve", str(tmp_path / "missing.branch"),
                              "--no-timing")

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -342,6 +343,84 @@ def test_divisor_probe_stays_on_axis():
         assert abs(end[0]) <= 1e-9
         end = integrate_flow(stage.field, (complex(v), 0j), 1e-3)
         assert abs(end[1]) <= 1e-9
+
+
+def _oracle_field(f):
+    """The glued field as a map of both coordinates, every kind written out."""
+    if f.kind == "multiplicative":
+        lam, a = f.lam, float(f.shear)
+        raw = lambda x, y: (0j, lam * (y - a * x))
+        if f.orientation == "u":
+            raw = lambda x, y: (lam * (x - a * y), 0j)
+    elif f.kind == "shear":
+        s = float(f.amount)
+        raw = (lambda x, y: (0j, s * x)) if f.orientation == "v" else (lambda x, y: (s * y, 0j))
+    else:
+        diff = f.s2.sub(f.s1)
+        raw = lambda x, y: (0j, diff.eval(x))
+        if f.orientation == "u":
+            raw = lambda x, y: (diff.eval(y), 0j)
+    if f.bump is None:
+        return raw
+
+    def glued(x, y):
+        rho = bump_value(f.bump, (x, y))
+        if rho == 0.0:
+            return (0j, 0j)
+        fx, fy = raw(x, y)
+        return (rho * fx, rho * fy)
+
+    return glued
+
+
+def _oracle_flow(f, p, h):
+    """Classical RK4 on both coordinates at once."""
+    fn = _oracle_field(f)
+    n = max(1, round(1.0 / h))
+    step = 1.0 / n
+    x, y = p
+    for _ in range(n):
+        k1 = fn(x, y)
+        k2 = fn(x + 0.5 * step * k1[0], y + 0.5 * step * k1[1])
+        k3 = fn(x + 0.5 * step * k2[0], y + 0.5 * step * k2[1])
+        k4 = fn(x + step * k3[0], y + step * k3[1])
+        x = x + step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        y = y + step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return (x, y)
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+ORACLE_BUMP = BumpSpec(r_inner=0.3, r_outer=0.6, center=(0.05 + 0j, -0.02j))
+ORACLE_FIELDS = {
+    "multiplicative": lambda o: FieldSpec(kind="multiplicative", orientation=o,
+                                          bump=ORACLE_BUMP, level=1, ratio=Fraction(-3),
+                                          shear=Fraction(1, 2)),
+    "shear": lambda o: FieldSpec(kind="shear", orientation=o, amount=Fraction(3, 2)),
+    "shear-bumped": lambda o: FieldSpec(kind="shear", orientation=o, bump=ORACLE_BUMP,
+                                        amount=Fraction(-5, 2)),
+    "graph-match": lambda o: graph_match_field(S({1: 1, 3: Fraction(-1, 3)}),
+                                               S({1: 2, 2: Fraction(1, 7), 5: 4}),
+                                               ORACLE_BUMP, orientation=o),
+}
+# inside the bump, starting in or crossing the transition annulus, outside it,
+# and with a negative-zero imaginary part on each coordinate
+ORACLE_POINTS = [(0.1 + 0.02j, 0.05 - 0.01j), (0.25 + 0.05j, 0.33 - 0.02j),
+                 (0.4 + 0j, 0.3 + 0.1j), (0.5 + 0j, 0.7 + 0j),
+                 (complex(0.2, -0.0), complex(-0.1, -0.0))]
+
+
+@pytest.mark.parametrize("orientation", ["v", "u"])
+@pytest.mark.parametrize("kind", sorted(ORACLE_FIELDS))
+def test_integrate_flow_matches_two_coordinate_rk4(kind, orientation):
+    f = ORACLE_FIELDS[kind](orientation)
+    moving = 1 if orientation == "v" else 0
+    for p in ORACLE_POINTS:
+        end = integrate_flow(f, p, 1e-2)
+        assert _bits(end[1 - moving]) == _bits(p[1 - moving])
+        assert end[moving] == _oracle_flow(f, p, 1e-2)[moving]
 
 
 # -- end-to-end verification ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germflow.errors import PrecisionError, SeriesError
-from germflow.series import TruncatedSeries
+from germflow.series import TruncatedSeries, _to_float
 
 
 def S(terms, precision):
@@ -103,6 +104,59 @@ def test_eval_conjugation(s, t):
     left = s.eval(t.conjugate())
     right = s.eval(t).conjugate()
     assert abs(left - right) <= 1e-9 * (1.0 + abs(right))
+
+
+def _horner_at_call_time(s, t):
+    """Sparse Horner over the stored terms, converting each Fraction as it is read."""
+    if not s.terms:
+        return 0j
+    try:
+        acc, prev = 0j, None
+        for e, c in reversed(s.terms):
+            acc = complex(_to_float(c)) if prev is None else acc * t ** (prev - e) + _to_float(c)
+            prev = e
+        return acc * t ** prev
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
+def _same(a, b):
+    return all(u == v or (math.isnan(u) and math.isnan(v))
+               for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
+HUGE = Fraction(10 ** 400)
+wide_fractions = st.one_of(small_fractions, st.fractions(max_denominator=10 ** 9),
+                           st.sampled_from([HUGE, -HUGE, 1 / HUGE]))
+
+
+@st.composite
+def wide_series(draw, max_terms=8, precision=40):
+    exps = draw(st.lists(st.integers(0, precision - 1), max_size=max_terms, unique=True))
+    coeffs = draw(st.lists(wide_fractions, min_size=len(exps), max_size=len(exps)))
+    return S(dict(zip(exps, coeffs)), precision)
+
+
+points = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e200, -1e200 + 0j, complex(0.5, -0.0)]))
+
+
+@given(wide_series(), st.lists(points, min_size=1, max_size=4))
+def test_eval_matches_horner_at_call_time(s, ts):
+    # the float coefficients are converted once; every value stays bitwise the same
+    for t in ts + ts:
+        assert _same(s.eval(t), _horner_at_call_time(s, t))
+
+
+def test_eval_saturates_a_coefficient_beyond_float_range():
+    for coef in (HUGE, -HUGE):
+        s = S({2: coef}, 8)
+        for t in (0.5, 0.5 - 0.25j):
+            value = s.eval(t)
+            assert abs(value) == math.inf
+            assert _same(value, _horner_at_call_time(s, t))
 
 
 def test_invert_unit():

@@ -1,0 +1,41 @@
+"""Source rules of the package, checked on its syntax trees.
+
+- No ``assert`` statements: ``python -O`` strips them, so an invariant that
+  guards a result must raise a typed error instead.
+- No runtime dependencies: every absolute import names a standard-library
+  module; the package's own modules are imported relatively.
+"""
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "germflow").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 9
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    names = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.module, node.lineno))
+    outside = [(name, line) for name, line in names
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == [], f"{path.name}: non-stdlib imports {outside}"
