@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -27,8 +28,9 @@ class Config:
 
     def warnings(self) -> list[str]:
         out = []
-        if min(self.precision, self.samples) < 1 or min(self.step, self.radius, self.tol) <= 0:
-            raise GermflowError("config values must be positive")
+        if min(self.precision, self.samples) < 1 or not all(
+                math.isfinite(v) and v > 0 for v in (self.step, self.radius, self.tol)):
+            raise GermflowError("config values must be finite and positive")
         budget = 10.0 * self.step ** 4
         if self.tol <= budget:
             out.append(f"warning: tol={self.tol!r} is not above the integrator "

@@ -11,7 +11,8 @@ every labeled axis invariant otherwise).  The moving branch's chart series
 is then updated by the exact rational time-1 map, so deeper stages are
 still built from exact data.  Once both strict transforms are resolved the
 base case matches their graphs over the exceptional coordinate with a
-translation field rho * (0, s2(u) - s1(u)).
+translation field rho * (0, s2(u) - s1(u)); each graph s(u) is read off the
+chart series by triangular elimination (``TruncatedSeries.in_terms_of``).
 
 All stage flows are integrated with fixed-step RK4 in the stage chart;
 points are carried between the plane and the chart by the recorded chart
@@ -382,13 +383,13 @@ def _multiplicative_stage(s1, s2, c1, c2, t1max, path) -> PlanStage:
 def _graph_match_stage(s1, s2, t1max, path) -> PlanStage:
     if s1.u_label is not None:
         orientation = "v"
-        g1 = s1.ys.compose(s1.xs.invert_parameter())
-        g2 = s2.ys.compose(s2.xs.invert_parameter())
+        g1 = s1.ys.in_terms_of(s1.xs)
+        g2 = s2.ys.in_terms_of(s2.xs)
         base_idx = 0
     else:
         orientation = "u"
-        g1 = s1.xs.compose(s1.ys.invert_parameter())
-        g2 = s2.xs.compose(s2.ys.invert_parameter())
+        g1 = s1.xs.in_terms_of(s1.ys)
+        g2 = s2.xs.in_terms_of(s2.ys)
         base_idx = 1
     # flowed points are lifts of the moved source germ; both graphs are only
     # ever evaluated over that germ's transversal-coordinate range

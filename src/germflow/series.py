@@ -6,9 +6,14 @@ j >= precision are unknown.  Every arithmetic operation propagates the
 truncation order conservatively, and any decision that would need an unknown
 coefficient raises :class:`~germflow.errors.PrecisionError` instead of
 guessing.
+
+``compose`` and ``invert_parameter`` (Newton reversion) are the reference
+implementation that the tests check ``in_terms_of`` (triangular elimination)
+and ``divide`` (long division) against; the package does not call them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -163,20 +168,9 @@ class TruncatedSeries:
         """Inverse of a unit (order-0) series, modulo t^precision."""
         if self.order() != 0:
             raise SeriesError("only order-0 series have a series inverse")
-        p = min(precision, self.precision)
-        if p <= 0:
+        if min(precision, self.precision) <= 0:
             raise PrecisionError("no precision left for series inverse")
-        coeffs = self.as_dict()
-        c0 = coeffs[0]
-        inv = {0: 1 / c0}
-        for k in range(1, p):
-            s = Fraction(0)
-            for e, c in self.terms:
-                if 0 < e <= k:
-                    s += c * inv.get(k - e, Fraction(0))
-            if s:
-                inv[k] = -s / c0
-        return TruncatedSeries.from_terms(inv, p)
+        return TruncatedSeries.monomial(0, 1, precision).divide(self)
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient q with self = other * q.
@@ -196,9 +190,47 @@ class TruncatedSeries:
             raise PrecisionError("no precision left in quotient")
         if oa is None:
             return TruncatedSeries.zero(prec)
-        num = self.shift(-ob)
-        unit = other.shift(-ob)
-        return num.mul(unit.invert_unit(prec)).truncate(prec)
+        # long division on the shifted series: q_k = (a_k - sum b_j q_{k-j}) / b_0
+        num = {e - ob: c for e, c in self.terms}
+        b0 = other.terms[0][1]
+        rest = [(e - ob, c) for e, c in other.terms[1:]]
+        q: dict[int, Fraction] = {}
+        for k in range(oa - ob, prec):
+            s = num.get(k, 0)
+            for j, c in rest:
+                if j > k:
+                    break
+                if k - j in q:
+                    s -= c * q[k - j]
+            if s:
+                q[k] = s / b0
+        return TruncatedSeries(tuple(q.items()), prec)
+
+    def in_terms_of(self, base: "TruncatedSeries") -> "TruncatedSeries":
+        """Series g with g(base(t)) = self(t) mod t^min(T_self, T_base).
+
+        Triangular elimination against base of order exactly 1: g_k is the t^k
+        coefficient of the residual self - sum_{j<k} g_j base^j over lead^k.
+        The running power is kept as integers, (den * base)^k, so its O(p^3)
+        products need no gcd.
+        """
+        if base.order() != 1:
+            raise SeriesError("graph elimination needs a base of order exactly 1")
+        p = min(self.precision, base.precision)
+        den = math.lcm(*(c.denominator for _, c in base.terms))
+        scaled = [(e, int(c * den)) for e, c in base.terms]
+        residual = {e: c for e, c in self.terms if e < p}
+        power, lead_k = {0: 1}, 1  # (den*base)^k mod t^p and its t^k coefficient
+        g: dict[int, Fraction] = {}
+        for k in range(p):
+            c = residual.get(k)
+            if c:
+                g[k] = c * den ** k / lead_k
+                for e, pc in power.items():
+                    residual[e] = residual.get(e, 0) - c * pc / lead_k
+            power = {e: sum(power.get(e - j, 0) * b for j, b in scaled) for e in range(k + 1, p)}
+            lead_k *= scaled[0][1]
+        return TruncatedSeries(tuple(g.items()), p)
 
     # -- composition -------------------------------------------------------
 
@@ -254,7 +286,7 @@ class TruncatedSeries:
     @cached_property
     def _float_terms(self) -> tuple[tuple[int, float], ...]:
         # converted on first evaluation, not at construction: most series
-        # built by compose/invert_parameter are never evaluated
+        # built during resolution and plan construction are never evaluated
         return tuple((e, _to_float(c)) for e, c in self.terms)
 
     def eval(self, t: complex) -> complex:

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from germflow.cli import main
 
 
@@ -247,6 +249,18 @@ def test_isotopy_far_sample_reports_fail(capsys, tmp_path):
     assert code == 0 and err == ""
     assert "max_dist=1.78" in out and "e+103\n" in out
     assert out.endswith("FAIL\noutcome=ok\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["--step", "--radius", "--tol"])
+def test_non_finite_config_reports_error(capsys, corpus_dir, option, value):
+    # nan passed a `<= 0` check: --step nan ended in a ValueError traceback,
+    # --radius nan shrank the window to 1e-67 and printed PASS
+    code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
+                             path(corpus_dir, "cusp_2t3"), "--no-timing", option, value)
+    assert code == 1
+    assert err == "error: config values must be finite and positive\n"
+    assert "outcome" not in out
 
 
 def test_show_config(capsys, corpus_dir):

@@ -85,6 +85,79 @@ def test_divide_multiply_back(a, b):
     assert residual.order() is None or residual.order() >= q.precision + b.order()
 
 
+@st.composite
+def series_at(draw, precision, max_terms=8):
+    """Like ``series`` with no lower bound on the precision."""
+    exps = draw(st.lists(st.integers(0, precision - 1), max_size=max_terms, unique=True))
+    coeffs = draw(st.lists(small_fractions.filter(lambda f: f != 0),
+                           min_size=len(exps), max_size=len(exps)))
+    return S(dict(zip(exps, coeffs)), precision)
+
+
+def _divide_by_inverse(a, b):
+    """Reference division: invert the shifted divisor, then multiply."""
+    ob = b.order()
+    if ob is None:
+        raise PrecisionError("divisor is zero up to its precision")
+    oa = a.order()
+    if oa is not None and oa < ob:
+        raise SeriesError(f"quotient not a power series (orders {oa} < {ob})")
+    prec = min(a.precision, b.precision + (a.precision if oa is None else oa) - ob) - ob
+    if prec <= 0:
+        raise PrecisionError("no precision left in quotient")
+    if oa is None:
+        return TruncatedSeries.zero(prec)
+    unit = b.shift(-ob)
+    p = min(prec, unit.precision)
+    c0 = unit.leading()
+    inv = {0: 1 / c0}
+    for k in range(1, p):
+        s = sum((c * inv.get(k - e, 0) for e, c in unit.terms if 0 < e <= k), Fraction(0))
+        if s:
+            inv[k] = -s / c0
+    return a.shift(-ob).mul(S(inv, p)).truncate(prec)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionError, SeriesError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def divisors(draw):
+    """Zero, monomial or general divisors of order 0-3, any visible precision."""
+    precision = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["zero", "monomial", "general"]))
+    if kind == "zero":
+        return TruncatedSeries.zero(precision)
+    order = draw(st.integers(0, min(3, precision - 1)))
+    lead = draw(small_fractions.filter(lambda f: f != 0))
+    if kind == "monomial":
+        return S({order: lead}, precision)
+    rest = draw(series_at(precision, max_terms=6)).as_dict()
+    return S({e: c for e, c in rest.items() if e > order} | {order: lead}, precision)
+
+
+@given(st.integers(1, 16).flatmap(series_at), divisors())
+def test_divide_matches_inverse_then_multiply(a, b):
+    # same quotient terms and precision, or the same error and message
+    assert _outcome(a.divide, b) == _outcome(_divide_by_inverse, a, b)
+
+
+@given(series(max_terms=6, precision=12), st.integers(-1, 14))
+def test_invert_unit_is_division_of_one(u, precision):
+    if u.order() != 0:
+        with pytest.raises(SeriesError):
+            u.invert_unit(precision)
+    elif precision < 1:
+        with pytest.raises(PrecisionError):
+            u.invert_unit(precision)
+    else:
+        assert u.invert_unit(precision) == _divide_by_inverse(S({0: 1}, precision), u)
+
+
 @given(series(max_terms=5), series(max_terms=5))
 def test_mul_commutes(a, b):
     assert a.mul(b) == b.mul(a)
@@ -203,6 +276,55 @@ def test_invert_parameter_property(u):
     assert back.coefficient(1) == 1
     for k in range(2, back.precision):
         assert back.coefficient(k) == 0
+
+
+@st.composite
+def order_one_bases(draw):
+    """Dense or sparse series of order 1 with any nonzero leading coefficient."""
+    precision = draw(st.integers(2, 18))
+    lead = draw(st.one_of(st.sampled_from([Fraction(-1), Fraction(-3, 2), Fraction(2, 7)]),
+                          small_fractions.filter(lambda f: f != 0)))
+    higher = list(range(2, precision))
+    if draw(st.booleans()):
+        exps = higher
+    else:
+        exps = draw(st.lists(st.sampled_from(higher), max_size=3, unique=True)) if higher else []
+    coeffs = draw(st.lists(small_fractions, min_size=len(exps), max_size=len(exps)))
+    return S(dict(zip(exps, coeffs)) | {1: lead}, precision)
+
+
+graph_targets = st.one_of(
+    st.integers(1, 18).flatmap(series_at),
+    st.integers(1, 18).map(TruncatedSeries.zero))
+
+
+@given(graph_targets, order_one_bases())
+def test_in_terms_of_matches_compose_with_inverse(other, base):
+    got = other.in_terms_of(base)
+    want = other.compose(base.invert_parameter())
+    assert got.terms == want.terms
+    assert got.precision == want.precision == min(other.precision, base.precision)
+
+
+@given(graph_targets, order_one_bases())
+def test_in_terms_of_round_trip(other, base):
+    back = other.in_terms_of(base).compose(base)
+    p = min(back.precision, other.precision)
+    assert back.truncate(p) == other.truncate(p)
+
+
+def test_in_terms_of_hand_example():
+    # y = t^3 over x = t + t^2: t = x - x^2 + 2x^3 - ..., so y = x^3 - 3x^4 + ...
+    g = S({3: 1}, 6).in_terms_of(S({1: 1, 2: 1}, 8))
+    assert g.as_dict() == {3: Fraction(1), 4: Fraction(-3), 5: Fraction(9)}
+    assert g.precision == 6
+
+
+@pytest.mark.parametrize("base", [S({0: 1, 1: 1}, 6), S({2: 1, 3: 1}, 6), S({}, 6)],
+                         ids=["order0", "order2", "zero"])
+def test_in_terms_of_needs_order_one_base(base):
+    with pytest.raises(SeriesError):
+        S({1: 1}, 6).in_terms_of(base)
 
 
 def test_flip_negates_odd_exponents():

@@ -4,6 +4,8 @@
   guards a result must raise a typed error instead.
 - No runtime dependencies: every absolute import names a standard-library
   module; the package's own modules are imported relatively.
+- Only ``series.py`` calls ``compose`` or ``invert_parameter``: they are the
+  reference the faster kernels are tested against, not a code path.
 """
 import ast
 import pathlib
@@ -39,3 +41,12 @@ def test_absolute_imports_are_standard_library(path):
     outside = [(name, line) for name, line in names
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == [], f"{path.name}: non-stdlib imports {outside}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "series.py"],
+                         ids=lambda p: p.name)
+def test_reference_series_kernels_stay_in_series(path):
+    calls = [(node.func.attr, node.lineno) for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("compose", "invert_parameter")]
+    assert calls == [], f"{path.name}: reference kernel calls {calls}"
