@@ -1,8 +1,10 @@
-"""Exact bivariate polynomials over Q, implicit equations and resultants.
+"""Exact bivariate polynomials over Q and implicit equations of branches.
 
-Implicitization eliminates the parameter t from (x - t^n, y - y(t)) through
-the resultant of the pair, computed on the Sylvester matrix with Bareiss
-fraction-free elimination so every intermediate value stays a polynomial.
+Implicitization eliminates the parameter t from (x - t^n, y - y(t)).  The
+resultant of that pair is the norm prod_{tau^n = x} (y - y(tau)) (Cox, Little,
+O'Shea, *Ideals, Varieties, and Algorithms*, section 3.6), so it is built from
+the power sums of the n conjugates y(tau) and Newton's identities, in integer
+polynomial arithmetic, with no determinant.
 
 Polynomial text `f = ...` follows the branch-file grammar of branch.py over
 the variables x, y (in that order within a term); `parse_poly` reads it.
@@ -34,14 +36,6 @@ class BivarPoly:
             key=lambda item: _lex_key(item[0])))
         return BivarPoly(cleaned)
 
-    @staticmethod
-    def zero() -> "BivarPoly":
-        return BivarPoly(())
-
-    @staticmethod
-    def const(c) -> "BivarPoly":
-        return BivarPoly.from_terms({(0, 0): Fraction(c)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -54,51 +48,11 @@ class BivarPoly:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[-1]
 
-    def add(self, other: "BivarPoly") -> "BivarPoly":
-        acc = self.as_dict()
-        for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return BivarPoly.from_terms(acc)
-
-    def sub(self, other: "BivarPoly") -> "BivarPoly":
-        return self.add(other.scale(-1))
-
     def scale(self, c) -> "BivarPoly":
         c = Fraction(c)
         if c == 0:
-            return BivarPoly.zero()
+            return BivarPoly(())
         return BivarPoly(tuple((k, v * c) for k, v in self.terms))
-
-    def mul(self, other: "BivarPoly") -> "BivarPoly":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in other.terms:
-                k = (a1 + a2, b1 + b2)
-                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-        return BivarPoly.from_terms(acc)
-
-    def mul_term(self, a: int, b: int, c) -> "BivarPoly":
-        c = Fraction(c)
-        if c == 0:
-            return BivarPoly.zero()
-        return BivarPoly.from_terms({(ka + a, kb + b): v * c for (ka, kb), v in self.terms})
-
-    def exact_div(self, other: "BivarPoly") -> "BivarPoly":
-        """Exact quotient self / other; raises if the division has a remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        quo: dict[tuple[int, int], Fraction] = {}
-        (da, db), dc = other.leading()
-        while not rem.is_zero():
-            (ra, rb), rc = rem.leading()
-            qa, qb = ra - da, rb - db
-            if qa < 0 or qb < 0:
-                raise SeriesError("polynomial division is not exact")
-            qc = rc / dc
-            quo[(qa, qb)] = quo.get((qa, qb), Fraction(0)) + qc
-            rem = rem.sub(other.mul_term(qa, qb, qc))
-        return BivarPoly.from_terms(quo)
 
     def eval(self, x: complex, y: complex) -> complex:
         """Value at (x, y); an overflowing power saturates the value to inf."""
@@ -146,86 +100,53 @@ def poly_on_branch(f: BivarPoly, b: Branch) -> TruncatedSeries:
     return out
 
 
-# -- resultant via Sylvester + Bareiss --------------------------------------
+# -- implicit equation as a norm ---------------------------------------------
 
-def _bareiss_det(m: list[list[BivarPoly]]) -> BivarPoly:
-    n = len(m)
-    if n == 0:
-        return BivarPoly.const(1)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = BivarPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return BivarPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k].mul(m[i][j]).sub(m[i][k].mul(m[k][j]))
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = BivarPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det.scale(-1) if sign < 0 else det
-
-
-def sylvester_resultant(p: list[BivarPoly], q: list[BivarPoly]) -> BivarPoly:
-    """Resultant in t of p(t), q(t) given as coefficient lists (low to high)."""
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp < 1:
-        # degenerate: constant p
-        out = BivarPoly.const(1)
-        for _ in range(dq):
-            out = out.mul(p[0])
-        return out
-    if dq < 1:
-        out = BivarPoly.const(1)
-        for _ in range(dp):
-            out = out.mul(q[0])
-        return out
-    size = dp + dq
-    rows = []
-    for i in range(dq):
-        row = [BivarPoly.zero()] * size
-        for j, c in enumerate(reversed(p)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(dp):
-        row = [BivarPoly.zero()] * size
-        for j, c in enumerate(reversed(q)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(rows)
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of dense integer polynomials (coefficient lists, low to high)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
 
 
 def implicitize(b: Branch) -> BivarPoly:
     """Defining polynomial of a polynomial branch with monomial x = t^n.
 
-    Resultant with respect to t of (x - t^n) and (y - y(t)), normalized to
-    content 1 and positive leading coefficient in lex term order (y > x).
+    The norm prod_{tau^n = x} (y - y(tau)), which is the resultant in t of
+    (x - t^n) and (y - y(t)), normalized to content 1 and positive leading
+    coefficient in lex term order (y > x).  With y(t) = z(t)/den, z integral,
+    the conjugates z(tau) have power sums p_k(x) = n * sum_m [t^(mn)] z^k * x^m,
+    Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i give their
+    elementary functions, and den^n * norm = sum_k (-1)^k e_k den^(n-k) y^(n-k).
     """
     if not b.monomial_x():
         raise SeriesError("implicitize requires x to be the monomial t^n")
     n = b.n
-    # p(t) = t^n - x
-    p = [BivarPoly.zero() for _ in range(n + 1)]
-    p[0] = BivarPoly.from_terms({(1, 0): Fraction(-1)})
-    p[n] = BivarPoly.const(1)
-    # q(t) = y - y(t)
-    d = b.ys.degree_bound()
-    q = [BivarPoly.zero() for _ in range(d + 1)]
-    q[0] = BivarPoly.from_terms({(0, 1): Fraction(1)})
+    den = math.lcm(*(c.denominator for _, c in b.ys.terms))
+    z = [0] * (b.ys.degree_bound() + 1)
     for e, c in b.ys.terms:
-        q[e] = q[e].add(BivarPoly.const(-c))
-    while len(q) > 1 and q[-1].is_zero():
-        q.pop()
-    return sylvester_resultant(p, q).normalized()
-
+        z[e] = c.numerator * (den // c.denominator)
+    power_sums, zk = [], z
+    for k in range(1, n + 1):
+        power_sums.append([n * c for c in zk[::n]])
+        if k < n:
+            zk = _mul(zk, z)
+    elem = [[1]]
+    for k in range(1, n + 1):
+        acc: list[int] = []
+        for i in range(1, k + 1):
+            term = _mul(elem[k - i], power_sums[i - 1])
+            acc += [0] * (len(term) - len(acc))
+            for m, c in enumerate(term):
+                acc[m] += c if i % 2 else -c
+        # e_k is a coefficient of the norm of an integral polynomial: exact
+        elem.append([c // k for c in acc])
+    return BivarPoly.from_terms({
+        (m, n - k): (-1) ** k * c * den ** (n - k)
+        for k, e_k in enumerate(elem) for m, c in enumerate(e_k)}).normalized()
 
 # -- text form ----------------------------------------------------------------
 

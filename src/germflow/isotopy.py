@@ -126,12 +126,24 @@ def _raw_field(f: FieldSpec):
     return lambda x, y: (_speed(f, y)(x), 0j)
 
 
+MAX_RK4_STEPS = 100_000  # per time-1 stage flow: the smallest step is 1e-5
+
+
+def _rk4_steps(h: float) -> int:
+    """Number of RK4 steps a time-1 flow takes at step h."""
+    if not h >= 1.0 / MAX_RK4_STEPS:
+        raise NumericError(f"RK4 step {h!r} needs more than {MAX_RK4_STEPS} steps "
+                           "per stage flow")
+    return max(1, round(1.0 / h))
+
+
 def integrate_flow(f: FieldSpec, p: Point, h: float = 1e-3) -> Point:
     """Time-1 flow of the glued field by classical fixed-step RK4.
 
     The coordinate the field does not push is constant along the trajectory,
     so RK4 runs on the moving coordinate alone and the other is returned as
     given."""
+    n = _rk4_steps(h)
     moves_v = f.orientation == "v"
     fixed, w = p if moves_v else p[::-1]
     speed, bump = _speed(f, fixed), f.bump
@@ -142,7 +154,6 @@ def integrate_flow(f: FieldSpec, p: Point, h: float = 1e-3) -> Point:
         rho = bump_value(bump, (fixed, w) if moves_v else (w, fixed))
         return 0j if rho == 0.0 else rho * speed(w)
 
-    n = max(1, round(1.0 / h))
     step = 1.0 / n
     for _ in range(n):
         k1 = fn(w)
@@ -216,6 +227,9 @@ def find_parameter_radius(b: Branch, radius: float) -> float:
     hi = 1e-6
     while mag(hi) < radius and hi < 1e9:
         hi *= 2.0
+    # a coefficient far beyond float range can put the answer below 1e-6 * 2**-200
+    while hi > 1e-300 and mag(0.5 * hi) >= radius:
+        hi *= 0.5
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -494,6 +508,10 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
     """Carry log-spaced samples of g1 through the plan and measure how far the
     images land from g2 (geometric distance, cross-checked against the value
     of the implicit equation normalized by its gradient)."""
+    steps = _rk4_steps(h)
+    if not h / 2.0 >= 1.0 / MAX_RK4_STEPS:  # the Richardson run's own check
+        raise NumericError(f"RK4 step {h!r} is below {2.0 / MAX_RK4_STEPS!r}: the check "
+                           f"also runs step h/2, at most {MAX_RK4_STEPS} steps per stage flow")
     tmax = find_parameter_radius(g1, radius)
     ts = [tmax * 10.0 ** (-2.0 * (1.0 - j / (n_samples - 1.0))) if n_samples > 1 else tmax
           for j in range(n_samples)]
@@ -524,6 +542,5 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
         records.append(SampleRecord(complex(t), p0, p1, dist, dist_implicit))
 
     max_distance = max((rec.dist for rec in records), default=0.0)
-    steps_total = len(plan.stages) * max(1, round(1.0 / h)) * len(ts)
     return FlowReport(tuple(records), max_distance, tol, max_distance < tol,
-                      steps_total, richardson)
+                      len(plan.stages) * steps * len(ts), richardson)

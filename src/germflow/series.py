@@ -10,10 +10,15 @@ guessing.
 ``compose`` and ``invert_parameter`` (Newton reversion) are the reference
 implementation that the tests check ``in_terms_of`` (triangular elimination)
 and ``divide`` (long division) against; the package does not call them.
+
+Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
+normal float range as a mantissa and a power-of-two scale, so only a value
+that is itself out of range saturates.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,12 +26,25 @@ from functools import cached_property
 from .errors import PrecisionError, SeriesError
 
 
-def _to_float(c: Fraction) -> float:
-    """Fraction to double, saturating instead of raising beyond the range."""
-    try:
-        return float(c)
-    except OverflowError:
-        return float("inf") if c > 0 else float("-inf")
+def _split(c: Fraction) -> tuple[float, int]:
+    """(m, s) with c = m * 2**s up to rounding of m, and 1/2 < |m| < 2."""
+    s = c.numerator.bit_length() - c.denominator.bit_length()
+    return float(c / 2 ** s if s >= 0 else c * 2 ** -s), s
+
+
+def _scaled_power(m: float, s: int, t: complex, e: int) -> complex:
+    """m * 2**s * t**e, where 2**s and t**e need not fit a float; raises
+    OverflowError only when the value itself does not."""
+    if e == 0:
+        return complex(math.ldexp(m, s))
+    if t == 0:
+        return 0j
+    if abs(t) == math.inf:
+        raise OverflowError("infinite argument")
+    k = math.frexp(abs(t))[1]  # |t| = f * 2**k with 1/2 <= f < 1
+    t = complex(t)
+    v = m * complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)) ** e
+    return complex(math.ldexp(v.real, s + k * e), math.ldexp(v.imag, s + k * e))
 
 
 def _clean(terms, precision):
@@ -284,16 +302,28 @@ class TruncatedSeries:
         )
 
     @cached_property
-    def _float_terms(self) -> tuple[tuple[int, float], ...]:
+    def _float_terms(self) -> tuple[tuple[tuple[int, float], ...],
+                                    tuple[tuple[int, float, int], ...]]:
+        """(e, c) for each coefficient c that is a normal float, and
+        (e, m, s) with c = m * 2**s for each one beyond that range."""
         # converted on first evaluation, not at construction: most series
         # built during resolution and plan construction are never evaluated
-        return tuple((e, _to_float(c)) for e, c in self.terms)
+        fits, scaled = [], []
+        for e, c in self.terms:
+            try:
+                f = float(c)
+            except OverflowError:
+                f = 0.0
+            if abs(f) >= sys.float_info.min:
+                fits.append((e, f))
+            else:
+                scaled.append((e, *_split(c)))
+        return tuple(fits), tuple(scaled)
 
     def eval(self, t: complex) -> complex:
-        """Horner evaluation over the stored terms at a complex argument."""
-        terms = self._float_terms
-        if not terms:
-            return 0j
+        """Horner evaluation over the stored terms at a complex argument; terms
+        with a coefficient beyond float range are added one by one, scaled."""
+        terms, scaled = self._float_terms
         try:
             acc = 0j
             prev = None
@@ -303,18 +333,25 @@ class TruncatedSeries:
                 else:
                     acc = acc * t ** (prev - e) + c
                 prev = e
-            return acc * t ** prev
+            if prev is not None:
+                acc = acc * t ** prev
+            for e, m, s in scaled:
+                acc += _scaled_power(m, s, t, e)
+            return acc
         except OverflowError:
             return complex(float("inf"), 0.0)
 
     def abs_bound(self, radius: float) -> float:
         """Upper bound for |self(t)| over |t| <= radius (abs-coefficient sum)."""
+        terms, scaled = self._float_terms
         total = 0.0
-        for e, c in self.terms:
-            try:
-                total += abs(_to_float(c)) * radius ** e
-            except OverflowError:
-                return float("inf")
+        try:
+            for e, c in terms:
+                total += abs(c) * radius ** e
+            for e, m, s in scaled:
+                total += _scaled_power(abs(m), s, radius, e).real
+        except OverflowError:
+            return float("inf")
         return total
 
     def __str__(self) -> str:

@@ -1,0 +1,145 @@
+"""Reference implementations the package is checked against; not package code.
+
+``sylvester_oracle(b)`` is the resultant in t of (t^n - x) and (y - y(t)),
+taken as the determinant of the (n+d)x(n+d) Sylvester matrix by Bareiss
+fraction-free elimination, so every intermediate entry stays a polynomial.
+``germflow.implicitize`` computes the same resultant as a norm, from power
+sums and Newton's identities; after ``normalized()`` the two must agree
+exactly.  The ``BivarPoly`` arithmetic below exists only for this oracle.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from germflow import Branch, BivarPoly
+from germflow.errors import SeriesError
+
+
+# -- polynomial arithmetic ------------------------------------------------------
+
+def zero() -> BivarPoly:
+    return BivarPoly(())
+
+
+def const(c) -> BivarPoly:
+    return BivarPoly.from_terms({(0, 0): Fraction(c)})
+
+
+def add(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    acc = p.as_dict()
+    for k, c in q.terms:
+        acc[k] = acc.get(k, Fraction(0)) + c
+    return BivarPoly.from_terms(acc)
+
+
+def sub(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    return add(p, q.scale(-1))
+
+
+def mul(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (a1, b1), c1 in p.terms:
+        for (a2, b2), c2 in q.terms:
+            k = (a1 + a2, b1 + b2)
+            acc[k] = acc.get(k, Fraction(0)) + c1 * c2
+    return BivarPoly.from_terms(acc)
+
+
+def mul_term(p: BivarPoly, a: int, b: int, c) -> BivarPoly:
+    c = Fraction(c)
+    if c == 0:
+        return zero()
+    return BivarPoly.from_terms({(ka + a, kb + b): v * c for (ka, kb), v in p.terms})
+
+
+def exact_div(p: BivarPoly, q: BivarPoly) -> BivarPoly:
+    """Exact quotient p / q; raises if the division has a remainder."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = p
+    quo: dict[tuple[int, int], Fraction] = {}
+    (da, db), dc = q.leading()
+    while not rem.is_zero():
+        (ra, rb), rc = rem.leading()
+        qa, qb = ra - da, rb - db
+        if qa < 0 or qb < 0:
+            raise SeriesError("polynomial division is not exact")
+        qc = rc / dc
+        quo[(qa, qb)] = quo.get((qa, qb), Fraction(0)) + qc
+        rem = sub(rem, mul_term(q, qa, qb, qc))
+    return BivarPoly.from_terms(quo)
+
+
+# -- resultant via Sylvester + Bareiss ------------------------------------------
+
+def _bareiss_det(m: list[list[BivarPoly]]) -> BivarPoly:
+    n = len(m)
+    if n == 0:
+        return const(1)
+    m = [row[:] for row in m]
+    sign = 1
+    prev = const(1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = sub(mul(m[k][k], m[i][j]), mul(m[i][k], m[k][j]))
+                m[i][j] = exact_div(num, prev)
+            m[i][k] = zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det.scale(-1) if sign < 0 else det
+
+
+def sylvester_resultant(p: list[BivarPoly], q: list[BivarPoly]) -> BivarPoly:
+    """Resultant in t of p(t), q(t) given as coefficient lists (low to high)."""
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp < 1:
+        # degenerate: constant p
+        out = const(1)
+        for _ in range(dq):
+            out = mul(out, p[0])
+        return out
+    if dq < 1:
+        out = const(1)
+        for _ in range(dp):
+            out = mul(out, q[0])
+        return out
+    size = dp + dq
+    rows = []
+    for i in range(dq):
+        row = [zero()] * size
+        for j, c in enumerate(reversed(p)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(dp):
+        row = [zero()] * size
+        for j, c in enumerate(reversed(q)):
+            row[i + j] = c
+        rows.append(row)
+    return _bareiss_det(rows)
+
+
+def sylvester_oracle(b: Branch) -> BivarPoly:
+    """Unnormalized resultant in t of (t^n - x) and (y - y(t)) for x = t^n."""
+    n = b.n
+    # p(t) = t^n - x
+    p = [zero() for _ in range(n + 1)]
+    p[0] = BivarPoly.from_terms({(1, 0): Fraction(-1)})
+    p[n] = const(1)
+    # q(t) = y - y(t)
+    d = b.ys.degree_bound()
+    q = [zero() for _ in range(d + 1)]
+    q[0] = BivarPoly.from_terms({(0, 1): Fraction(1)})
+    for e, c in b.ys.terms:
+        q[e] = add(q[e], const(-c))
+    while len(q) > 1 and q[-1].is_zero():
+        q.pop()
+    return sylvester_resultant(p, q)

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import sylvester_oracle
 
-from germflow import (BivarPoly, implicitize, parse_branch, parse_poly, poly_on_branch,
-                      poly_to_text)
+from germflow import (Branch, BivarPoly, implicitize, parse_branch, parse_poly,
+                      poly_on_branch, poly_to_text)
 from germflow.branch import eval_branch
 from germflow.errors import ParseError, SeriesError
+from germflow.series import TruncatedSeries
 
 
 def to_sympy(f):
@@ -41,8 +45,6 @@ def test_cusp_t4_implicit_equation():
 
 
 def test_non_monomial_x_rejected():
-    from germflow import Branch
-    from germflow.series import TruncatedSeries
     bad = Branch(xs=TruncatedSeries.from_terms({2: Fraction(2)}, 6),
                  ys=TruncatedSeries.from_terms({3: Fraction(1)}, 6))
     with pytest.raises(SeriesError):
@@ -58,6 +60,38 @@ def test_implicitize_matches_sympy_oracle(name, corpus):
     # equal up to the content/sign normalization, i.e. a nonzero rational factor
     ratio = sympy.cancel(oracle / mine)
     assert ratio.is_Rational and ratio != 0
+
+
+coefficients = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 4),
+).filter(lambda c: c != 0)
+
+
+@st.composite
+def family_members(draw):
+    """x = t^n, y = a signed member of a family (n; betas) with at most two
+    characteristic pairs, plus free terms that keep the gcd chain."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    betas, chain = [], [n]
+    while chain[-1] > 1:
+        lo = betas[-1] + 1 if betas else n + 1
+        beta = draw(st.integers(lo, lo + n).filter(lambda b: b % chain[-1]))
+        betas.append(beta)
+        chain.append(math.gcd(chain[-1], beta))
+    # a free exponent past beta_1 .. beta_k is a multiple of chain[k]
+    free = [e for e in range(n, (betas[-1] if betas else n) + 4)
+            if e not in betas and e % chain[sum(b < e for b in betas)] == 0]
+    free = draw(st.lists(st.sampled_from(free), max_size=3, unique=True))
+    exps = sorted(betas + free) or [draw(st.integers(1, 4))]
+    terms = {e: draw(coefficients) for e in exps}
+    return Branch(TruncatedSeries.monomial(n, 1, 64), TruncatedSeries.from_terms(terms, 64))
+
+
+@settings(max_examples=80)
+@given(family_members())
+def test_implicitize_equals_normalized_sylvester_oracle(b):
+    assert implicitize(b) == sylvester_oracle(b).normalized()
 
 
 @pytest.mark.parametrize("name", ["cusp", "cusp_t4", "two_pair", "e34"])
@@ -111,7 +145,7 @@ def test_parse_poly_forms():
 
 
 def test_parse_poly_zero_exponent_alone_is_a_term():
-    assert parse_poly("f = x^0") == BivarPoly.const(1)
+    assert parse_poly("f = x^0") == BivarPoly.from_terms({(0, 0): 1})
     assert parse_poly("f = y - x^0 y^0") == parse_poly("f = y - 1")
 
 
@@ -143,11 +177,3 @@ def test_eval_and_grad_saturate_on_overflow():
     big = complex(1e200, 1.0)
     assert f.eval(big, 0j) == complex(math.inf, 0.0)
     assert f.grad(big, 0j) == (complex(math.inf, 0.0), complex(math.inf, 0.0))
-
-
-def test_exact_division():
-    f = parse_poly("f = y^2 - 2*x^2y + x^4")
-    g = parse_poly("f = y - x^2")
-    assert f.exact_div(g) == g
-    with pytest.raises(SeriesError):
-        parse_poly("f = y^2 - x^3").exact_div(g)

@@ -1,4 +1,5 @@
 import os
+import signal
 
 import pytest
 
@@ -158,10 +159,28 @@ def test_isotopy_trace_format(capsys, corpus_dir, tmp_path):
     assert re.fullmatch(r"max_dist=[^ ]+ pass=(True|False)", lines[-1])
 
 
-def test_implicitize_output(capsys, corpus_dir):
-    code, out, _ = run_cli(capsys, "implicitize", path(corpus_dir, "cusp"), "--no-timing")
-    assert code == 0
-    assert "f = y^2 - x^3" in out
+# golden text for every corpus branch; the norm gives the same polynomial as
+# the Sylvester determinant (tests/oracles.py) it replaced
+IMPLICIT_EQUATIONS = {
+    "cusp": "f = y^2 - x^3",
+    "cusp_2t3": "f = y^2 - 4*x^3",
+    "cusp_t4": "f = y^2 - 2*x^2y + x^4 - x^3",
+    "diag": "f = y - x",
+    "e25": "f = y^2 - x^5",
+    "e25_shift": "f = y^2 - 4*x^2y - x^5 + 4*x^4",
+    "e34": "f = y^3 - x^4",
+    "e35": "f = y^3 - x^5",
+    "parabola": "f = y - x^2",
+    "two_pair": "f = y^4 - 2*x^3y^2 - 4*x^5y - x^7 + x^6",
+}
+
+
+@pytest.mark.parametrize("name", IMPLICIT_EQUATIONS)
+def test_implicitize_output(capsys, corpus_dir, name):
+    file = path(corpus_dir, name)
+    code, out, err = run_cli(capsys, "implicitize", file, "--no-timing")
+    assert (code, err) == (0, "")
+    assert out == f"command: implicitize {file}\n{IMPLICIT_EQUATIONS[name]}\noutcome=ok\n"
 
 
 def test_implicitize_line(capsys, corpus_dir):
@@ -260,6 +279,25 @@ def test_non_finite_config_reports_error(capsys, corpus_dir, option, value):
                              path(corpus_dir, "cusp_2t3"), "--no-timing", option, value)
     assert code == 1
     assert err == "error: config values must be finite and positive\n"
+    assert "outcome" not in out
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_tiny_step_reports_error(capsys, corpus_dir, step):
+    # 1e-300 asked for 1e300 RK4 steps and never finished; 5e-324 overflowed round(1/h)
+    def expire(signum, frame):
+        raise TimeoutError(f"--step {step} still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
+                                 path(corpus_dir, "cusp_2t3"), "--no-timing", "--step", step)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert err == f"error: RK4 step {float(step)!r} needs more than 100000 steps per stage flow\n"
     assert "outcome" not in out
 
 

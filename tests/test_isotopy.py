@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from germflow import (apply_plan, build_plan, bump_value, graph_match_field,
                       integrate_flow, lift_point, multiplicative_field, parse_branch,
                       pushdown_point, verify_isotopy)
-from germflow.errors import DegenerateSlopeError, LiftError, NotEquisingularError
-from germflow.isotopy import BumpSpec, FieldSpec
+from germflow.branch import eval_branch
+from germflow.errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
+                             NumericError)
+from germflow.isotopy import MAX_RK4_STEPS, BumpSpec, FieldSpec, find_parameter_radius
 from germflow.series import TruncatedSeries
 
 
@@ -516,3 +518,25 @@ def test_verify_far_sample_saturates_implicit_distance():
 def test_richardson_estimate_small():
     rep = run_pair("x = t^2\ny = t^3", "x = t^2\ny = 2 t^3")
     assert rep.max_step_error < 1e-9
+
+
+def test_step_ceiling_refuses_tiny_steps():
+    f = multiplicative_field(1, 2, BUMP)
+    p = (0.01 + 0j, 0.02 + 0j)
+    for h in (1e-300, 5e-324, 0.5 / MAX_RK4_STEPS):
+        with pytest.raises(NumericError, match="needs more than 100000 steps"):
+            integrate_flow(f, p, h)
+    # verify_isotopy also runs step h/2, and checks both before any flow
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b)
+    with pytest.raises(NumericError, match=r"RK4 step 1e-05 is below 2e-05: .* h/2"):
+        verify_isotopy(a, b, plan, n_samples=2, h=1.0 / MAX_RK4_STEPS)
+
+
+def test_coefficient_beyond_float_range_keeps_the_sample_window():
+    b = parse_branch("x = t^2\ny = t^3 + 1" + "0" * 400 + " t^5")
+    x, y = eval_branch(b, 1e-100)
+    assert x == 1e-200 and y == pytest.approx(1e-100, rel=1e-12, abs=0.0)
+    # |y(t)| = 10^400 t^5 = 0.05 sets the window, far below 1e-6 * 2^-200
+    tmax = find_parameter_radius(b, 0.05)
+    assert tmax == pytest.approx(0.05 ** 0.2 * 1e-80, rel=1e-9, abs=0.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from germflow.errors import PrecisionError, SeriesError
-from germflow.series import TruncatedSeries, _to_float
+from germflow.series import TruncatedSeries
 
 
 def S(terms, precision):
@@ -186,7 +187,7 @@ def _horner_at_call_time(s, t):
     try:
         acc, prev = 0j, None
         for e, c in reversed(s.terms):
-            acc = complex(_to_float(c)) if prev is None else acc * t ** (prev - e) + _to_float(c)
+            acc = complex(float(c)) if prev is None else acc * t ** (prev - e) + float(c)
             prev = e
         return acc * t ** prev
     except OverflowError:
@@ -199,14 +200,14 @@ def _same(a, b):
 
 
 HUGE = Fraction(10 ** 400)
-wide_fractions = st.one_of(small_fractions, st.fractions(max_denominator=10 ** 9),
-                           st.sampled_from([HUGE, -HUGE, 1 / HUGE]))
+normal_fractions = st.one_of(small_fractions, st.fractions(max_denominator=10 ** 9))
+wide_fractions = st.one_of(normal_fractions, st.sampled_from([HUGE, -HUGE, 1 / HUGE]))
 
 
 @st.composite
-def wide_series(draw, max_terms=8, precision=40):
+def wide_series(draw, max_terms=8, precision=40, coefficients=wide_fractions):
     exps = draw(st.lists(st.integers(0, precision - 1), max_size=max_terms, unique=True))
-    coeffs = draw(st.lists(wide_fractions, min_size=len(exps), max_size=len(exps)))
+    coeffs = draw(st.lists(coefficients, min_size=len(exps), max_size=len(exps)))
     return S(dict(zip(exps, coeffs)), precision)
 
 
@@ -216,20 +217,43 @@ points = st.one_of(
     st.sampled_from([1e200, -1e200 + 0j, complex(0.5, -0.0)]))
 
 
-@given(wide_series(), st.lists(points, min_size=1, max_size=4))
+@given(wide_series(coefficients=normal_fractions), st.lists(points, min_size=1, max_size=4))
 def test_eval_matches_horner_at_call_time(s, ts):
-    # the float coefficients are converted once; every value stays bitwise the same
+    # coefficients that are normal floats are converted once, and every value
+    # stays bitwise the same
     for t in ts + ts:
         assert _same(s.eval(t), _horner_at_call_time(s, t))
 
 
+@given(wide_series(), st.integers(-192, 192).map(lambda k: Fraction(k, 64)))
+def test_eval_matches_exact_value_at_rational_points(s, t):
+    # a coefficient beyond float range is split into mantissa and power-of-two
+    # scale; the value keeps a relative error of 1e-12 against the absolute sum
+    exact = sum(c * t ** e for e, c in s.terms)
+    scale = sum(abs(c) * abs(t) ** e for e, c in s.terms)
+    value = s.eval(float(t))
+    if scale < 1e300:
+        assert abs(value - float(exact)) <= 1e-12 * float(scale) + sys.float_info.min
+    elif abs(exact) > 1e309:
+        assert value == complex(math.inf, 0.0)
+
+
+def test_eval_reads_a_coefficient_beyond_float_range():
+    s = S({3: 1, 5: HUGE}, 8)
+    near = {"rel": 1e-12, "abs": 0.0}
+    assert s.eval(1e-100) == pytest.approx(1e-100, **near)
+    assert s.eval(complex(1e-100, 1e-100)) == pytest.approx(-4e-100 - 4e-100j, **near)
+    assert s.abs_bound(1e-100) == pytest.approx(1e-100, **near)
+    assert S({2: 1 / HUGE}, 8).eval(1e100) == pytest.approx(1e-200, **near)
+
+
 def test_eval_saturates_a_coefficient_beyond_float_range():
+    # here the value itself is beyond float range
     for coef in (HUGE, -HUGE):
         s = S({2: coef}, 8)
         for t in (0.5, 0.5 - 0.25j):
-            value = s.eval(t)
-            assert abs(value) == math.inf
-            assert _same(value, _horner_at_call_time(s, t))
+            assert s.eval(t) == complex(math.inf, 0.0)
+        assert s.abs_bound(0.5) == s.abs_bound(math.inf) == math.inf
 
 
 def test_invert_unit():
