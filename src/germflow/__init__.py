@@ -11,7 +11,7 @@ from .isotopy import (BumpSpec, FieldSpec, FlowReport, IsotopyPlan, apply_plan,
                       verify_isotopy)
 from .puiseux import newton_puiseux
 from .resolution import (ChartState, DualGraph, ResolutionData, StepRecord,
-                         blowup_step, dual_graph, proximity_matrix, resolve)
+                         blowup_step, dual_graph, resolve)
 from .series import TruncatedSeries
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ class Branch:
 
     @property
     def n(self) -> int:
-        """Order of x(t); the multiplicity-at-ingestion when x = t^n."""
+        """Order of x(t); the multiplicity only when ord y >= n (x transversal)."""
         o = self.xs.order()
         if o is None:
             raise SeriesError("x(t) is zero up to its precision")

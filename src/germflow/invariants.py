@@ -39,13 +39,20 @@ class EquisingularityVerdict:
 
 
 def char_exponents(b: Branch) -> CharExponents:
-    """Support exponents of y(t) at which the running gcd with n drops."""
+    """Characteristic exponents (n; betas), n the multiplicity of the germ.
+
+    The betas are the exponents of y(t) at which the running gcd with n drops.
+    When ord y < ord x, Zariski's inversion formula (Casas-Alvero, Singularities
+    of Plane Curves, 2000) makes ord y the multiplicity; the exponents read are
+    then ord x and e - ord y + ord x for every later exponent e of y(t)."""
     if not b.monomial_x():
         raise SeriesError("characteristic exponents need x to be the monomial t^n")
-    n = b.n
+    n, exps = b.n, b.ys.support()
+    if exps and exps[0] < n:
+        n, exps = exps[0], [n] + [e - exps[0] + n for e in exps[1:]]
     betas = []
     e = n
-    for exp in b.ys.support():
+    for exp in exps:
         g = math.gcd(e, exp)
         if g < e:
             betas.append(exp)
@@ -108,20 +115,6 @@ def invariant_set(b: Branch) -> InvariantSet:
     return InvariantSet(seq, semigroup(c), d, 2 * d)
 
 
-def semigroup_elements(gens, bound: int) -> set[int]:
-    """All semigroup elements below bound (test/report helper)."""
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = v + g
-            if w < bound and w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return reached
-
-
 def compare_dual_graphs(g1: DualGraph, g2: DualGraph) -> EquisingularityVerdict:
     r1, r2 = len(g1.vertices), len(g2.vertices)
     if r1 != r2:
@@ -143,9 +136,9 @@ def compare_dual_graphs(g1: DualGraph, g2: DualGraph) -> EquisingularityVerdict:
     return EquisingularityVerdict(True, "dual graphs identical under blowup-order labeling")
 
 
-def equisingular(a: Branch, b: Branch, precision: int = DEFAULT_PRECISION,
-                 max_steps: int = 64) -> EquisingularityVerdict:
+def equisingular(a: Branch, b: Branch,
+                 precision: int = DEFAULT_PRECISION) -> EquisingularityVerdict:
     """Compare the weighted dual graphs of the two desingularisations."""
-    ga = dual_graph(resolve(a.with_precision(precision) if a.exact else a, max_steps))
-    gb = dual_graph(resolve(b.with_precision(precision) if b.exact else b, max_steps))
+    ga = dual_graph(resolve(a.with_precision(precision) if a.exact else a))
+    gb = dual_graph(resolve(b.with_precision(precision) if b.exact else b))
     return compare_dual_graphs(ga, gb)

@@ -1,18 +1,19 @@
 """Ambient-isotopy construction between equisingular branches.
 
-The plan is built by walking the two resolutions in lockstep through shared
-blowup charts.  While the infinitely-near centres coincide the walk simply
-descends; at the first level where the tangent directions of the two strict
-transforms differ, a compactly supported multiplicative vector field
-rho * (0, lambda*(v - a*u)) is emitted whose time-1 flow rotates the moving
-branch's tangent onto the target's (lambda = principal log of the slope
-ratio; the shear a is 0 whenever both slopes are finite nonzero, and keeps
-every labeled axis invariant otherwise).  The moving branch's chart series
-is then updated by the exact rational time-1 map, so deeper stages are
-still built from exact data.  Once both strict transforms are resolved the
-base case matches their graphs over the exceptional coordinate with a
-translation field rho * (0, s2(u) - s1(u)); each graph s(u) is read off the
-chart series by triangular elimination (``TruncatedSeries.in_terms_of``).
+Both branches are resolved once, and the plan replays the target's
+recorded resolution on the source alone, blowing it up in the target's
+recorded chart at each level.  Wherever the source's tangent differs from
+the target's recorded slope, a compactly supported multiplicative vector
+field rho * (0, lambda*(v - a*u)) is emitted whose time-1 flow rotates the
+moving branch's tangent onto the target's (lambda = principal log of the
+slope ratio; the shear a is 0 whenever both slopes are finite nonzero, and
+keeps every labeled axis invariant otherwise).  The moving branch's chart
+series is then updated by the exact rational time-1 map, so deeper stages
+are still built from exact data.  Once the source is resolved the base case
+matches its graph to the target's recorded final graph over the exceptional
+coordinate with a translation field rho * (0, s2(u) - s1(u)); each graph
+s(u) is read off the chart series by triangular elimination
+(``TruncatedSeries.in_terms_of``).
 
 All stage flows are integrated with fixed-step RK4 in the stage chart;
 points are carried between the plane and the chart by the recorded chart
@@ -30,9 +31,9 @@ from .branch import Branch, eval_branch
 from .bivar import implicitize
 from .errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
                      NumericError, PlanError)
-from .invariants import equisingular
-from .resolution import (INF, ChartState, apply_step, initial_state,
-                         is_terminal, state_slope)
+from .invariants import compare_dual_graphs
+from .resolution import (INF, ChartState, apply_step, dual_graph, initial_state,
+                         is_terminal, resolve, state_slope)
 from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
@@ -248,7 +249,7 @@ def _mult_bump(s1, t1max, ratio, a) -> BumpSpec:
     # only lifts of the (moved) source germ are ever flowed, so the bump has
     # to contain their trajectories: positions scale by at most the ratio
     bu, bv = _state_bounds(s1, t1max)
-    m = max(1.0, abs(float(ratio.real if isinstance(ratio, complex) else ratio)))
+    m = max(1.0, abs(float(ratio)))
     r_inner = max(2.0 * (1.0 + m) * (1.0 + abs(float(a))) * (bu + bv), 0.05)
     return BumpSpec(r_inner=r_inner, r_outer=2.0 * r_inner)
 
@@ -308,60 +309,49 @@ def _level0_alignment_shears(c1, c2):
 
 
 def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
-               precision: int = 64, max_steps: int = 64) -> IsotopyPlan:
+               precision: int = 64) -> IsotopyPlan:
     """Stage list whose composed time-1 flows carry g1 onto g2.
 
     Bump radii are sized so that every sample taken within sample_radius of
     the origin, and its whole flow trajectory, stays in the region where the
     glued field equals the raw field.
     """
-    verdict = equisingular(g1, g2, precision=precision, max_steps=max_steps)
+    h1, h2 = (g.with_precision(precision) if g.exact else g for g in (g1, g2))
+    rd1, rd2 = resolve(h1), resolve(h2)
+    verdict = compare_dual_graphs(dual_graph(rd1), dual_graph(rd2))
     if not verdict.equal:
         raise NotEquisingularError(verdict.certificate)
 
-    s1 = initial_state(g1.with_precision(precision) if g1.exact else g1)
-    s2 = initial_state(g2.with_precision(precision) if g2.exact else g2)
+    s1 = initial_state(h1)
     t1max = find_parameter_radius(g1, sample_radius)
-
-    path: list[tuple[str, Fraction]] = []
     stages: list[PlanStage] = []
 
-    for _ in range(3 * max_steps + 8):
-        term1 = s1.level > 0 and is_terminal(s1)
-        term2 = s2.level > 0 and is_terminal(s2)
-        if term1 != term2:
+    for k, (chart, c) in enumerate(rd2.chart_path):
+        if s1.level > 0 and is_terminal(s1):
             raise PlanError("resolutions desynchronized; equisingularity violated")
-        if term1 and term2:
-            stages.append(_graph_match_stage(s1, s2, t1max, tuple(path)))
-            return IsotopyPlan(tuple(stages), g1, g2)
-
-        c1, c2 = state_slope(s1), state_slope(s2)
-        if c1 != c2:
-            if s1.level == 0 and (INF in (c1, c2) or 0 in (c1, c2)):
-                for orientation, amount in _level0_alignment_shears(c1, c2):
-                    f = FieldSpec(kind="shear", orientation=orientation,
-                                  amount=amount, level=0)
-                    stages.append(PlanStage(f, ()))
-                    s1 = _update_moving_state(s1, f)
-                if state_slope(s1) != c2:
-                    raise PlanError("internal: level-0 shears missed the target slope")
-                continue
-            stages.append(_multiplicative_stage(s1, s2, c1, c2, t1max, tuple(path)))
+        c1, c2 = state_slope(s1), (INF if chart == "B" else c)
+        if c1 != c2 and s1.level == 0 and (INF in (c1, c2) or 0 in (c1, c2)):
+            for orientation, amount in _level0_alignment_shears(c1, c2):
+                f = FieldSpec(kind="shear", orientation=orientation, amount=amount, level=0)
+                stages.append(PlanStage(f, ()))
+                s1 = _update_moving_state(s1, f)
+        elif c1 != c2:
+            stages.append(_multiplicative_stage(s1, c1, c2, t1max, rd2.chart_path[:k]))
             s1 = _update_moving_state(s1, stages[-1].field)
-            if state_slope(s1) != c2:
-                raise PlanError("internal: multiplicative stage missed the target slope")
-            continue
-
-        chart, c = ("B", Fraction(0)) if c1 is INF else ("A", Fraction(c1))
+        if state_slope(s1) != c2:
+            raise PlanError("internal: the stages missed the target slope")
         s1 = apply_step(s1, chart, c)
-        s2 = apply_step(s2, chart, c)
-        if (s1.u_label, s1.v_label) != (s2.u_label, s2.v_label):
+        labels2 = rd2.steps[k + 1].proximate_to if k + 1 < rd2.r else rd2.final.labels()
+        if s1.labels() != labels2:
             raise PlanError("internal: shared blowup gave different divisor labels")
-        path.append((chart, c))
-    raise PlanError("plan construction did not terminate")
+
+    if not is_terminal(s1):
+        raise PlanError("resolutions desynchronized; equisingularity violated")
+    stages.append(_graph_match_stage(s1, rd2.final, t1max, rd2.chart_path))
+    return IsotopyPlan(tuple(stages), g1, g2)
 
 
-def _multiplicative_stage(s1, s2, c1, c2, t1max, path) -> PlanStage:
+def _multiplicative_stage(s1, c1, c2, t1max, path) -> PlanStage:
     level = s1.level
     if s1.u_label is not None and s1.v_label is not None:
         if INF in (c1, c2) or 0 in (c1, c2):

@@ -194,16 +194,6 @@ def resolve(b: Branch, max_steps: int = 64) -> ResolutionData:
     return ResolutionData(tuple(steps), state)
 
 
-def proximity_matrix(rd: ResolutionData) -> list[list[int]]:
-    r = rd.r
-    mat = [[0] * r for _ in range(r)]
-    for j, rec in enumerate(rd.steps):
-        mat[j][j] = 1
-        for i in rec.proximate_to:
-            mat[j][i - 1] = -1
-    return mat
-
-
 def dual_graph(rd: ResolutionData) -> DualGraph:
     r = rd.r
     prox_to = {i: [] for i in range(1, r + 1)}  # i -> later centres proximate to i

@@ -182,14 +182,6 @@ class TruncatedSeries:
             out = out.mul(self)
         return out
 
-    def invert_unit(self, precision: int) -> "TruncatedSeries":
-        """Inverse of a unit (order-0) series, modulo t^precision."""
-        if self.order() != 0:
-            raise SeriesError("only order-0 series have a series inverse")
-        if min(precision, self.precision) <= 0:
-            raise PrecisionError("no precision left for series inverse")
-        return TruncatedSeries.monomial(0, 1, precision).divide(self)
-
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient q with self = other * q.
 

@@ -6,6 +6,10 @@ fraction-free elimination, so every intermediate entry stays a polynomial.
 ``germflow.implicitize`` computes the same resultant as a norm, from power
 sums and Newton's identities; after ``normalized()`` the two must agree
 exactly.  The ``BivarPoly`` arithmetic below exists only for this oracle.
+
+``semigroup_elements`` and ``proximity_matrix`` are the explicit forms of
+the semigroup and of the proximity relation that the invariant and
+resolution tests check against.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from fractions import Fraction
 
 from germflow import Branch, BivarPoly
 from germflow.errors import SeriesError
+from germflow.resolution import ResolutionData
 
 
 # -- polynomial arithmetic ------------------------------------------------------
@@ -143,3 +148,30 @@ def sylvester_oracle(b: Branch) -> BivarPoly:
     while len(q) > 1 and q[-1].is_zero():
         q.pop()
     return sylvester_resultant(p, q)
+
+
+# -- semigroup and proximities ----------------------------------------------------
+
+def semigroup_elements(gens, bound: int) -> set[int]:
+    """All elements below bound of the semigroup generated by gens."""
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = v + g
+            if w < bound and w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached
+
+
+def proximity_matrix(rd: ResolutionData) -> list[list[int]]:
+    """P[j][j] = 1 and P[j][i-1] = -1 when centre j+1 is proximate to E_i."""
+    r = rd.r
+    mat = [[0] * r for _ in range(r)]
+    for j, rec in enumerate(rd.steps):
+        mat[j][j] = 1
+        for i in rec.proximate_to:
+            mat[j][i - 1] = -1
+    return mat

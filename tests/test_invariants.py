@@ -1,10 +1,15 @@
 import itertools
+import math
 from fractions import Fraction
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from oracles import semigroup_elements
 
 from germflow import (char_exponents, delta_mu, equisingular, invariant_set,
                       mult_seq_from_char, parse_branch, resolve, semigroup)
 from germflow.bivar import BivarPoly, poly_on_branch
-from germflow.invariants import CharExponents, delta_from_mult, semigroup_elements
+from germflow.invariants import CharExponents, delta_from_mult
 
 
 def test_char_exponents_cusp():
@@ -25,6 +30,38 @@ def test_char_exponents_smooth():
 def test_char_exponents_skip_non_characteristic():
     c = char_exponents(parse_branch("x = t^4\ny = t^8 + t^6 + t^7"))
     assert (c.n, c.betas) == (4, (6, 7))
+
+
+def test_char_exponents_invert_when_x_is_not_transversal():
+    # ord y < n: the multiplicity is ord y (Zariski's inversion formula)
+    c = char_exponents(parse_branch("x = t^5\ny = t^1 + t^3"))
+    assert (c.n, c.betas) == (1, ())
+    c = char_exponents(parse_branch("x = t^4\ny = t^2 + t^5"))
+    assert (c.n, c.betas) == (2, (7,))
+    c = char_exponents(parse_branch("x = t^6\ny = t^4 + t^5"))
+    assert (c.n, c.betas) == (4, (6, 7))
+
+
+@st.composite
+def _low_ord_y_branches(draw):
+    """x = t^n with 1 <= ord y < n, a primitive parametrization."""
+    n = draw(st.integers(2, 8))
+    exps = sorted({draw(st.integers(1, n - 1))}
+                  | set(draw(st.lists(st.integers(n, 3 * n + 6), max_size=3))))
+    assume(math.gcd(n, *exps) == 1)
+    coefs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                          min_size=len(exps), max_size=len(exps)))
+    y = " + ".join(f"{c} t^{e}" for c, e in zip(coefs, exps)).replace("+ -", "- ")
+    return parse_branch(f"x = t^{n}\ny = {y}").with_precision(64)
+
+
+@given(_low_ord_y_branches())
+def test_char_exponents_of_low_ord_y_agree_with_the_blowup_engine(b):
+    assert invariant_set(b).mult_seq == resolve(b).multiplicities()
+    c = char_exponents(b)
+    y = " + ".join(f"t^{beta}" for beta in c.betas) or "t^2"
+    canonical = parse_branch(f"x = t^{c.n}\ny = {y}")
+    assert equisingular(b, canonical).equal
 
 
 def test_mult_seq_cusp():

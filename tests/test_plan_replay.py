@@ -1,0 +1,138 @@
+"""The plan layer replays the target's recorded resolution.
+
+- A golden table, captured from an earlier ``build_plan`` that walked both
+  resolutions in lockstep, pins every stage of every ordered corpus pair
+  (or its ``NotEquisingularError`` certificate).
+- ``build_plan`` takes one blowup per level, on the source only.
+- Its certificate is the one ``equisingular`` gives, also for mismatches the
+  corpus never reaches.
+"""
+import itertools
+import json
+import math
+import os
+
+import pytest
+from conftest import CORPUS_NAMES
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from germflow import build_plan, equisingular, isotopy, parse_branch, resolution, resolve
+from germflow.errors import NotEquisingularError
+from germflow.invariants import compare_dual_graphs
+from germflow.resolution import DualGraph
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "plan_golden.json")
+
+
+def _series(s):
+    if s is None:
+        return None
+    return {"precision": s.precision, "terms": [[e, str(c)] for e, c in s.terms]}
+
+
+def plan_record(g1, g2):
+    """Every exact datum of build_plan(g1, g2), or its certificate."""
+    try:
+        plan = build_plan(g1, g2)
+    except NotEquisingularError as exc:
+        return {"certificate": str(exc)}
+    stages = []
+    for stage in plan.stages:
+        f = stage.field
+        stages.append({
+            "kind": f.kind, "level": f.level, "orientation": f.orientation,
+            "ratio": None if f.ratio is None else str(f.ratio),
+            "shear": str(f.shear), "amount": str(f.amount),
+            "path": [[chart, str(c)] for chart, c in stage.path],
+            "u_label": stage.u_label, "v_label": stage.v_label,
+            "s1": _series(f.s1), "s2": _series(f.s2),
+        })
+    return {"stages": stages}
+
+
+def _golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("source", CORPUS_NAMES)
+def test_plans_match_the_golden_table(corpus, source):
+    golden = _golden()
+    for target in CORPUS_NAMES:
+        key = f"{source} -> {target}"
+        assert plan_record(corpus[source], corpus[target]) == golden[key], key
+
+
+def test_golden_table_covers_every_ordered_corpus_pair():
+    golden = _golden()
+    assert sorted(golden) == sorted(f"{a} -> {b}" for a in CORPUS_NAMES for b in CORPUS_NAMES)
+    assert sum("stages" in rec for rec in golden.values()) == 20
+
+
+def test_only_the_source_is_blown_up(corpus, monkeypatch):
+    calls = []
+
+    def counted(state, chart, c):
+        calls.append((chart, c))
+        return resolution.apply_step(state, chart, c)
+
+    monkeypatch.setattr(isotopy, "apply_step", counted)
+    planned = 0
+    for a, b in itertools.product(CORPUS_NAMES, repeat=2):
+        if not equisingular(corpus[a], corpus[b]).equal:
+            continue
+        calls.clear()
+        build_plan(corpus[a], corpus[b])
+        rd = resolve(corpus[b])
+        assert len(calls) == rd.r, (a, b)
+        assert tuple(calls) == rd.chart_path, (a, b)
+        planned += 1
+    assert planned == 20
+
+
+def _families(max_n=4):
+    """Characteristic data (n; beta_1[, beta_2]) with beta_1 < 3n."""
+    out = []
+    for n in range(2, max_n + 1):
+        for b1 in range(n + 1, 3 * n):
+            e1 = math.gcd(n, b1)
+            if e1 == 1:
+                out.append((n, (b1,)))
+            elif e1 < n:
+                out.extend((n, (b1, b2)) for b2 in range(b1 + 1, b1 + n) if math.gcd(e1, b2) == 1)
+    return out
+
+
+FAMILIES = _families()
+nonzero_coefs = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def signed_members(draw, family):
+    """x = t^n, y = c0 t^n (a tilt, maybe 0) + sum c_i t^beta_i, signed c_i."""
+    n, betas = family
+    y = {n: draw(st.integers(-2, 2))} | {beta: draw(nonzero_coefs) for beta in betas}
+    text = " + ".join(f"{c} t^{e}" for e, c in sorted(y.items()) if c).replace("+ -", "- ")
+    return parse_branch(f"x = t^{n}\ny = {text}").with_precision(64)
+
+
+@given(st.sampled_from(FAMILIES).flatmap(signed_members),
+       st.sampled_from(FAMILIES).flatmap(signed_members))
+def test_plan_certificate_is_the_equisingular_certificate(a, b):
+    verdict = equisingular(a, b)
+    assume(not verdict.equal)
+    with pytest.raises(NotEquisingularError) as exc:
+        build_plan(a, b)
+    assert exc.value.certificate == verdict.certificate
+
+
+def test_dual_graph_certificates_for_edges_and_arrow():
+    # branches never reach these two: equal r and weights have so far always
+    # meant equal edges, and the arrow sits on E_r
+    g = DualGraph(((1, -2), (2, -2), (3, -1)), ((1, 3), (2, 3)), arrow=3)
+    other_edges = DualGraph(g.vertices, ((1, 2), (2, 3)), arrow=3)
+    other_arrow = DualGraph(g.vertices, g.edges, arrow=2)
+    assert compare_dual_graphs(g, other_edges).certificate == \
+        "edges differ (E1--E3 only in first; E1--E2 only in second)"
+    assert compare_dual_graphs(g, other_arrow).certificate == "arrow differs (E3 vs E2)"

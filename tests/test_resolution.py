@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import proximity_matrix
 
-from germflow import parse_branch, proximity_matrix, resolve
+from germflow import parse_branch, resolve
 from germflow.branch import Branch
 from germflow.errors import ResolutionError
 from germflow.resolution import ChartState, apply_step, blowup_step, dual_graph

@@ -147,18 +147,6 @@ def test_divide_matches_inverse_then_multiply(a, b):
     assert _outcome(a.divide, b) == _outcome(_divide_by_inverse, a, b)
 
 
-@given(series(max_terms=6, precision=12), st.integers(-1, 14))
-def test_invert_unit_is_division_of_one(u, precision):
-    if u.order() != 0:
-        with pytest.raises(SeriesError):
-            u.invert_unit(precision)
-    elif precision < 1:
-        with pytest.raises(PrecisionError):
-            u.invert_unit(precision)
-    else:
-        assert u.invert_unit(precision) == _divide_by_inverse(S({0: 1}, precision), u)
-
-
 @given(series(max_terms=5), series(max_terms=5))
 def test_mul_commutes(a, b):
     assert a.mul(b) == b.mul(a)
@@ -254,14 +242,6 @@ def test_eval_saturates_a_coefficient_beyond_float_range():
         for t in (0.5, 0.5 - 0.25j):
             assert s.eval(t) == complex(math.inf, 0.0)
         assert s.abs_bound(0.5) == s.abs_bound(math.inf) == math.inf
-
-
-def test_invert_unit():
-    u = S({0: 1, 1: 1}, 6)
-    inv = u.invert_unit(6)
-    prod = u.mul(inv)
-    assert prod.coefficient(0) == 1
-    assert all(prod.coefficient(k) == 0 for k in range(1, 5))
 
 
 def test_compose_hand_example():

@@ -6,6 +6,9 @@
   module; the package's own modules are imported relatively.
 - Only ``series.py`` calls ``compose`` or ``invert_parameter``: they are the
   reference the faster kernels are tested against, not a code path.
+- Helpers that only tests use live in ``tests/oracles.py``: no module of the
+  package defines ``semigroup_elements``, ``proximity_matrix`` or
+  ``invert_unit``.
 """
 import ast
 import pathlib
@@ -50,3 +53,14 @@ def test_reference_series_kernels_stay_in_series(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("compose", "invert_parameter")]
     assert calls == [], f"{path.name}: reference kernel calls {calls}"
+
+
+TEST_ONLY_HELPERS = ("semigroup_elements", "proximity_matrix", "invert_unit")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_test_only_helpers_are_not_defined_in_the_package(path):
+    defs = [(node.name, node.lineno) for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in TEST_ONLY_HELPERS]
+    assert defs == [], f"{path.name}: test-only helpers defined {defs}"
