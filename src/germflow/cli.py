@@ -132,12 +132,7 @@ def cmd_isotopy(args, cfg: Config, out) -> int:
     out.append(f"stages={len(plan.stages)}")
     for k, stage in enumerate(plan.stages, start=1):
         f = stage.field
-        extra = ""
-        if f.kind == "multiplicative":
-            extra = f" ratio={f.ratio} shear={f.shear}"
-        elif f.kind == "shear":
-            extra = f" amount={f.amount} orientation={f.orientation}"
-        out.append(f"stage={k} level={f.level} kind={f.kind}{extra}")
+        out.append(f"stage={k} level={f.level} kind={f.kind}{f.params()}")
     out.append(f"max_dist={report.max_distance!r}")
     out.append(f"integrator: steps={report.steps_total} "
                f"max_step_error={report.max_step_error!r}")

@@ -131,8 +131,6 @@ def compare_dual_graphs(g1: DualGraph, g2: DualGraph) -> EquisingularityVerdict:
         if only2:
             detail.append(f"E{only2[0][0]}--E{only2[0][1]} only in second")
         return EquisingularityVerdict(False, "edges differ (" + "; ".join(detail) + ")")
-    if g1.arrow != g2.arrow:
-        return EquisingularityVerdict(False, f"arrow differs (E{g1.arrow} vs E{g2.arrow})")
     return EquisingularityVerdict(True, "dual graphs identical under blowup-order labeling")
 
 

@@ -2,29 +2,34 @@
 
 Both branches are resolved once, and the plan replays the target's
 recorded resolution on the source alone, blowing it up in the target's
-recorded chart at each level.  Wherever the source's tangent differs from
-the target's recorded slope, a compactly supported multiplicative vector
-field rho * (0, lambda*(v - a*u)) is emitted whose time-1 flow rotates the
-moving branch's tangent onto the target's (lambda = principal log of the
-slope ratio; the shear a is 0 whenever both slopes are finite nonzero, and
-keeps every labeled axis invariant otherwise).  The moving branch's chart
-series is then updated by the exact rational time-1 map, so deeper stages
-are still built from exact data.  Once the source is resolved the base case
-matches its graph to the target's recorded final graph over the exceptional
-coordinate with a translation field rho * (0, s2(u) - s1(u)); each graph
-s(u) is read off the chart series by triangular elimination
-(``TruncatedSeries.in_terms_of``).
+recorded chart at each level.  Each stage of the plan is one of three
+field types, each pushing one chart coordinate:
 
-All stage flows are integrated with fixed-step RK4 in the stage chart;
-points are carried between the plane and the chart by the recorded chart
-path.  Degenerate tangent directions at level 0 (where no exceptional
-divisor exists yet) are removed beforehand by global linear shear stages.
+- ``Shear``: a global linear shear at level 0 (no exceptional divisor
+  exists yet) that moves a tangent off 0 or infinity before the
+  multiplicative stages can act.
+- ``Multiplicative``: a compactly supported field rho * (0, lambda*(v - a*u))
+  whose time-1 flow rotates the moving branch's tangent onto the target's
+  recorded slope (lambda = principal log of the slope ratio; the shear a is
+  0 whenever both slopes are finite nonzero, and keeps every labeled axis
+  invariant otherwise).
+- ``GraphMatch``: once the source is resolved, a translation field
+  rho * (0, s2(u) - s1(u)) that matches its graph to the target's recorded
+  final graph over the exceptional coordinate; each graph s(u) is read off
+  the chart series by triangular elimination (``TruncatedSeries.in_terms_of``).
+
+After a shear or multiplicative stage the moving branch's chart series is
+updated by the stage's exact rational time-1 map, so deeper stages are
+still built from exact data.  All stage flows are integrated with
+fixed-step RK4 in the stage chart; points are carried between the plane and
+the chart by the recorded chart path.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .branch import Branch, eval_branch
@@ -63,82 +68,112 @@ def bump_value(b: BumpSpec, p: Point) -> float:
     return hi / (hi + lo)
 
 
-# -- vector fields --------------------------------------------------------------
+# -- stage fields ----------------------------------------------------------------
+# A field pushes one coordinate w (its orientation, "v" or "u") and is zero in
+# the other, `fixed`.  `speed(fixed)` is its raw speed as a function of w,
+# `time_one` its exact time-1 raw map on chart series, `params` the parameter
+# text of a `germflow isotopy` stage line.
+
+def _push(state: ChartState, orientation: str, move) -> ChartState:
+    """The chart state with its moving series w replaced by move(fixed, w)."""
+    if orientation == "v":
+        return replace(state, ys=move(state.xs, state.ys))
+    return replace(state, xs=move(state.ys, state.xs))
+
 
 @dataclass(frozen=True)
-class FieldSpec:
-    kind: str                      # "multiplicative" | "graph-match" | "shear"
-    orientation: str = "v"         # which coordinate the field pushes
-    bump: BumpSpec | None = None   # None: global field (level-0 shears only)
-    level: int = 0
-    ratio: object = None           # Fraction or complex slope ratio (multiplicative)
-    shear: Fraction = Fraction(0)  # conjugation shear a (multiplicative)
-    amount: Fraction = Fraction(0)  # shear stages
-    s1: TruncatedSeries | None = None
-    s2: TruncatedSeries | None = None
+class Shear:
+    """Global linear shear (0, amount*u) or (amount*v, 0) at level 0."""
+    orientation: str
+    amount: Fraction
+    kind = "shear"
+    level = 0
+    bump = None
+
+    def speed(self, fixed: complex):
+        speed = float(self.amount) * fixed
+        return lambda w: speed
+
+    def time_one(self, state: ChartState) -> ChartState:
+        return _push(state, self.orientation,
+                     lambda fixed, w: w.add(fixed.scale(self.amount)))
+
+    def params(self) -> str:
+        return f" amount={self.amount} orientation={self.orientation}"
+
+
+@dataclass(frozen=True)
+class Multiplicative:
+    """Field rho * lambda * (w - a*fixed), lambda = principal log of the ratio;
+    its time-1 raw flow carries the line w = c*fixed onto w = (a + ratio*(c - a))*fixed."""
+    orientation: str
+    ratio: Fraction
+    shear: Fraction
+    bump: BumpSpec
+    level: int
+    kind = "multiplicative"
+
+    def __post_init__(self):
+        if self.ratio == 0:
+            raise DegenerateSlopeError("multiplicative field needs a nonzero ratio")
 
     @property
     def lam(self) -> complex:
-        ratio = self.ratio if isinstance(self.ratio, complex) else float(self.ratio)
-        return cmath.log(ratio)
+        return cmath.log(float(self.ratio))
 
-
-def multiplicative_field(c1, c2, bump: BumpSpec, shear=Fraction(0),
-                         orientation: str = "v", level: int = 0) -> FieldSpec:
-    """Field rho * (0, log(c2/c1) * (v - a*u)); its time-1 raw flow carries the
-    line v = c1*u onto v = c2*u."""
-    if c1 == 0 or c2 == 0:
-        raise DegenerateSlopeError("multiplicative field needs nonzero slopes")
-    if isinstance(c1, complex) or isinstance(c2, complex):
-        ratio = complex(c2) / complex(c1)
-    else:
-        ratio = Fraction(c2) / Fraction(c1)
-    return FieldSpec(kind="multiplicative", orientation=orientation, bump=bump,
-                     level=level, ratio=ratio, shear=Fraction(shear))
-
-
-def graph_match_field(s1: TruncatedSeries, s2: TruncatedSeries, bump: BumpSpec,
-                      orientation: str = "v", level: int = 0) -> FieldSpec:
-    """Translation field rho * (0, s2(u) - s1(u)); its time-1 raw flow carries
-    the graph of s1 onto the graph of s2 and keeps the u = 0 axis invariant."""
-    return FieldSpec(kind="graph-match", orientation=orientation, bump=bump,
-                     level=level, s1=s1, s2=s2)
-
-
-def _speed(f: FieldSpec, fixed: complex):
-    """Raw speed of the moving coordinate w along a trajectory whose other
-    coordinate is `fixed`: every stage field is zero in that coordinate."""
-    if f.kind == "multiplicative":
-        lam, a = f.lam, float(f.shear)
+    def speed(self, fixed: complex):
+        lam, a = self.lam, float(self.shear)
         return lambda w: lam * (w - a * fixed)
-    if f.kind == "shear":
-        speed = float(f.amount) * fixed
-    elif f.kind == "graph-match":
-        speed = f.s2.sub(f.s1).eval(fixed)
-    else:
-        raise PlanError(f"unknown field kind {f.kind!r}")
-    return lambda w: speed
+
+    def time_one(self, state: ChartState) -> ChartState:
+        def move(fixed, w):
+            af = fixed.scale(self.shear)
+            return af.add(w.sub(af).scale(self.ratio))
+        return _push(state, self.orientation, move)
+
+    def params(self) -> str:
+        return f" ratio={self.ratio} shear={self.shear}"
 
 
-def _raw_field(f: FieldSpec):
-    """The unglued field as a map (x, y) -> (dx/dt, dy/dt)."""
-    if f.orientation == "v":
-        return lambda x, y: (0j, _speed(f, x)(y))
-    return lambda x, y: (_speed(f, y)(x), 0j)
+@dataclass(frozen=True)
+class GraphMatch:
+    """Translation field rho * (s2 - s1)(fixed); its time-1 raw flow carries
+    the graph of s1 onto the graph of s2 and keeps the fixed = 0 axis invariant."""
+    orientation: str
+    s1: TruncatedSeries
+    s2: TruncatedSeries
+    bump: BumpSpec
+    level: int
+    kind = "graph-match"
 
+    @functools.cached_property
+    def _gap(self) -> TruncatedSeries:
+        return self.s2.sub(self.s1)
+
+    def speed(self, fixed: complex):
+        speed = self._gap.eval(fixed)
+        return lambda w: speed
+
+    def params(self) -> str:
+        return ""
+
+
+StageField = Shear | Multiplicative | GraphMatch
 
 MAX_RK4_STEPS = 100_000  # per time-1 stage flow: the smallest step is 1e-5
 
 
 def _rk4_steps(h: float) -> int:
-    """Number of RK4 steps a time-1 flow takes at step h."""
+    """Number of RK4 steps a time-1 flow takes at step h, for 1e-5 <= h <= 1."""
     if not h >= 1.0 / MAX_RK4_STEPS:
         raise NumericError(f"RK4 step {h!r} needs more than {MAX_RK4_STEPS} steps "
                            "per stage flow")
-    return max(1, round(1.0 / h))
+    if h > 1.0:  # h and h/2 would round to the same step count
+        raise NumericError(f"RK4 step {h!r} is above 1, the length of a stage flow")
+    return round(1.0 / h)
 
 
-def integrate_flow(f: FieldSpec, p: Point, h: float = 1e-3) -> Point:
+def integrate_flow(f: StageField, p: Point, h: float = 1e-3) -> Point:
     """Time-1 flow of the glued field by classical fixed-step RK4.
 
     The coordinate the field does not push is constant along the trajectory,
@@ -147,7 +182,7 @@ def integrate_flow(f: FieldSpec, p: Point, h: float = 1e-3) -> Point:
     n = _rk4_steps(h)
     moves_v = f.orientation == "v"
     fixed, w = p if moves_v else p[::-1]
-    speed, bump = _speed(f, fixed), f.bump
+    speed, bump = f.speed(fixed), f.bump
 
     def fn(w):
         if bump is None:
@@ -206,7 +241,7 @@ def pushdown_point(path: ChartPath, q: Point) -> Point:
 
 @dataclass(frozen=True)
 class PlanStage:
-    field: FieldSpec
+    field: StageField
     path: ChartPath
     u_label: int | None = None
     v_label: int | None = None
@@ -258,37 +293,6 @@ _SHEAR_CANDIDATES = [Fraction(k) for k in (1, -1, 2, -2, 3, -3)] + \
                     [Fraction(1, 2), Fraction(-1, 2), Fraction(5), Fraction(-5)]
 
 
-def _update_moving_state(state: ChartState, field: FieldSpec) -> ChartState:
-    """Exact rational time-1 raw map of a stage applied to the chart series."""
-    xs, ys = state.xs, state.ys
-    if field.kind == "shear":
-        if field.orientation == "v":
-            ys = ys.add(xs.scale(field.amount))
-        else:
-            xs = xs.add(ys.scale(field.amount))
-    elif field.kind == "multiplicative":
-        a, ratio = field.shear, field.ratio
-        if field.orientation == "v":
-            w = ys.sub(xs.scale(a))
-            ys = xs.scale(a).add(w.scale(ratio))
-        else:
-            w = xs.sub(ys.scale(a))
-            xs = ys.scale(a).add(w.scale(ratio))
-    else:
-        raise PlanError("graph-match stages do not update the walk")
-    return ChartState(xs, ys, state.u_label, state.v_label, state.level)
-
-
-def _slope_after_shear(c, orientation, s):
-    if orientation == "v":
-        return c + s if c is not INF else INF
-    # u-shear: u' = u + s*y, slope c = v/u maps to c / (1 + s*c)
-    if c is INF:
-        return 1 / s
-    den = 1 + s * c
-    return INF if den == 0 else c / den
-
-
 def _level0_alignment_shears(c1, c2):
     """Global shear stages carrying slope c1 onto c2 when 0/INF is involved."""
     stages = []
@@ -332,12 +336,12 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
         c1, c2 = state_slope(s1), (INF if chart == "B" else c)
         if c1 != c2 and s1.level == 0 and (INF in (c1, c2) or 0 in (c1, c2)):
             for orientation, amount in _level0_alignment_shears(c1, c2):
-                f = FieldSpec(kind="shear", orientation=orientation, amount=amount, level=0)
+                f = Shear(orientation, amount)
                 stages.append(PlanStage(f, ()))
-                s1 = _update_moving_state(s1, f)
+                s1 = f.time_one(s1)
         elif c1 != c2:
             stages.append(_multiplicative_stage(s1, c1, c2, t1max, rd2.chart_path[:k]))
-            s1 = _update_moving_state(s1, stages[-1].field)
+            s1 = stages[-1].field.time_one(s1)
         if state_slope(s1) != c2:
             raise PlanError("internal: the stages missed the target slope")
         s1 = apply_step(s1, chart, c)
@@ -379,8 +383,7 @@ def _multiplicative_stage(s1, c1, c2, t1max, path) -> PlanStage:
             next(s for s in _SHEAR_CANDIDATES if s != d1 and s != d2)
     ratio = (d2 - a) / (d1 - a)
     bump = _mult_bump(s1, t1max, ratio, a)
-    f = FieldSpec(kind="multiplicative", orientation=orientation, bump=bump,
-                  level=level, ratio=ratio, shear=a)
+    f = Multiplicative(orientation, ratio, a, bump, level)
     return PlanStage(f, path, s1.u_label, s1.v_label)
 
 
@@ -402,7 +405,7 @@ def _graph_match_stage(s1, s2, t1max, path) -> PlanStage:
     motion = g2.sub(g1).abs_bound(across)
     r_inner = max(2.0 * (bu + bv + motion), 0.05)
     bump = BumpSpec(r_inner=r_inner, r_outer=2.0 * r_inner)
-    f = graph_match_field(g1, g2, bump, orientation=orientation, level=s1.level)
+    f = GraphMatch(orientation, g1, g2, bump, s1.level)
     return PlanStage(f, path, s1.u_label, s1.v_label)
 
 

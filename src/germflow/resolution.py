@@ -69,7 +69,11 @@ class ResolutionData:
 class DualGraph:
     vertices: tuple[tuple[int, int], ...]  # (label, self-intersection)
     edges: tuple[tuple[int, int], ...]
-    arrow: int
+
+    @property
+    def arrow(self) -> int:
+        """The strict transform meets the last exceptional curve, E_r."""
+        return self.vertices[-1][0]
 
 
 def state_multiplicity(state: ChartState) -> int:
@@ -207,4 +211,4 @@ def dual_graph(rd: ResolutionData) -> DualGraph:
             j = max(prox_to[i])
             edges.append((i, j))
     edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-    return DualGraph(vertices, edges, arrow=r)
+    return DualGraph(vertices, edges)

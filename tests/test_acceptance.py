@@ -2,11 +2,11 @@
 import math
 import os
 import random
+from fractions import Fraction
 
-from germflow import (build_plan, char_exponents, delta_mu, dual_graph,
-                      equisingular, integrate_flow, multiplicative_field,
-                      mult_seq_from_char, parse_branch, resolve, semigroup,
-                      verify_isotopy)
+from germflow import (Multiplicative, build_plan, char_exponents, delta_mu, dual_graph,
+                      equisingular, integrate_flow, mult_seq_from_char, parse_branch,
+                      resolve, semigroup, verify_isotopy)
 from germflow.bivar import implicitize, poly_on_branch
 from germflow.branch import normalize_branch
 from germflow.cli import main
@@ -74,7 +74,7 @@ def test_criterion_4_roundtrip(corpus):
 
 def test_criterion_5_flow_numerics():
     bump = BumpSpec(r_inner=10.0, r_outer=20.0)
-    f = multiplicative_field(1, 2, bump)
+    f = Multiplicative("v", Fraction(2), Fraction(0), bump, 0)
     lam = math.log(2.0)
     rng = random.Random(42)
     worst = 0.0
@@ -85,14 +85,14 @@ def test_criterion_5_flow_numerics():
         worst = max(worst, abs(end[0] - p[0]), abs(end[1] - p[1] * math.exp(lam)))
     assert worst < 1e-9
 
-    tight = multiplicative_field(1, 2, BumpSpec(0.1, 0.2))
+    tight = Multiplicative("v", Fraction(2), Fraction(0), BumpSpec(0.1, 0.2), 0)
     for k in range(20):
         z = complex(math.cos(0.3 * k), math.sin(0.3 * k))
         p = (0.5 * z, 0.4 * z.conjugate())
         assert integrate_flow(tight, p, 1e-3) == p  # bit-identical outside support
 
     axis_worst = 0.0
-    g = multiplicative_field(1, 3, BumpSpec(0.5, 1.0))
+    g = Multiplicative("v", Fraction(3), Fraction(0), BumpSpec(0.5, 1.0), 0)
     for v in (0.05, 0.2, 0.45):
         end = integrate_flow(g, (0j, complex(v)), 1e-3)
         axis_worst = max(axis_worst, abs(end[0]))

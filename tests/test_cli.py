@@ -301,6 +301,17 @@ def test_tiny_step_reports_error(capsys, corpus_dir, step):
     assert "outcome" not in out
 
 
+@pytest.mark.parametrize("step", ["2", "1.4", "1.0000001"])
+def test_step_above_one_reports_error(capsys, corpus_dir, step):
+    # --step 2 printed max_step_error=0.0 and PASS: steps h and h/2 both
+    # rounded to one RK4 step, so the Richardson check compared a run with itself
+    code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
+                             path(corpus_dir, "cusp_2t3"), "--no-timing", "--step", step)
+    assert code == 1
+    assert err == f"error: RK4 step {float(step)!r} is above 1, the length of a stage flow\n"
+    assert "PASS" not in out and "outcome" not in out
+
+
 def test_show_config(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "resolve", path(corpus_dir, "cusp"),
                            "--no-timing", "--show-config")

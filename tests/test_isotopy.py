@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from germflow import (apply_plan, build_plan, bump_value, graph_match_field,
-                      integrate_flow, lift_point, multiplicative_field, parse_branch,
+from germflow import (GraphMatch, Multiplicative, Shear, apply_plan, build_plan,
+                      bump_value, integrate_flow, lift_point, parse_branch,
                       pushdown_point, verify_isotopy)
 from germflow.branch import eval_branch
 from germflow.errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
                              NumericError)
-from germflow.isotopy import MAX_RK4_STEPS, BumpSpec, FieldSpec, find_parameter_radius
+from germflow.isotopy import MAX_RK4_STEPS, BumpSpec, find_parameter_radius
 from germflow.series import TruncatedSeries
 
 
@@ -23,6 +23,15 @@ def S(terms, precision=32):
 
 
 BUMP = BumpSpec(r_inner=10.0, r_outer=20.0)
+
+
+def mult(c1, c2, bump):
+    """Unsheared level-0 field carrying the line v = c1*u onto v = c2*u."""
+    return Multiplicative("v", Fraction(c2) / Fraction(c1), Fraction(0), bump, 0)
+
+
+def match(s1, s2, bump, orientation="v"):
+    return GraphMatch(orientation, s1, s2, bump, 0)
 
 
 # -- bump ------------------------------------------------------------------
@@ -51,20 +60,15 @@ def test_bump_transition_monotone():
 # -- multiplicative field -----------------------------------------------------
 
 def test_multiplicative_lambda_ln2():
-    f = multiplicative_field(1, 2, BUMP)
+    f = mult(1, 2, BUMP)
     assert f.lam == pytest.approx(math.log(2.0))
-    fx, fy = [c for c in _raw(f, (0.3 + 0j, 0.4 + 0j))]
-    assert fx == 0
-    assert fy == pytest.approx(math.log(2.0) * 0.4)
-
-
-def _raw(f, p):
-    from germflow.isotopy import _raw_field
-    return _raw_field(f)(*p)
+    # the field moves v alone: u is returned as given, and v moves at lam * v
+    assert integrate_flow(f, (0.3 + 0j, 0.4 + 0j), 1e-2)[0] == 0.3 + 0j
+    assert f.speed(0.3 + 0j)(0.4 + 0j) == pytest.approx(math.log(2.0) * 0.4)
 
 
 def test_multiplicative_identity_when_equal():
-    f = multiplicative_field(3, 3, BUMP)
+    f = mult(3, 3, BUMP)
     assert f.lam == 0
     p = (0.01 + 0j, 0.02 + 0j)
     assert integrate_flow(f, p, 1e-2) == p
@@ -72,18 +76,18 @@ def test_multiplicative_identity_when_equal():
 
 def test_multiplicative_zero_slope_rejected():
     with pytest.raises(DegenerateSlopeError):
-        multiplicative_field(0, 2, BUMP)
+        Multiplicative("v", Fraction(0), Fraction(0), BUMP, 0)
 
 
 def test_multiplicative_time_one_scales():
-    f = multiplicative_field(1, 4, BUMP)
+    f = mult(1, 4, BUMP)
     end = integrate_flow(f, (0.01 + 0j, 0.01 + 0j), 1e-3)
     assert abs(end[0] - 0.01) < 1e-12
     assert abs(end[1] - 0.04) < 1e-9
 
 
 def test_multiplicative_closed_form_interior():
-    f = multiplicative_field(1, 2, BUMP)
+    f = mult(1, 2, BUMP)
     rng = random.Random(11)
     lam = math.log(2.0)
     for _ in range(100):
@@ -95,7 +99,7 @@ def test_multiplicative_closed_form_interior():
 
 
 def test_negative_ratio_uses_principal_log():
-    f = multiplicative_field(1, -2, BUMP)
+    f = mult(1, -2, BUMP)
     assert f.lam.imag == pytest.approx(math.pi)
     end = integrate_flow(f, (0.1 + 0j, 0.1 + 0j), 1e-3)
     expected = 0.1 * cmath.exp(f.lam)
@@ -106,20 +110,20 @@ def test_negative_ratio_uses_principal_log():
 
 def test_graph_match_zero_when_equal():
     s = S({1: 1, 2: -1})
-    f = graph_match_field(s, s, BUMP)
+    f = match(s, s, BUMP)
     p = (0.2 + 0j, 0.3 + 0j)
     assert integrate_flow(f, p, 1e-2) == p
 
 
 def test_graph_match_constant_translation():
-    f = graph_match_field(S({0: 1}), S({0: 4}), BUMP)
+    f = match(S({0: 1}), S({0: 4}), BUMP)
     end = integrate_flow(f, (0j, 1 + 0j), 1e-3)
     assert abs(end[1] - 4.0) < 1e-9
 
 
 def test_graph_match_moves_graph_pointwise():
     s1, s2 = S({1: 1}), S({1: 2, 2: 1})
-    f = graph_match_field(s1, s2, BUMP)
+    f = match(s1, s2, BUMP)
     end = integrate_flow(f, (0.1 + 0j, 0.1 + 0j), 1e-3)
     assert abs(end[0] - 0.1) < 1e-12
     assert abs(end[1] - 0.21) < 1e-9
@@ -127,7 +131,7 @@ def test_graph_match_moves_graph_pointwise():
 
 def test_graph_match_closed_form_linear_in_time():
     s1, s2 = S({1: 1}), S({1: 2, 2: 1})
-    f = graph_match_field(s1, s2, BUMP)
+    f = match(s1, s2, BUMP)
     u = 0.25
     delta = s2.eval(u) - s1.eval(u)
     end = integrate_flow(f, (complex(u), 0.7 + 0j), 1e-3)
@@ -137,7 +141,7 @@ def test_graph_match_closed_form_linear_in_time():
 # -- gluing ---------------------------------------------------------------------
 
 def test_outside_support_bit_identical():
-    f = multiplicative_field(1, 2, BumpSpec(0.1, 0.2))
+    f = mult(1, 2, BumpSpec(0.1, 0.2))
     p = (1.0 + 0j, 1.0 + 0j)
     assert integrate_flow(f, p, 1e-2) == p
 
@@ -146,7 +150,7 @@ def test_outside_support_trajectory_stays_outside():
     # radius can only change where the field is nonzero, so points beyond
     # r_outer never enter the support
     bump = BumpSpec(0.1, 0.2)
-    f = multiplicative_field(1, 2, bump)
+    f = mult(1, 2, bump)
     rng = random.Random(3)
     for _ in range(25):
         z = cmath.exp(complex(0, rng.uniform(0, 2 * math.pi)))
@@ -155,7 +159,7 @@ def test_outside_support_trajectory_stays_outside():
 
 
 def test_axis_invariance_multiplicative():
-    f = multiplicative_field(1, 3, BumpSpec(0.5, 1.0))
+    f = mult(1, 3, BumpSpec(0.5, 1.0))
     # u = 0 axis
     end = integrate_flow(f, (0j, 0.2 + 0j), 1e-3)
     assert abs(end[0]) <= 1e-9
@@ -165,15 +169,14 @@ def test_axis_invariance_multiplicative():
 
 
 def test_sheared_multiplicative_keeps_labeled_axis():
-    f = FieldSpec(kind="multiplicative", orientation="v", bump=BumpSpec(0.5, 1.0),
-                  level=1, ratio=Fraction(2), shear=Fraction(1))
+    f = Multiplicative("v", Fraction(2), Fraction(1), BumpSpec(0.5, 1.0), level=1)
     end = integrate_flow(f, (0j, 0.2 + 0j), 1e-3)
     assert abs(end[0]) <= 1e-9  # {u = 0} invariant even with a shear
 
 
 def test_time_reversal_returns_to_start():
-    f = multiplicative_field(1, 3, BumpSpec(0.3, 0.6))
-    back = multiplicative_field(3, 1, BumpSpec(0.3, 0.6))
+    f = mult(1, 3, BumpSpec(0.3, 0.6))
+    back = mult(3, 1, BumpSpec(0.3, 0.6))
     p = (0.25 + 0.05j, 0.33 - 0.02j)  # partially in the transition annulus
     fwd = integrate_flow(f, p, 1e-3)
     ret = integrate_flow(back, fwd, 1e-3)
@@ -397,15 +400,12 @@ def _bits(z):
 
 ORACLE_BUMP = BumpSpec(r_inner=0.3, r_outer=0.6, center=(0.05 + 0j, -0.02j))
 ORACLE_FIELDS = {
-    "multiplicative": lambda o: FieldSpec(kind="multiplicative", orientation=o,
-                                          bump=ORACLE_BUMP, level=1, ratio=Fraction(-3),
-                                          shear=Fraction(1, 2)),
-    "shear": lambda o: FieldSpec(kind="shear", orientation=o, amount=Fraction(3, 2)),
-    "shear-bumped": lambda o: FieldSpec(kind="shear", orientation=o, bump=ORACLE_BUMP,
-                                        amount=Fraction(-5, 2)),
-    "graph-match": lambda o: graph_match_field(S({1: 1, 3: Fraction(-1, 3)}),
-                                               S({1: 2, 2: Fraction(1, 7), 5: 4}),
-                                               ORACLE_BUMP, orientation=o),
+    "multiplicative": lambda o: Multiplicative(o, Fraction(-3), Fraction(1, 2),
+                                               ORACLE_BUMP, level=1),
+    "shear": lambda o: Shear(o, Fraction(3, 2)),
+    "graph-match": lambda o: match(S({1: 1, 3: Fraction(-1, 3)}),
+                                   S({1: 2, 2: Fraction(1, 7), 5: 4}),
+                                   ORACLE_BUMP, orientation=o),
 }
 # inside the bump, starting in or crossing the transition annulus, outside it,
 # and with a negative-zero imaginary part on each coordinate
@@ -521,7 +521,7 @@ def test_richardson_estimate_small():
 
 
 def test_step_ceiling_refuses_tiny_steps():
-    f = multiplicative_field(1, 2, BUMP)
+    f = mult(1, 2, BUMP)
     p = (0.01 + 0j, 0.02 + 0j)
     for h in (1e-300, 5e-324, 0.5 / MAX_RK4_STEPS):
         with pytest.raises(NumericError, match="needs more than 100000 steps"):
@@ -531,6 +531,21 @@ def test_step_ceiling_refuses_tiny_steps():
     plan = build_plan(a, b)
     with pytest.raises(NumericError, match=r"RK4 step 1e-05 is below 2e-05: .* h/2"):
         verify_isotopy(a, b, plan, n_samples=2, h=1.0 / MAX_RK4_STEPS)
+
+
+def test_step_above_one_is_refused():
+    # h = 2 and h/2 = 1 both rounded to one RK4 step, so the Richardson check
+    # compared a run with itself and read max_step_error = 0.0
+    f = mult(1, 2, BUMP)
+    p = (0.01 + 0j, 0.02 + 0j)
+    for h in (1.0000001, 1.4, 2.0, math.inf):
+        with pytest.raises(NumericError, match="is above 1, the length of a stage flow"):
+            integrate_flow(f, p, h)
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b)
+    with pytest.raises(NumericError, match=r"RK4 step 2\.0 is above 1"):
+        verify_isotopy(a, b, plan, n_samples=2, h=2.0)
+    assert verify_isotopy(a, b, plan, n_samples=2, h=1.0).max_step_error > 0.0
 
 
 def test_coefficient_beyond_float_range_keeps_the_sample_window():

@@ -40,13 +40,16 @@ def plan_record(g1, g2):
     stages = []
     for stage in plan.stages:
         f = stage.field
+        # a datum a stage class lacks reads as its default in the one record
+        # type every kind shared when the table was captured
+        ratio = getattr(f, "ratio", None)
         stages.append({
             "kind": f.kind, "level": f.level, "orientation": f.orientation,
-            "ratio": None if f.ratio is None else str(f.ratio),
-            "shear": str(f.shear), "amount": str(f.amount),
+            "ratio": None if ratio is None else str(ratio),
+            "shear": str(getattr(f, "shear", 0)), "amount": str(getattr(f, "amount", 0)),
             "path": [[chart, str(c)] for chart, c in stage.path],
             "u_label": stage.u_label, "v_label": stage.v_label,
-            "s1": _series(f.s1), "s2": _series(f.s2),
+            "s1": _series(getattr(f, "s1", None)), "s2": _series(getattr(f, "s2", None)),
         })
     return {"stages": stages}
 
@@ -128,11 +131,10 @@ def test_plan_certificate_is_the_equisingular_certificate(a, b):
 
 
 def test_dual_graph_certificates_for_edges_and_arrow():
-    # branches never reach these two: equal r and weights have so far always
-    # meant equal edges, and the arrow sits on E_r
-    g = DualGraph(((1, -2), (2, -2), (3, -1)), ((1, 3), (2, 3)), arrow=3)
-    other_edges = DualGraph(g.vertices, ((1, 2), (2, 3)), arrow=3)
-    other_arrow = DualGraph(g.vertices, g.edges, arrow=2)
+    # branches never reach the edges certificate: equal r and weights have so
+    # far always meant equal edges; the arrow always sits on E_r
+    g = DualGraph(((1, -2), (2, -2), (3, -1)), ((1, 3), (2, 3)))
+    other_edges = DualGraph(g.vertices, ((1, 2), (2, 3)))
+    assert g.arrow == other_edges.arrow == 3
     assert compare_dual_graphs(g, other_edges).certificate == \
         "edges differ (E1--E3 only in first; E1--E2 only in second)"
-    assert compare_dual_graphs(g, other_arrow).certificate == "arrow differs (E3 vs E2)"

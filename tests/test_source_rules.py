@@ -9,6 +9,11 @@
 - Helpers that only tests use live in ``tests/oracles.py``: no module of the
   package defines ``semigroup_elements``, ``proximity_matrix`` or
   ``invert_unit``.
+- One type per stage field: no module defines the retired record
+  ``FieldSpec``, its constructors or the string dispatch helpers over it,
+  and none compares anything to a field-kind string (``"shear"``,
+  ``"multiplicative"``, ``"graph-match"``); each stage class carries its
+  own speed, time-1 map and stage-line text.
 """
 import ast
 import pathlib
@@ -56,6 +61,8 @@ def test_reference_series_kernels_stay_in_series(path):
 
 
 TEST_ONLY_HELPERS = ("semigroup_elements", "proximity_matrix", "invert_unit")
+RETIRED_NAMES = ("FieldSpec", "multiplicative_field", "graph_match_field", "_raw_field",
+                 "_speed", "_update_moving_state", "_slope_after_shear")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -64,3 +71,45 @@ def test_test_only_helpers_are_not_defined_in_the_package(path):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and node.name in TEST_ONLY_HELPERS]
     assert defs == [], f"{path.name}: test-only helpers defined {defs}"
+
+
+def _defined_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_retired_field_names_are_not_defined(path):
+    defs = [(name, line) for name, line in _defined_names(_tree(path))
+            if name in RETIRED_NAMES]
+    assert defs == [], f"{path.name}: retired names defined {defs}"
+
+
+FIELD_KINDS = ("shear", "multiplicative", "graph-match")
+
+
+def _compared_constants(tree):
+    """Constants on either side of a comparison (also inside a literal
+    tuple, list or set) and the values of ``case`` patterns."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                elts = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) \
+                    else [operand]
+                yield from ((node.lineno, e.value) for e in elts if isinstance(e, ast.Constant))
+        elif isinstance(node, ast.MatchValue) and isinstance(node.value, ast.Constant):
+            yield node.value.lineno, node.value.value
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_comparison_against_a_field_kind_string(path):
+    hits = [(line, value) for line, value in _compared_constants(_tree(path))
+            if isinstance(value, str) and value in FIELD_KINDS]
+    assert hits == [], f"{path.name}: field-kind string comparisons {hits}"
