@@ -54,21 +54,42 @@ class BivarPoly:
             return BivarPoly(())
         return BivarPoly(tuple((k, v * c) for k, v in self.terms))
 
-    def eval(self, x: complex, y: complex) -> complex:
-        """Value at (x, y); an overflowing power saturates the value to inf."""
-        try:
-            return sum(float(c) * x ** a * y ** b for (a, b), c in self.terms)
-        except OverflowError:
-            return complex(math.inf, 0.0)
+    def implicit_distance(self, x: complex, y: complex) -> float:
+        """|f| / |grad f| at the float point (x, y): the first-order distance
+        from the point to the curve f = 0.
 
-    def grad(self, x: complex, y: complex) -> tuple[complex, complex]:
-        """(df/dx, df/dy) at (x, y), saturated to inf like `eval`."""
-        try:
-            fx = sum(float(c) * a * x ** (a - 1) * y ** b for (a, b), c in self.terms if a)
-            fy = sum(float(c) * b * x ** a * y ** (b - 1) for (a, b), c in self.terms if b)
-        except OverflowError:
-            return complex(math.inf, 0.0), complex(math.inf, 0.0)
-        return fx, fy
+        f and grad f are evaluated exactly, in Gaussian integers over the
+        common power-of-two denominator 2^s of the four float components, with
+        the coefficients cleared of their denominators (which leaves the ratio
+        unchanged), and the ratio is rounded once.  It is inf where |f| or the
+        ratio overflows a float, or where |grad f| <= 1e-300."""
+        parts = [c.as_integer_ratio() for z in (x, y) for c in (z.real, z.imag)
+                 if math.isfinite(c)]
+        if len(parts) < 4:
+            return math.inf
+        s = max(d for _, d in parts).bit_length() - 1
+        xr, xi, yr, yi = (m << (s - d.bit_length() + 1) for m, d in parts)
+        den = math.lcm(*(c.denominator for _, c in self.terms))
+        deg = max((a + b for (a, b), _ in self.terms), default=0)
+        xp = _gauss_powers(xr, xi, max((a for (a, _), _ in self.terms), default=0))
+        yp = _gauss_powers(yr, yi, max((b for (_, b), _ in self.terms), default=0))
+        # 2^(s*deg) * den * (f, df/dx * 2^-s, df/dy * 2^-s) as Gaussian integers
+        val, gx, gy = [0, 0], [0, 0], [0, 0]
+        for (a, b), c in self.terms:
+            c = (c.numerator * (den // c.denominator)) << (s * (deg - a - b))
+            _gauss_add(val, c, xp[a], yp[b])
+            if a:
+                _gauss_add(gx, a * c, xp[a - 1], yp[b])
+            if b:
+                _gauss_add(gy, b * c, xp[a], yp[b - 1])
+        val2 = val[0] ** 2 + val[1] ** 2
+        grad2 = gx[0] ** 2 + gx[1] ** 2 + gy[0] ** 2 + gy[1] ** 2
+        if val2 >= den ** 2 << 2 * (1024 + s * deg):  # |f| >= 2^1024
+            return math.inf
+        tiny_num, tiny_den = (1e-300).as_integer_ratio()
+        if grad2 * tiny_den ** 2 <= (tiny_num * den) ** 2 << 2 * s * max(deg - 1, 0):
+            return math.inf
+        return _sqrt_quotient(val2, grad2 << 2 * s)
 
     def normalized(self) -> "BivarPoly":
         """Content 1, positive leading coefficient (lex order, y > x)."""
@@ -80,6 +101,33 @@ class BivarPoly:
         if self.leading()[1] < 0:
             scale = -scale
         return self.scale(scale)
+
+
+def _gauss_powers(re: int, im: int, top: int) -> list[tuple[int, int]]:
+    """(re + i*im)^k for k = 0..top, each as a pair of integers."""
+    out = [(1, 0)]
+    for _ in range(top):
+        a, b = out[-1]
+        out.append((a * re - b * im, a * im + b * re))
+    return out
+
+
+def _gauss_add(acc: list[int], c: int, p: tuple[int, int], q: tuple[int, int]) -> None:
+    """acc += c * p * q for Gaussian integers p, q."""
+    re, im = p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+    acc[0] += c * re
+    acc[1] += c * im
+
+
+def _sqrt_quotient(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 < den, rounded once to a float (inf on
+    overflow): the integer square root carries 80 bits before the rounding."""
+    k = (160 - num.bit_length() + den.bit_length()) // 2
+    q = (num << 2 * k) // den if k >= 0 else num // (den << -2 * k)
+    try:
+        return math.ldexp(float(math.isqrt(q)), -k)
+    except OverflowError:
+        return math.inf
 
 
 def poly_on_branch(f: BivarPoly, b: Branch) -> TruncatedSeries:

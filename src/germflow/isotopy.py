@@ -20,9 +20,12 @@ field types, each pushing one chart coordinate:
 
 After a shear or multiplicative stage the moving branch's chart series is
 updated by the stage's exact rational time-1 map, so deeper stages are
-still built from exact data.  All stage flows are integrated with
-fixed-step RK4 in the stage chart; points are carried between the plane and
-the chart by the recorded chart path.
+still built from exact data.  Sample points are flowed in the stage chart
+and carried between the plane and the chart by the recorded chart path.
+Each raw field is a translation or a linear map in the coordinate it moves,
+so wherever a trajectory stays in the ball on which the cut-off is 1 its
+time-1 flow is closed form; only a trajectory that may leave that ball is
+integrated, by fixed-step RK4.
 """
 from __future__ import annotations
 
@@ -70,9 +73,19 @@ def bump_value(b: BumpSpec, p: Point) -> float:
 
 # -- stage fields ----------------------------------------------------------------
 # A field pushes one coordinate w (its orientation, "v" or "u") and is zero in
-# the other, `fixed`.  `speed(fixed)` is its raw speed as a function of w,
-# `time_one` its exact time-1 raw map on chart series, `params` the parameter
-# text of a `germflow isotopy` stage line.
+# the other, `fixed`.  `flow(fixed, w)` is its float time-1 raw map of a point,
+# `contains(fixed, w, w1)` whether the raw trajectory from w to
+# w1 = flow(fixed, w) stays in the bump's r_inner ball (where the glued field
+# is the raw one), `speed(fixed)` the raw speed as a function of w that the RK4
+# fallback integrates (a global shear never falls back), `time_one` the exact
+# time-1 raw map on chart series, `params` the parameter text of a
+# `germflow isotopy` stage line.
+
+def _centre(f) -> Point:
+    """The bump centre of f as (fixed, moving) coordinates."""
+    c = f.bump.center
+    return c if f.orientation == "v" else c[::-1]
+
 
 def _push(state: ChartState, orientation: str, move) -> ChartState:
     """The chart state with its moving series w replaced by move(fixed, w)."""
@@ -90,9 +103,11 @@ class Shear:
     level = 0
     bump = None
 
-    def speed(self, fixed: complex):
-        speed = float(self.amount) * fixed
-        return lambda w: speed
+    def flow(self, fixed: complex, w: complex) -> complex:
+        return w + float(self.amount) * fixed
+
+    def contains(self, fixed: complex, w: complex, w1: complex) -> bool:
+        return True  # global: no cut-off
 
     def time_one(self, state: ChartState) -> ChartState:
         return _push(state, self.orientation,
@@ -125,6 +140,18 @@ class Multiplicative:
         lam, a = self.lam, float(self.shear)
         return lambda w: lam * (w - a * fixed)
 
+    def flow(self, fixed: complex, w: complex) -> complex:
+        af = float(self.shear) * fixed
+        return af + (w - af) * float(self.ratio)
+
+    def contains(self, fixed: complex, w: complex, w1: complex) -> bool:
+        # w(t) - a*fixed = (w - a*fixed) * ratio^t with |ratio^t| <= max(1, |ratio|)
+        # for 0 <= t <= 1, also for a negative ratio, where lambda is complex
+        cf, cw = _centre(self)
+        af = float(self.shear) * fixed
+        reach = abs(af - cw) + abs(w - af) * max(1.0, abs(float(self.ratio)))
+        return math.hypot(abs(fixed - cf), reach) <= self.bump.r_inner
+
     def time_one(self, state: ChartState) -> ChartState:
         def move(fixed, w):
             af = fixed.scale(self.shear)
@@ -154,6 +181,16 @@ class GraphMatch:
         speed = self._gap.eval(fixed)
         return lambda w: speed
 
+    def flow(self, fixed: complex, w: complex) -> complex:
+        return w + self._gap.eval(fixed)
+
+    def contains(self, fixed: complex, w: complex, w1: complex) -> bool:
+        # the trajectory is the segment from w to w1, and the ball is convex
+        cf, cw = _centre(self)
+        across, r = abs(fixed - cf), self.bump.r_inner
+        return (math.hypot(across, abs(w - cw)) <= r
+                and math.hypot(across, abs(w1 - cw)) <= r)
+
     def params(self) -> str:
         return ""
 
@@ -174,19 +211,40 @@ def _rk4_steps(h: float) -> int:
 
 
 def integrate_flow(f: StageField, p: Point, h: float = 1e-3) -> Point:
-    """Time-1 flow of the glued field by classical fixed-step RK4.
+    """Time-1 flow of the glued field.
 
-    The coordinate the field does not push is constant along the trajectory,
-    so RK4 runs on the moving coordinate alone and the other is returned as
-    given."""
+    The coordinate the field does not push is constant along the trajectory
+    and is returned as given.  Where the raw trajectory stays in the bump's
+    r_inner ball (or the field has no bump) the flow is the field's closed
+    form; otherwise classical fixed-step RK4 at step h runs on the moving
+    coordinate alone."""
     n = _rk4_steps(h)
+    q = _closed_form(f, p)
+    if q is None:
+        q = _rk4(f, p, n)
+    if not all(math.isfinite(c) for z in q for c in (z.real, z.imag)):
+        raise NumericError("non-finite value during flow integration")
+    return q
+
+
+def _closed_form(f: StageField, p: Point) -> Point | None:
+    """The closed-form time-1 image of p, or None where the raw trajectory
+    may leave the r_inner ball."""
+    moves_v = f.orientation == "v"
+    fixed, w = p if moves_v else p[::-1]
+    w1 = f.flow(fixed, w)
+    if not f.contains(fixed, w, w1):
+        return None
+    return (fixed, w1) if moves_v else (w1, fixed)
+
+
+def _rk4(f: StageField, p: Point, n: int) -> Point:
+    """n classical RK4 steps of the glued field on the moving coordinate."""
     moves_v = f.orientation == "v"
     fixed, w = p if moves_v else p[::-1]
     speed, bump = f.speed(fixed), f.bump
 
     def fn(w):
-        if bump is None:
-            return speed(w)
         rho = bump_value(bump, (fixed, w) if moves_v else (w, fixed))
         return 0j if rho == 0.0 else rho * speed(w)
 
@@ -197,8 +255,6 @@ def integrate_flow(f: StageField, p: Point, h: float = 1e-3) -> Point:
         k3 = fn(w + 0.5 * step * k2)
         k4 = fn(w + step * k3)
         w = w + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not all(math.isfinite(c) for c in (fixed.real, fixed.imag, w.real, w.imag)):
-        raise NumericError("non-finite value during flow integration")
     return (fixed, w) if moves_v else (w, fixed)
 
 
@@ -409,14 +465,16 @@ def _graph_match_stage(s1, s2, t1max, path) -> PlanStage:
     return PlanStage(f, path, s1.u_label, s1.v_label)
 
 
-def apply_plan(plan: IsotopyPlan, points: list[Point], h: float = 1e-3) -> list[Point]:
+def apply_plan(plan: IsotopyPlan, points: list[Point], h: float = 1e-3,
+               rk4_flows: list[int] | None = None) -> list[Point]:
     """Map sample points through every stage: lift, flow, push back down.
 
     Points whose lift is ill-conditioned (or the origin itself) are fixed:
-    the glued field vanishes there.
+    the glued field vanishes there.  When `rk4_flows` is a list, the index
+    of the stage is appended to it for every flow that falls back to RK4.
     """
     out = list(points)
-    for stage in plan.stages:
+    for k, stage in enumerate(plan.stages):
         nxt = []
         for p in out:
             try:
@@ -424,6 +482,8 @@ def apply_plan(plan: IsotopyPlan, points: list[Point], h: float = 1e-3) -> list[
             except LiftError:
                 nxt.append(p)
                 continue
+            if rk4_flows is not None and _closed_form(stage.field, q) is None:
+                rk4_flows.append(k)
             q = integrate_flow(stage.field, q, h)
             nxt.append(pushdown_point(stage.path, q))
         out = nxt
@@ -510,7 +570,8 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
           for j in range(n_samples)]
     starts = [eval_branch(g1, complex(t)) for t in ts]
 
-    ends = apply_plan(plan, starts, h)
+    rk4_flows: list[int] = []
+    ends = apply_plan(plan, starts, h, rk4_flows)
     ends_half = apply_plan(plan, starts, h / 2.0)
     richardson = max((_norm((e[0] - e2[0], e[1] - e2[1]))
                       for e, e2 in zip(ends, ends_half)), default=0.0)
@@ -525,15 +586,9 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
     records = []
     for t, p0, p1 in zip(ts, starts, ends):
         dist = distance_to_branch(p1, g2, grid)
-        if f2 is not None:
-            val = abs(f2.eval(p1[0], p1[1]))
-            gx, gy = f2.grad(p1[0], p1[1])
-            gnorm = math.hypot(gx.real, gx.imag, gy.real, gy.imag)
-            dist_implicit = val / gnorm if val < math.inf and gnorm > 1e-300 else math.inf
-        else:
-            dist_implicit = math.nan
+        dist_implicit = f2.implicit_distance(*p1) if f2 is not None else math.nan
         records.append(SampleRecord(complex(t), p0, p1, dist, dist_implicit))
 
     max_distance = max((rec.dist for rec in records), default=0.0)
     return FlowReport(tuple(records), max_distance, tol, max_distance < tol,
-                      len(plan.stages) * steps * len(ts), richardson)
+                      len(rk4_flows) * steps, richardson)

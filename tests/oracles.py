@@ -7,12 +7,17 @@ fraction-free elimination, so every intermediate entry stays a polynomial.
 sums and Newton's identities; after ``normalized()`` the two must agree
 exactly.  The ``BivarPoly`` arithmetic below exists only for this oracle.
 
+``float_eval`` and ``float_grad`` evaluate a ``BivarPoly`` and its gradient in
+floating point, as the package once did for its implicit cross-check; the
+tests measure the exact ``BivarPoly.implicit_distance`` against them.
+
 ``semigroup_elements`` and ``proximity_matrix`` are the explicit forms of
 the semigroup and of the proximity relation that the invariant and
 resolution tests check against.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from germflow import Branch, BivarPoly
@@ -73,6 +78,26 @@ def exact_div(p: BivarPoly, q: BivarPoly) -> BivarPoly:
         quo[(qa, qb)] = quo.get((qa, qb), Fraction(0)) + qc
         rem = sub(rem, mul_term(q, qa, qb, qc))
     return BivarPoly.from_terms(quo)
+
+
+# -- floating-point evaluation ---------------------------------------------------
+
+def float_eval(f: BivarPoly, x: complex, y: complex) -> complex:
+    """Value at (x, y) in floating point; an overflowing power saturates to inf."""
+    try:
+        return sum(float(c) * x ** a * y ** b for (a, b), c in f.terms)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
+def float_grad(f: BivarPoly, x: complex, y: complex) -> tuple[complex, complex]:
+    """(df/dx, df/dy) at (x, y) in floating point, saturated like `float_eval`."""
+    try:
+        fx = sum(float(c) * a * x ** (a - 1) * y ** b for (a, b), c in f.terms if a)
+        fy = sum(float(c) * b * x ** a * y ** (b - 1) for (a, b), c in f.terms if b)
+    except OverflowError:
+        return complex(math.inf, 0.0), complex(math.inf, 0.0)
+    return fx, fy
 
 
 # -- resultant via Sylvester + Bareiss ------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sylvester_oracle
+from oracles import float_eval, float_grad, sylvester_oracle
 
 from germflow import (Branch, BivarPoly, implicitize, parse_branch, parse_poly,
                       poly_on_branch, poly_to_text)
@@ -103,7 +103,7 @@ def test_implicit_vanishes_on_branch(name, corpus):
     for _ in range(100):
         t = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         x, y = eval_branch(b, t)
-        assert abs(f.eval(x, y)) <= 1e-12 * scale
+        assert abs(float_eval(f, x, y)) <= 1e-12 * scale
 
 
 def test_poly_on_branch_valuation():
@@ -172,8 +172,91 @@ def test_parse_poly_errors(text, message, line, col):
         f"line {line} col {col}: {message}", line, col)
 
 
-def test_eval_and_grad_saturate_on_overflow():
+def test_implicit_distance_saturates_on_overflow():
     f = parse_poly("f = y^2 - x^3")
     big = complex(1e200, 1.0)
-    assert f.eval(big, 0j) == complex(math.inf, 0.0)
-    assert f.grad(big, 0j) == (complex(math.inf, 0.0), complex(math.inf, 0.0))
+    # |f| ~ 1e600 overflows a float, as the float value did (saturated to inf)
+    assert float_eval(f, big, 0j) == complex(math.inf, 0.0)
+    assert f.implicit_distance(big, 0j) == math.inf
+    # |f| is finite but the ratio overflows
+    g = BivarPoly.from_terms({(0, 0): 10 ** 300, (1, 0): Fraction(1, 10 ** 200)})
+    assert g.implicit_distance(0j, 0j) == math.inf
+    h = BivarPoly.from_terms({(0, 0): 10 ** 300, (1, 0): Fraction(1, 10 ** 7)})
+    assert h.implicit_distance(0j, 0j) == pytest.approx(1e307, rel=1e-15)
+    # a vanishing gradient (the cusp point) and a non-finite point give inf
+    assert f.implicit_distance(0j, 0j) == math.inf
+    assert f.implicit_distance(complex(math.nan, 0.0), 0j) == math.inf
+    assert f.implicit_distance(complex(0.1, math.inf), 0j) == math.inf
+
+
+def _float_distance(f, x, y):
+    val = abs(float_eval(f, x, y))
+    gx, gy = float_grad(f, x, y)
+    gnorm = math.hypot(gx.real, gx.imag, gy.real, gy.imag)
+    return val / gnorm if val < math.inf and gnorm > 1e-300 else math.inf
+
+
+def test_implicit_distance_is_exact_on_the_curve():
+    # tangent y = x: the float value cancels to about 1e-26 and the gradient
+    # is about 1e-16 at t = 0.01, so the float ratio read 9e-10
+    b = parse_branch("x = t^4\ny = t^4 + t^6 + t^9 - t^11")
+    f = implicitize(b)
+    points = [eval_branch(b, complex(t)) for t in (0.002, 0.01, 0.05, 0.2)]
+    assert max(_float_distance(f, x, y) for x, y in points) > 1e-12
+    for x, y in points:
+        assert f.implicit_distance(x, y) <= 1e-12
+
+
+def test_implicit_distance_of_an_offset_point():
+    # f = y - x^2 at (x0, x0^2 + d): |f| / |grad f| = d / sqrt(1 + 4 x0^2),
+    # the first-order distance; every number is a dyadic float
+    f = implicitize(parse_branch("x = t^1\ny = t^2"))
+    x0, d = 2.0 ** -10, 2.0 ** -60
+    expected = d / math.sqrt(1.0 + 4.0 * x0 * x0)
+    got = f.implicit_distance(complex(x0), complex(x0 * x0 + d))
+    assert got == pytest.approx(expected, rel=1e-15)
+    assert f.implicit_distance(complex(x0), complex(x0 * x0)) == 0.0
+    # the same offset in the imaginary direction, and scaled coefficients
+    assert f.implicit_distance(complex(x0), complex(x0 * x0, d)) == pytest.approx(expected,
+                                                                                rel=1e-15)
+    assert f.scale(Fraction(7, 3)).implicit_distance(complex(x0), complex(x0 * x0 + d)) == got
+
+
+def _rational_ratio_squared(f, x, y):
+    """|f|^2 / |grad f|^2 at (x, y) in rational complex arithmetic, term by
+    term; None where the gradient vanishes."""
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def power(p, k):
+        out = (Fraction(1), Fraction(0))
+        for _ in range(k):
+            out = mul(out, p)
+        return out
+
+    px = (Fraction(x.real), Fraction(x.imag))
+    py = (Fraction(y.real), Fraction(y.imag))
+    sums = [[Fraction(0), Fraction(0)] for _ in range(3)]  # f, df/dx, df/dy
+    for (a, b), c in f.terms:
+        for acc, k, i, j in ((sums[0], c, a, b), (sums[1], a * c, a - 1, b),
+                             (sums[2], b * c, a, b - 1)):
+            if k:
+                m = mul(power(px, i), power(py, j))
+                acc[0] += k * m[0]
+                acc[1] += k * m[1]
+    norms = [re * re + im * im for re, im in sums]
+    return None if norms[1] + norms[2] == 0 else norms[0] / (norms[1] + norms[2])
+
+
+@settings(max_examples=60)
+@given(family_members(), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+def test_implicit_distance_matches_an_exact_rational_reference(b, tr, ti):
+    f = implicitize(b)
+    x, y = eval_branch(b, complex(tr, ti))
+    y += 1e-9
+    ref = _rational_ratio_squared(f, x, y)
+    got = f.implicit_distance(x, y)
+    if ref is None:
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(math.sqrt(ref), rel=1e-15)

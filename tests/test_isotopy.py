@@ -2,10 +2,11 @@ import cmath
 import math
 import random
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germflow import (GraphMatch, Multiplicative, Shear, apply_plan, build_plan,
@@ -414,15 +415,146 @@ ORACLE_POINTS = [(0.1 + 0.02j, 0.05 - 0.01j), (0.25 + 0.05j, 0.33 - 0.02j),
                  (complex(0.2, -0.0), complex(-0.1, -0.0))]
 
 
+# indices of the ORACLE_POINTS whose raw trajectory the containment rule keeps
+# in the r_inner ball; a global shear has no cut-off, so it keeps all of them
+CONTAINED = {"multiplicative": {0}, "graph-match": {0, 4}, "shear": set(range(5))}
+
+
+def _split(f, p):
+    return p if f.orientation == "v" else p[::-1]
+
+
+def _join(f, fixed, w):
+    return (fixed, w) if f.orientation == "v" else (w, fixed)
+
+
+def _closed_form_oracle(f, p):
+    """The raw time-1 map on both coordinates, every kind written out."""
+    fixed, w = _split(f, p)
+    if f.kind == "multiplicative":
+        af = float(f.shear) * fixed
+        return _join(f, fixed, af + (w - af) * float(f.ratio))
+    if f.kind == "shear":
+        return _join(f, fixed, w + float(f.amount) * fixed)
+    return _join(f, fixed, w + f.s2.sub(f.s1).eval(fixed))
+
+
+def _reach(f, p, samples=1001):
+    """Largest distance from the bump centre along the raw trajectory of p,
+    sampled at `samples` times in [0, 1]."""
+    fixed, w = _split(f, p)
+    cf, cw = _split(f, f.bump.center)
+    if f.kind == "multiplicative":
+        af = float(f.shear) * fixed
+        at = lambda t: af + (w - af) * cmath.exp(f.lam * t)
+    else:
+        gap = f.s2.sub(f.s1).eval(fixed)
+        at = lambda t: w + t * gap
+    return max(math.hypot(abs(fixed - cf), abs(at(k / (samples - 1)) - cw))
+               for k in range(samples))
+
+
+def _rk4_tolerance(f, h):
+    """Relative RK4 error bound at step h against the exact flow: a
+    translation is integrated exactly up to rounding, a linear field w' = lam*w
+    gains about |lam*h|^5/120 per step (Hairer, Norsett, Wanner, Solving
+    ODEs I, section II.1); twice that, plus rounding."""
+    if f.kind != "multiplicative":
+        return 1e-9
+    return 1e-9 + abs(f.lam * h) ** 5 / 60.0 / h
+
+
+def _scale(*points):
+    return sum(abs(z) for p in points for z in p)
+
+
+def _gap_norm(p, q):
+    return math.hypot(*(c for a, b in zip(p, q) for c in ((a - b).real, (a - b).imag)))
+
+
 @pytest.mark.parametrize("orientation", ["v", "u"])
-@pytest.mark.parametrize("kind", sorted(ORACLE_FIELDS))
+@pytest.mark.parametrize("kind", ["graph-match", "multiplicative"])
 def test_integrate_flow_matches_two_coordinate_rk4(kind, orientation):
+    # trajectories that leave the r_inner ball fall back to RK4, bit for bit
     f = ORACLE_FIELDS[kind](orientation)
     moving = 1 if orientation == "v" else 0
-    for p in ORACLE_POINTS:
+    leaving = [p for k, p in enumerate(ORACLE_POINTS) if k not in CONTAINED[kind]]
+    assert leaving
+    for p in leaving:
+        assert _reach(f, p) > ORACLE_BUMP.r_inner
         end = integrate_flow(f, p, 1e-2)
         assert _bits(end[1 - moving]) == _bits(p[1 - moving])
         assert end[moving] == _oracle_flow(f, p, 1e-2)[moving]
+
+
+@pytest.mark.parametrize("orientation", ["v", "u"])
+@pytest.mark.parametrize("kind", sorted(ORACLE_FIELDS))
+def test_integrate_flow_closed_form_where_contained(kind, orientation):
+    f = ORACLE_FIELDS[kind](orientation)
+    moving = 1 if orientation == "v" else 0
+    for p in (ORACLE_POINTS[k] for k in sorted(CONTAINED[kind])):
+        if f.bump is not None:
+            assert _reach(f, p) <= ORACLE_BUMP.r_inner
+        end = integrate_flow(f, p, 1e-2)
+        assert [_bits(z) for z in end] == [_bits(z) for z in _closed_form_oracle(f, p)]
+        rk4 = _oracle_flow(f, p, 1e-2)
+        assert abs(end[moving] - rk4[moving]) <= _rk4_tolerance(f, 1e-2) * _scale(p, end)
+
+
+RATIOS = [Fraction(-3), Fraction(-1, 2), Fraction(1, 3), Fraction(2), Fraction(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_FIELDS)), st.sampled_from(["v", "u"]),
+       st.sampled_from(RATIOS), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-2)]),
+       st.complex_numbers(max_magnitude=0.1), st.complex_numbers(max_magnitude=0.05))
+def test_closed_form_agrees_with_rk4_over_contained_points(kind, orientation, ratio, a,
+                                                           fixed, gap):
+    # the containment rule: both ends of a translation, the reach bound of a
+    # linear map, no bump on a shear
+    if kind == "multiplicative":
+        f = Multiplicative(orientation, ratio, a, ORACLE_BUMP, level=1)
+        cf, cw = _split(f, ORACLE_BUMP.center)
+        fixed += cf
+        af = float(a) * fixed
+        p = _join(f, fixed, af + gap)  # gap = w - a*fixed
+        reach = math.hypot(abs(fixed - cf), abs(af - cw) + abs(gap) * max(1.0, abs(ratio)))
+    elif kind == "shear":
+        f = Shear(orientation, ratio)
+        p = _join(f, fixed, gap)
+        reach = 0.0
+    else:
+        f = ORACLE_FIELDS[kind](orientation)
+        cf, cw = _split(f, ORACLE_BUMP.center)
+        p = _join(f, fixed + cf, cw + gap)
+        reach = _reach(f, p, samples=2)
+    assume(reach <= ORACLE_BUMP.r_inner)
+    end = integrate_flow(f, p, 1e-3)
+    assert end == _closed_form_oracle(f, p)
+    rk4 = _oracle_flow(f, p, 1e-3)
+    assert _gap_norm(end, rk4) <= _rk4_tolerance(f, 1e-3) * _scale(p, end)
+
+
+def test_trajectory_leaving_the_ball_takes_rk4():
+    # a translation that starts inside the r_inner ball and ends outside it
+    f = match(S({0: 0}), S({0: Fraction(1, 2)}), ORACLE_BUMP)
+    p = (0.05 + 0j, 0.1 + 0j)
+    end = integrate_flow(f, p, 1e-2)
+    assert end == _oracle_flow(f, p, 1e-2)
+    assert end != _closed_form_oracle(f, p)
+    # a negative ratio whose end points both lie inside the ball while the
+    # spiral between them leaves it
+    bump = BumpSpec(r_inner=0.27, r_outer=0.54, center=(0.1j, 0j))
+    f = Multiplicative("v", Fraction(-3), Fraction(2), bump, level=1)
+    p = (0.1j, 0.05 + 0.2j)
+    closed = _closed_form_oracle(f, p)
+    assert abs(p[1]) < bump.r_inner and abs(closed[1]) < bump.r_inner
+    assert _reach(f, p) > bump.r_inner
+    end = integrate_flow(f, p, 1e-2)
+    assert end[1] == _oracle_flow(f, p, 1e-2)[1] and end != closed
+    # the same spiral in a ball large enough to hold it takes the closed form
+    f = Multiplicative("v", Fraction(-3), Fraction(2), BumpSpec(0.36, 0.72, (0.1j, 0j)), 1)
+    assert integrate_flow(f, p, 1e-2) == closed
 
 
 # -- end-to-end verification ---------------------------------------------------------
@@ -506,6 +638,18 @@ def test_verify_cross_check_implicit_distance():
         assert rec.dist_implicit <= 10.0 * max(rec.dist, 1e-12)
 
 
+def test_verify_cross_check_is_exact_on_a_tangent_pair():
+    # tangent y = x: the images land within 1e-17 of the target, where the
+    # float value and gradient of the implicit equation read 1e-10 or more
+    a = parse_branch("x = t^4\ny = t^4 + 2 t^6 + t^9").with_precision(32)
+    b = parse_branch("x = t^4\ny = t^4 + t^6 + t^9 - t^11").with_precision(32)
+    plan = build_plan(a, b, sample_radius=0.002, precision=32)
+    rep = verify_isotopy(a, b, plan, n_samples=6, radius=0.002, h=0.05)
+    assert rep.passed and rep.max_distance < 1e-15
+    for rec in rep.records:
+        assert rec.dist_implicit <= 10.0 * max(rec.dist, 1e-12)
+
+
 def test_verify_far_sample_saturates_implicit_distance():
     a = parse_branch("x = t^4\ny = 2 t^4 - 1/2 t^6 - t^9 - t^10").with_precision(32)
     b = parse_branch("x = t^4\ny = t^4 + t^6 + t^9 - t^11").with_precision(32)
@@ -518,6 +662,25 @@ def test_verify_far_sample_saturates_implicit_distance():
 def test_richardson_estimate_small():
     rep = run_pair("x = t^2\ny = t^3", "x = t^2\ny = 2 t^3")
     assert rep.max_step_error < 1e-9
+
+
+def test_steps_count_only_the_rk4_fallback_flows():
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b)
+    rep = verify_isotopy(a, b, plan, n_samples=4, h=1e-2)
+    assert rep.steps_total == 0 and rep.max_step_error == 0.0
+    # a multiplicative bump far too small for the samples: each of their
+    # trajectories leaves its r_inner ball, so each of the 4 flows of that
+    # stage runs 100 RK4 steps; the field is 0 there, so the samples reach
+    # the graph-match stage off its graph, and some of those flows fall back too
+    first = plan.stages[0]
+    tiny = replace(first, field=replace(first.field, bump=BumpSpec(1e-9, 2e-9)))
+    plan = replace(plan, stages=(tiny,) + plan.stages[1:])
+    rep = verify_isotopy(a, b, plan, n_samples=4, h=1e-2)
+    rk4_flows = []
+    apply_plan(plan, [rec.start for rec in rep.records], 1e-2, rk4_flows)
+    assert rk4_flows.count(0) == 4
+    assert rep.steps_total == 100 * len(rk4_flows) and not rep.passed
 
 
 def test_step_ceiling_refuses_tiny_steps():
@@ -545,7 +708,14 @@ def test_step_above_one_is_refused():
     plan = build_plan(a, b)
     with pytest.raises(NumericError, match=r"RK4 step 2\.0 is above 1"):
         verify_isotopy(a, b, plan, n_samples=2, h=2.0)
-    assert verify_isotopy(a, b, plan, n_samples=2, h=1.0).max_step_error > 0.0
+    # h = 1 still runs: its closed-form flows take no RK4 step and read no
+    # step error, and a flow that falls back to RK4 differs from its h/2 run
+    rep = verify_isotopy(a, b, plan, n_samples=2, h=1.0)
+    assert rep.steps_total == 0 and rep.max_step_error == 0.0
+    f = ORACLE_FIELDS["multiplicative"]("v")
+    p = ORACLE_POINTS[1]
+    assert _reach(f, p) > ORACLE_BUMP.r_inner
+    assert integrate_flow(f, p, 1.0) != integrate_flow(f, p, 0.5)
 
 
 def test_coefficient_beyond_float_range_keeps_the_sample_window():

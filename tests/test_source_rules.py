@@ -14,6 +14,9 @@
   and none compares anything to a field-kind string (``"shear"``,
   ``"multiplicative"``, ``"graph-match"``); each stage class carries its
   own speed, time-1 map and stage-line text.
+- The implicit cross-check is exact: ``BivarPoly`` defines no float
+  ``eval`` or ``grad`` (their float forms live in ``tests/oracles.py``), only
+  ``implicit_distance``, which evaluates in integers and rounds once.
 """
 import ast
 import pathlib
@@ -113,3 +116,12 @@ def test_no_comparison_against_a_field_kind_string(path):
     hits = [(line, value) for line, value in _compared_constants(_tree(path))
             if isinstance(value, str) and value in FIELD_KINDS]
     assert hits == [], f"{path.name}: field-kind string comparisons {hits}"
+
+
+def test_bivar_poly_has_no_float_evaluation():
+    path = next(p for p in SOURCES if p.name == "bivar.py")
+    cls = next(node for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ClassDef) and node.name == "BivarPoly")
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert "implicit_distance" in methods
+    assert methods & {"eval", "grad"} == set()
