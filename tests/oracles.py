@@ -14,13 +14,20 @@ tests measure the exact ``BivarPoly.implicit_distance`` against them.
 ``semigroup_elements`` and ``proximity_matrix`` are the explicit forms of
 the semigroup and of the proximity relation that the invariant and
 resolution tests check against.
+
+``grid_distance`` is the distance to a branch's real trace as the package
+once measured it: a scan of a parameter grid, then a golden-section search
+around every local minimum.  ``two_sheet_grid`` builds such a grid over
+both signs of t, and ``bisect_parameter_radius`` is the fixed 200-step
+bisection that ``find_parameter_radius`` replaced with a loop that stops
+once its bracket is two adjacent floats.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from germflow import Branch, BivarPoly
+from germflow import Branch, BivarPoly, eval_branch
 from germflow.errors import SeriesError
 from germflow.resolution import ResolutionData
 
@@ -200,3 +207,69 @@ def proximity_matrix(rd: ResolutionData) -> list[list[int]]:
         for i in rec.proximate_to:
             mat[j][i - 1] = -1
     return mat
+
+
+# -- distance to the real trace and the sample window -------------------------------
+
+def golden_min(fn, lo: float, hi: float, iters: int = 80) -> float:
+    """Golden-section search for a minimum of fn on [lo, hi]."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def two_sheet_grid(tmax: float, count: int, decades: float = 4.0) -> list[float]:
+    """0 and +-count log-spaced parameters from tmax * 10^-decades to tmax."""
+    dense = [tmax * 10.0 ** (-decades * (1.0 - j / (count - 1.0))) for j in range(count)]
+    return sorted([-t for t in dense] + [0.0] + dense)
+
+
+def grid_distance(p, b: Branch, grid: list[float]) -> float:
+    """Distance from p to the real trace of b over the grid's span: scan, then
+    golden-refine around every local minimum of the scan."""
+    def gap(t):
+        x, y = eval_branch(b, complex(t))
+        return math.hypot((p[0] - x).real, (p[0] - x).imag,
+                          (p[1] - y).real, (p[1] - y).imag)
+
+    gaps = [gap(t) for t in grid]
+    best = min(gaps)
+    last = len(grid) - 1
+    for k in range(len(grid)):
+        if (k == 0 or gaps[k] <= gaps[k - 1]) and (k == last or gaps[k] <= gaps[k + 1]):
+            t = golden_min(gap, grid[max(0, k - 1)], grid[min(last, k + 1)])
+            best = min(best, gap(t))
+    return best
+
+
+def bisect_parameter_radius(b: Branch, radius: float) -> float:
+    """``find_parameter_radius`` with a fixed count of 200 bisections."""
+    def mag(t):
+        x, y = eval_branch(b, complex(t))
+        return math.hypot(x.real, x.imag, y.real, y.imag)
+
+    hi = 1e-6
+    while mag(hi) < radius and hi < 1e9:
+        hi *= 2.0
+    while hi > 1e-300 and mag(0.5 * hi) >= radius:
+        hi *= 0.5
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mag(mid) < radius:
+            lo = mid
+        else:
+            hi = mid
+    return hi

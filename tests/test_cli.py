@@ -271,6 +271,20 @@ def test_isotopy_far_sample_reports_fail(capsys, tmp_path):
     assert out.endswith("FAIL\noutcome=ok\n")
 
 
+def test_isotopy_image_on_the_negative_sheet_passes(capsys, tmp_path):
+    # one image lands on the target at t = -1.127; the distance check once
+    # searched the target only up to |t| = 0.944 and printed max_dist=0.379, FAIL
+    a, b = tmp_path / "a.branch", tmp_path / "b.branch"
+    a.write_text("x = t^2\ny = t^2 - 1/2 t^5\n")
+    b.write_text("x = t^2\ny = 4/3 t^4 + t^5\n")
+    code, out, err = run_cli(capsys, "isotopy", str(a), str(b), "--no-timing")
+    assert code == 0 and err == ""
+    max_dist = float(next(line for line in out.splitlines()
+                          if line.startswith("max_dist="))[len("max_dist="):])
+    assert max_dist < 1e-12
+    assert out.endswith("integrator: steps=0 max_step_error=0.0\nPASS\noutcome=ok\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("option", ["--step", "--radius", "--tol"])
 def test_non_finite_config_reports_error(capsys, corpus_dir, option, value):

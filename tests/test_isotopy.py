@@ -9,13 +9,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from germflow import (GraphMatch, Multiplicative, Shear, apply_plan, build_plan,
+from conftest import CORPUS_NAMES
+from oracles import bisect_parameter_radius, grid_distance, two_sheet_grid
+
+import germflow.isotopy
+from germflow import (Branch, GraphMatch, Multiplicative, Shear, apply_plan, build_plan,
                       bump_value, integrate_flow, lift_point, parse_branch,
                       pushdown_point, verify_isotopy)
 from germflow.branch import eval_branch
 from germflow.errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
-                             NumericError)
-from germflow.isotopy import MAX_RK4_STEPS, BumpSpec, find_parameter_radius
+                             NumericError, SeriesError)
+from germflow.isotopy import (MAX_RK4_STEPS, BumpSpec, distance_to_branch,
+                              find_parameter_radius)
 from germflow.series import TruncatedSeries
 
 
@@ -725,3 +730,86 @@ def test_coefficient_beyond_float_range_keeps_the_sample_window():
     # |y(t)| = 10^400 t^5 = 0.05 sets the window, far below 1e-6 * 2^-200
     tmax = find_parameter_radius(b, 0.05)
     assert tmax == pytest.approx(0.05 ** 0.2 * 1e-80, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("radius", [0.002, 0.05, 1.5])
+def test_parameter_radius_equals_the_200_step_bisection(corpus, name, radius):
+    assert find_parameter_radius(corpus[name], radius) == \
+        bisect_parameter_radius(corpus[name], radius)
+
+
+# -- distance to the target ------------------------------------------------------------
+
+NEGATIVE_SHEET_PAIR = ("x = t^2\ny = t^2 - 1/2 t^5", "x = t^2\ny = 4/3 t^4 + t^5")
+
+
+def test_negative_sheet_pair_passes():
+    # an image lands on the target at t = -1.127, beyond the |t| <= 0.944
+    # window that the target's grid once stopped at (max_dist read 0.379)
+    rep = run_pair(*NEGATIVE_SHEET_PAIR)
+    assert rep.passed and rep.max_distance < 1e-12, rep.max_distance
+    far = max(rep.records, key=lambda rec: abs(rec.end[0]))
+    assert far.end[0].real > 1.2 and far.end[1].real > 0.3
+
+
+def test_distance_finds_a_point_on_the_negative_sheet_beyond_the_old_window():
+    b = parse_branch(NEGATIVE_SHEET_PAIR[1])
+    p = eval_branch(b, -1.127)
+    assert distance_to_branch(p, b) < 1e-15
+    # the old window: the target's parameter radius at 1.5 * |p| + 0.05
+    tmax = find_parameter_radius(b, 1.5 * abs(complex(p[0].real, p[1].real)) + 0.05)
+    assert tmax < 1.0
+    assert grid_distance(p, b, two_sheet_grid(tmax, 400)) > 0.1
+
+
+def test_distance_is_bounded_by_the_origin():
+    b = parse_branch("x = t^2\ny = t^3")
+    assert distance_to_branch((0j, 0j), b) == 0.0
+    # x_p < 0 has no real fibre point: t = 0 is the nearest point of the trace
+    assert distance_to_branch((-1e-3 + 0j, 0j), b) == pytest.approx(1e-3, rel=1e-12)
+    # far beyond float range of y(t): |p| bounds the distance
+    assert distance_to_branch((1e200 + 0j, 1e200 + 0j), b) <= abs(complex(1e200, 1e200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]),
+       st.dictionaries(st.integers(1, 9), st.integers(-4, 4).filter(bool), min_size=1, max_size=4),
+       st.floats(-0.9, 0.9), st.floats(0.0, 1e-2), st.floats(0.0, 2.0 * math.pi),
+       st.floats(0.0, 2.0 * math.pi))
+def test_distance_is_no_worse_than_the_two_sheet_grid(n, ys, t0, eps, phase_x, phase_y):
+    b = Branch(S({n: 1}), S({e: Fraction(c, 2) for e, c in ys.items()}))
+    x, y = eval_branch(b, complex(t0))
+    scale = eps * math.hypot(abs(x), abs(y))
+    p = (x + scale * cmath.exp(1j * phase_x), y + scale * cmath.exp(1j * phase_y))
+    oracle = grid_distance(p, b, two_sheet_grid(1.0, 400))
+    assert distance_to_branch(p, b) <= oracle * (1.0 + 1e-9) + 1e-15
+
+
+def test_verify_refuses_a_target_whose_x_is_not_a_monomial():
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b)
+    bad = Branch(S({2: 2}), S({3: 1}))
+    with pytest.raises(SeriesError, match="requires the target's x to be the monomial t\\^n"):
+        verify_isotopy(a, bad, plan, n_samples=2)
+
+
+def test_richardson_rerun_only_when_a_flow_takes_rk4(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return apply_plan(*args, **kwargs)
+
+    monkeypatch.setattr(germflow.isotopy, "apply_plan", counting)
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b)
+    rep = verify_isotopy(a, b, plan, n_samples=4, h=1e-2)
+    assert calls == [1e-2] and rep.max_step_error == 0.0
+    # the too-small bump of test_steps_count_only_the_rk4_fallback_flows
+    first = plan.stages[0]
+    tiny = replace(first, field=replace(first.field, bump=BumpSpec(1e-9, 2e-9)))
+    calls.clear()
+    rep = verify_isotopy(a, b, replace(plan, stages=(tiny,) + plan.stages[1:]),
+                         n_samples=4, h=1e-2)
+    assert calls == [1e-2, 5e-3] and rep.steps_total > 0
