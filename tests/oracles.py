@@ -230,9 +230,9 @@ def golden_min(fn, lo: float, hi: float, iters: int = 80) -> float:
     return 0.5 * (a + b)
 
 
-def two_sheet_grid(tmax: float, count: int, decades: float = 4.0) -> list[float]:
-    """0 and +-count log-spaced parameters from tmax * 10^-decades to tmax."""
-    dense = [tmax * 10.0 ** (-decades * (1.0 - j / (count - 1.0))) for j in range(count)]
+def two_sheet_grid(tmax: float, count: int) -> list[float]:
+    """0 and +-count log-spaced parameters from tmax * 10^-4 to tmax."""
+    dense = [tmax * 10.0 ** (-4.0 * (1.0 - j / (count - 1.0))) for j in range(count)]
     return sorted([-t for t in dense] + [0.0] + dense)
 
 
