@@ -3,6 +3,9 @@
 isotopy on each equisingular pair.
 
 Usage: python3 scripts/run_corpus.py [--radius R] [--samples N] [--step H]
+
+The library validates the settings; a bad one ends the run with an
+`error:` line on stderr and exit status 1.
 """
 import argparse
 import itertools
@@ -13,7 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from germflow import (build_plan, char_exponents, delta_mu, dual_graph, invariant_set,
                       parse_branch_file, resolve, verify_isotopy)
-from germflow.errors import NotEquisingularError
+from germflow.errors import GermflowError, NotEquisingularError
 
 
 def main() -> int:
@@ -72,4 +75,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except GermflowError as exc:  # bad settings or input: one line, exit 1, as the CLI
+        sys.exit(f"error: {exc}")

@@ -26,8 +26,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, SeriesError
+from .errors import ParseError, PrecisionError, SeriesError
 from .series import TruncatedSeries
+
+MAX_PRECISION = 256  # truncation-order ceiling: the exact layer's cost grows steeply in it
 
 
 @dataclass(frozen=True)
@@ -49,11 +51,16 @@ class Branch:
         return len(self.xs.terms) == 1 and self.xs.leading() == 1
 
     def with_precision(self, precision: int) -> "Branch":
-        """Extend the truncation order; valid only for exact polynomial data."""
+        """Extend the truncation order; valid only for exact polynomial data.
+
+        Raises PrecisionError for a precision outside 1..MAX_PRECISION, or
+        one above the current order of a truncated branch."""
+        if not 1 <= precision <= MAX_PRECISION:
+            raise PrecisionError(f"precision {precision!r} is not between 1 and {MAX_PRECISION}")
         if precision <= max(self.xs.precision, self.ys.precision):
             return self
         if not self.exact:
-            raise ValueError("cannot extend the precision of a truncated branch")
+            raise PrecisionError("cannot extend the precision of a truncated branch")
         return Branch(self.xs.with_precision(precision),
                       self.ys.with_precision(precision), self.label, True)
 
@@ -211,6 +218,9 @@ def parse_branch(text: str, label: str = "") -> Branch:
     if g != 1:
         raise ParseError(f"non-primitive parametrization (gcd of exponents is {g})", 1, 1)
 
+    if max(exponents) >= MAX_PRECISION:
+        raise ParseError(f"exponent {max(exponents)} is not below the precision ceiling "
+                         f"{MAX_PRECISION}")
     precision = 1 + max(exponents)
     xs = TruncatedSeries.monomial(n, 1, precision)
     ys = TruncatedSeries.from_terms(y_terms, precision)

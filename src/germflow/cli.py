@@ -2,10 +2,8 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
-from dataclasses import dataclass
 
 from .bivar import implicitize, poly_to_text
 from .branch import parse_branch_file
@@ -15,32 +13,8 @@ from .isotopy import build_plan, verify_isotopy
 from .resolution import dual_graph, resolve
 
 
-@dataclass
-class Config:
-    precision: int = 64
-    step: float = 1e-3
-    samples: int = 40
-    radius: float = 0.05
-    tol: float = 1e-3
-    exit_status: bool = False
-    no_timing: bool = False
-    show_config: bool = False
-
-    def warnings(self) -> list[str]:
-        out = []
-        if min(self.precision, self.samples) < 1 or not all(
-                math.isfinite(v) and v > 0 for v in (self.step, self.radius, self.tol)):
-            raise GermflowError("config values must be finite and positive")
-        budget = 10.0 * self.step ** 4
-        if self.tol <= budget:
-            out.append(f"warning: tol={self.tol!r} is not above the integrator "
-                       f"error budget {budget!r} at step={self.step!r}")
-        return out
-
-    def line(self) -> str:
-        return (f"config: precision={self.precision} step={self.step!r} "
-                f"samples={self.samples} radius={self.radius!r} tol={self.tol!r} "
-                f"exit-status={self.exit_status}")
+# the settings --show-config prints, in this order, for the subcommands that take them
+SETTINGS = ("precision", "step", "samples", "radius", "tol", "exit_status")
 
 
 def _fmt_list(xs) -> str:
@@ -51,9 +25,8 @@ def _fmt_complex(z: complex) -> str:
     return repr(z).strip("()")
 
 
-def _load(path, cfg: Config):
-    b = parse_branch_file(path)
-    return b.with_precision(cfg.precision)
+def _load(path, precision: int):
+    return parse_branch_file(path).with_precision(precision)
 
 
 def _write(path, text: str) -> None:
@@ -76,8 +49,8 @@ def _dot_text(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_resolve(args, cfg: Config, out) -> int:
-    b = _load(args.file, cfg)
+def cmd_resolve(args, out) -> int:
+    b = _load(args.file, args.precision)
     rd = resolve(b)
     g = dual_graph(rd)
     out.append(f"r={rd.r}")
@@ -96,8 +69,8 @@ def cmd_resolve(args, cfg: Config, out) -> int:
     return 0
 
 
-def cmd_invariants(args, cfg: Config, out) -> int:
-    b = _load(args.file, cfg)
+def cmd_invariants(args, out) -> int:
+    b = _load(args.file, args.precision)
     c = char_exponents(b)
     inv = invariant_set(b)
     out.append(f"n={c.n} betas={_fmt_list(c.betas)} "
@@ -107,28 +80,32 @@ def cmd_invariants(args, cfg: Config, out) -> int:
     return 0
 
 
-def cmd_equisingular(args, cfg: Config, out) -> int:
-    a = _load(args.file_a, cfg)
-    b = _load(args.file_b, cfg)
-    verdict = equisingular(a, b, precision=cfg.precision)
+def cmd_equisingular(args, out) -> int:
+    a = _load(args.file_a, args.precision)
+    b = _load(args.file_b, args.precision)
+    verdict = equisingular(a, b, precision=args.precision)
     if verdict.equal:
         out.append("EQUISINGULAR")
         out.append(f"certificate: {verdict.certificate}")
         return 0
     out.append(f"NOT EQUISINGULAR: {verdict.certificate}")
-    return 2 if cfg.exit_status else 0
+    return 2 if args.exit_status else 0
 
 
-def cmd_isotopy(args, cfg: Config, out) -> int:
-    a = _load(args.file_a, cfg)
-    b = _load(args.file_b, cfg)
+def cmd_isotopy(args, out) -> int:
+    a = _load(args.file_a, args.precision)
+    b = _load(args.file_b, args.precision)
     try:
-        plan = build_plan(a, b, sample_radius=cfg.radius, precision=cfg.precision)
+        plan = build_plan(a, b, sample_radius=args.radius, precision=args.precision)
     except NotEquisingularError as exc:
         out.append(f"not equisingular: {exc.certificate}")
         return 2
-    report = verify_isotopy(a, b, plan, n_samples=cfg.samples, radius=cfg.radius,
-                            tol=cfg.tol, h=cfg.step)
+    report = verify_isotopy(a, b, plan, n_samples=args.samples, radius=args.radius,
+                            tol=args.tol, h=args.step)
+    budget = 10.0 * args.step ** 4  # verify_isotopy has checked 0 < step <= 1
+    if args.tol <= budget:
+        out.append(f"warning: tol={args.tol!r} is not above the integrator "
+                   f"error budget {budget!r} at step={args.step!r}")
     out.append(f"stages={len(plan.stages)}")
     for k, stage in enumerate(plan.stages, start=1):
         f = stage.field
@@ -145,13 +122,13 @@ def cmd_isotopy(args, cfg: Config, out) -> int:
         lines.append(f"max_dist={report.max_distance!r} pass={report.passed}\n")
         _write(args.trace, "".join(lines))
         out.append(f"trace written to {args.trace}")
-    if not report.passed and cfg.exit_status:
+    if not report.passed and args.exit_status:
         return 2
     return 0
 
 
-def cmd_implicitize(args, cfg: Config, out) -> int:
-    b = _load(args.file, cfg)
+def cmd_implicitize(args, out) -> int:
+    b = _load(args.file, args.precision)
     out.append(poly_to_text(implicitize(b)))
     return 0
 
@@ -159,13 +136,10 @@ def cmd_implicitize(args, cfg: Config, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=64)
-    common.add_argument("--step", type=float, default=1e-3)
-    common.add_argument("--samples", type=int, default=40)
-    common.add_argument("--radius", type=float, default=0.05)
-    common.add_argument("--tol", type=float, default=1e-3)
-    common.add_argument("--exit-status", action="store_true")
     common.add_argument("--no-timing", action="store_true")
     common.add_argument("--show-config", action="store_true")
+    verdict = argparse.ArgumentParser(add_help=False)
+    verdict.add_argument("--exit-status", action="store_true")
 
     p = argparse.ArgumentParser(prog="germflow",
                                 description="plane branch germs: resolution, "
@@ -181,14 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.set_defaults(fn=cmd_invariants)
 
-    sp = sub.add_parser("equisingular", parents=[common])
+    sp = sub.add_parser("equisingular", parents=[common, verdict])
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.set_defaults(fn=cmd_equisingular)
 
-    sp = sub.add_parser("isotopy", parents=[common])
+    sp = sub.add_parser("isotopy", parents=[common, verdict])
     sp.add_argument("file_a")
     sp.add_argument("file_b")
+    sp.add_argument("--step", type=float, default=1e-3)
+    sp.add_argument("--samples", type=int, default=40)
+    sp.add_argument("--radius", type=float, default=0.05)
+    sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--trace", default=None)
     sp.set_defaults(fn=cmd_isotopy)
 
@@ -200,19 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = Config(precision=args.precision, step=args.step, samples=args.samples,
-                 radius=args.radius, tol=args.tol, exit_status=args.exit_status,
-                 no_timing=args.no_timing, show_config=args.show_config)
     out: list[str] = []
     started = time.perf_counter()
     echo = [args.command] + [getattr(args, name) for name in ("file", "file_a", "file_b")
                              if hasattr(args, name)]
     out.append("command: " + " ".join(str(x) for x in echo))
     try:
-        if cfg.show_config:
-            out.append(cfg.line())
-        out.extend(cfg.warnings())
-        code = args.fn(args, cfg, out)
+        if args.show_config:
+            out.append("config: " + " ".join(
+                f"{name.replace('_', '-')}={getattr(args, name)!r}" for name in SETTINGS
+                if hasattr(args, name)))
+        code = args.fn(args, out)
         out.append("outcome=" + ("ok" if code == 0 else "fail"))
     except GermflowError as exc:
         for line in out:
@@ -221,7 +197,7 @@ def main(argv=None) -> int:
         return 1
     for line in out:
         print(line)
-    if not cfg.no_timing:
+    if not args.no_timing:
         print(f"time={time.perf_counter() - started:.3f}s")
     return code
 

@@ -61,4 +61,5 @@ class DegenerateSlopeError(PlanError):
 
 
 class NumericError(GermflowError):
-    """Non-finite value produced during numeric integration."""
+    """A numeric run setting is out of range, or numeric integration produced
+    a non-finite value."""

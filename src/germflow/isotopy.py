@@ -52,15 +52,19 @@ ChartPath = tuple[tuple[str, Fraction], ...]
 
 @dataclass(frozen=True)
 class BumpSpec:
+    """Radii of a cut-off centred at the origin."""
     r_inner: float
     r_outer: float
-    center: Point = (0j, 0j)
+
+
+def _norm(p: Point) -> float:
+    return math.hypot(p[0].real, p[0].imag, p[1].real, p[1].imag)
 
 
 def bump_value(b: BumpSpec, p: Point) -> float:
-    """1 on the closed r_inner ball, 0 outside r_outer, smooth in between."""
-    dx, dy = p[0] - b.center[0], p[1] - b.center[1]
-    r = math.hypot(dx.real, dx.imag, dy.real, dy.imag)
+    """1 on the closed r_inner ball about the origin, 0 outside r_outer,
+    smooth in between."""
+    r = _norm(p)
     if r <= b.r_inner:
         return 1.0
     if r >= b.r_outer:
@@ -80,12 +84,6 @@ def bump_value(b: BumpSpec, p: Point) -> float:
 # fallback integrates (a global shear never falls back), `time_one` the exact
 # time-1 raw map on chart series, `params` the parameter text of a
 # `germflow isotopy` stage line.
-
-def _centre(f) -> Point:
-    """The bump centre of f as (fixed, moving) coordinates."""
-    c = f.bump.center
-    return c if f.orientation == "v" else c[::-1]
-
 
 def _push(state: ChartState, orientation: str, move) -> ChartState:
     """The chart state with its moving series w replaced by move(fixed, w)."""
@@ -147,10 +145,9 @@ class Multiplicative:
     def contains(self, fixed: complex, w: complex, w1: complex) -> bool:
         # w(t) - a*fixed = (w - a*fixed) * ratio^t with |ratio^t| <= max(1, |ratio|)
         # for 0 <= t <= 1, also for a negative ratio, where lambda is complex
-        cf, cw = _centre(self)
         af = float(self.shear) * fixed
-        reach = abs(af - cw) + abs(w - af) * max(1.0, abs(float(self.ratio)))
-        return math.hypot(abs(fixed - cf), reach) <= self.bump.r_inner
+        reach = abs(af) + abs(w - af) * max(1.0, abs(float(self.ratio)))
+        return math.hypot(abs(fixed), reach) <= self.bump.r_inner
 
     def time_one(self, state: ChartState) -> ChartState:
         def move(fixed, w):
@@ -186,10 +183,8 @@ class GraphMatch:
 
     def contains(self, fixed: complex, w: complex, w1: complex) -> bool:
         # the trajectory is the segment from w to w1, and the ball is convex
-        cf, cw = _centre(self)
-        across, r = abs(fixed - cf), self.bump.r_inner
-        return (math.hypot(across, abs(w - cw)) <= r
-                and math.hypot(across, abs(w1 - cw)) <= r)
+        across, r = abs(fixed), self.bump.r_inner
+        return math.hypot(across, abs(w)) <= r and math.hypot(across, abs(w1)) <= r
 
     def params(self) -> str:
         return ""
@@ -311,7 +306,13 @@ class IsotopyPlan:
 
 
 def find_parameter_radius(b: Branch, radius: float) -> float:
-    """Largest real t with |(x(t), y(t))| ~ radius (bisection near 0)."""
+    """Largest real t with |(x(t), y(t))| ~ radius (bisection near 0).
+
+    Raises NumericError unless radius is finite and positive: a nan or
+    non-positive radius would put every sample at t = 0."""
+    if not 0.0 < radius < math.inf:
+        raise NumericError(f"radius {radius!r} is not finite and positive")
+
     def mag(t):
         x, y = eval_branch(b, complex(t))
         return math.hypot(x.real, x.imag, y.real, y.imag)
@@ -375,6 +376,10 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
     Bump radii are sized so that every sample taken within sample_radius of
     the origin, and its whole flow trajectory, stays in the region where the
     glued field equals the raw field.
+
+    Raises NotEquisingularError when the dual graphs differ, NumericError
+    for a sample_radius that is not finite and positive, and PrecisionError
+    for a precision outside 1..MAX_PRECISION (``Branch.with_precision``).
     """
     h1, h2 = (g.with_precision(precision) if g.exact else g for g in (g1, g2))
     rd1, rd2 = resolve(h1), resolve(h2)
@@ -511,10 +516,6 @@ class FlowReport:
     max_step_error: float
 
 
-def _norm(p: Point) -> float:
-    return math.hypot(p[0].real, p[0].imag, p[1].real, p[1].imag)
-
-
 _GAUSS_NEWTON_ITERS = 50  # per start; each iterate is a point of the trace
 
 
@@ -551,9 +552,18 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
                    radius: float = 0.05, tol: float = 1e-3, h: float = 1e-3) -> FlowReport:
     """Carry log-spaced samples of g1 through the plan and measure how far the
     images land from g2 (geometric distance, cross-checked against the value
-    of the implicit equation normalized by its gradient)."""
+    of the implicit equation normalized by its gradient).
+
+    Raises SeriesError when the target's x is not t^n, and NumericError for
+    n_samples below 1, a tol or radius that is not finite and positive, or a
+    step h outside [2/MAX_RK4_STEPS, 1]: each would make the check vacuous
+    or unbounded."""
     if not g2.monomial_x():
         raise SeriesError("verify_isotopy requires the target's x to be the monomial t^n")
+    if not n_samples >= 1:
+        raise NumericError(f"n_samples {n_samples!r} is below 1")
+    if not 0.0 < tol < math.inf:
+        raise NumericError(f"tol {tol!r} is not finite and positive")
     steps = _rk4_steps(h)
     if not h / 2.0 >= 1.0 / MAX_RK4_STEPS:  # the Richardson run's own check
         raise NumericError(f"RK4 step {h!r} is below {2.0 / MAX_RK4_STEPS!r}: the check "
@@ -567,14 +577,13 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
     ends = apply_plan(plan, starts, h, rk4_flows)
     # without an RK4 step every flow is its closed form, the same at h/2
     ends_half = apply_plan(plan, starts, h / 2.0) if rk4_flows else ends
-    richardson = max((_norm((e[0] - e2[0], e[1] - e2[1]))
-                      for e, e2 in zip(ends, ends_half)), default=0.0)
+    richardson = max(_norm((e[0] - e2[0], e[1] - e2[1])) for e, e2 in zip(ends, ends_half))
 
     f2 = implicitize(g2)
     records = [SampleRecord(complex(t), p0, p1, distance_to_branch(p1, g2),
                             f2.implicit_distance(*p1))
                for t, p0, p1 in zip(ts, starts, ends)]
 
-    max_distance = max((rec.dist for rec in records), default=0.0)
+    max_distance = max(rec.dist for rec in records)
     return FlowReport(tuple(records), max_distance, tol, max_distance < tol,
                       len(rk4_flows) * steps, richardson)

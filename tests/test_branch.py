@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from germflow import Branch, eval_branch, normalize_branch, parse_branch
-from germflow.errors import ParseError, SeriesError
+from germflow.branch import MAX_PRECISION
+from germflow.errors import ParseError, PrecisionError, SeriesError
 from germflow.series import TruncatedSeries
 
 
@@ -154,6 +155,33 @@ def test_with_precision_extends_exact_data():
     b64 = b.with_precision(64)
     assert b64.xs.precision == 64
     assert b64.ys.as_dict() == b.ys.as_dict()
+
+
+@pytest.mark.parametrize("precision", [0, -1, MAX_PRECISION + 1, 200000])
+def test_with_precision_outside_the_ceiling_is_refused(precision):
+    # the exact layer's cost grows steeply with precision: at 200000 resolve never finished
+    b = parse_branch("x = t^2\ny = t^3")
+    with pytest.raises(PrecisionError,
+                       match=f"^precision {precision} is not between 1 and {MAX_PRECISION}$"):
+        b.with_precision(precision)
+    assert b.with_precision(MAX_PRECISION).xs.precision == MAX_PRECISION
+
+
+def test_with_precision_of_a_truncated_branch_is_a_precision_error():
+    b = parse_branch("x = t^2\ny = t^3")
+    truncated = Branch(b.xs, b.ys, b.label, exact=False)
+    assert truncated.with_precision(4) is truncated
+    with pytest.raises(PrecisionError, match="truncated branch"):
+        truncated.with_precision(64)
+
+
+def test_exponent_at_the_precision_ceiling_is_a_parse_error():
+    # a branch file sets its precision to 1 + its largest exponent
+    b = parse_branch(f"x = t^2\ny = t^3 + t^{MAX_PRECISION - 1}")
+    assert b.ys.precision == MAX_PRECISION
+    with pytest.raises(ParseError, match=f"^exponent {MAX_PRECISION} is not below the "
+                                         f"precision ceiling {MAX_PRECISION}$"):
+        parse_branch(f"x = t^2\ny = t^3 + t^{MAX_PRECISION}")
 
 
 def test_overlong_integer_is_a_parse_error():

@@ -285,15 +285,26 @@ def test_isotopy_image_on_the_negative_sheet_passes(capsys, tmp_path):
     assert out.endswith("integrator: steps=0 max_step_error=0.0\nPASS\noutcome=ok\n")
 
 
+NON_FINITE_ERRORS = {
+    ("--step", "nan"): "RK4 step nan needs more than 100000 steps per stage flow",
+    ("--step", "inf"): "RK4 step inf is above 1, the length of a stage flow",
+    ("--radius", "nan"): "radius nan is not finite and positive",
+    ("--radius", "inf"): "radius inf is not finite and positive",
+    ("--tol", "nan"): "tol nan is not finite and positive",
+    ("--tol", "inf"): "tol inf is not finite and positive",
+}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("option", ["--step", "--radius", "--tol"])
 def test_non_finite_config_reports_error(capsys, corpus_dir, option, value):
     # nan passed a `<= 0` check: --step nan ended in a ValueError traceback,
-    # --radius nan shrank the window to 1e-67 and printed PASS
+    # --radius nan shrank the window to 1e-67 and printed PASS; the library
+    # function that uses each setting now refuses it
     code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
                              path(corpus_dir, "cusp_2t3"), "--no-timing", option, value)
     assert code == 1
-    assert err == "error: config values must be finite and positive\n"
+    assert err == f"error: {NON_FINITE_ERRORS[option, value]}\n"
     assert "outcome" not in out
 
 
@@ -328,16 +339,58 @@ def test_step_above_one_reports_error(capsys, corpus_dir, step):
 
 
 def test_show_config(capsys, corpus_dir):
-    code, out, _ = run_cli(capsys, "resolve", path(corpus_dir, "cusp"),
-                           "--no-timing", "--show-config")
+    code, out, _ = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
+                           path(corpus_dir, "cusp_2t3"), "--no-timing", "--show-config")
     assert "config: precision=64 step=0.001 samples=40 radius=0.05 tol=0.001" in out
 
 
+def test_show_config_lists_only_the_subcommand_settings(capsys, corpus_dir):
+    cusp = path(corpus_dir, "cusp")
+    code, out, _ = run_cli(capsys, "resolve", cusp, "--no-timing", "--show-config")
+    assert out.splitlines()[1] == "config: precision=64"
+    code, out, _ = run_cli(capsys, "equisingular", cusp, cusp, "--no-timing", "--show-config")
+    assert out.splitlines()[1] == "config: precision=64 exit-status=False"
+
+
 def test_tolerance_warning(capsys, corpus_dir):
-    code, out, _ = run_cli(capsys, "resolve", path(corpus_dir, "cusp"),
-                           "--no-timing", "--tol", "1e-13")
+    code, out, _ = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
+                           path(corpus_dir, "cusp_2t3"), "--no-timing", "--tol", "1e-13")
     assert code == 0
     assert "warning" in out
+
+
+ISOTOPY_ONLY = [["--step", "0.01"], ["--samples", "2"], ["--radius", "0.01"], ["--tol", "0.01"]]
+UNUSED_OPTIONS = [
+    *((command, option) for command in ("resolve", "invariants", "implicitize", "equisingular")
+      for option in ISOTOPY_ONLY),
+    *((command, ["--exit-status"]) for command in ("resolve", "invariants", "implicitize"))]
+
+
+@pytest.mark.parametrize("command,option", UNUSED_OPTIONS)
+def test_options_a_subcommand_does_not_use_are_refused(capsys, corpus_dir, command, option):
+    # each of these once parsed on every subcommand and did nothing there
+    files = [path(corpus_dir, "cusp")] * (2 if command == "equisingular" else 1)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, "--no-timing", *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_precision_outside_the_ceiling_reports_error(capsys, corpus_dir):
+    for precision in ("0", "257", "200000"):
+        code, out, err = run_cli(capsys, "resolve", path(corpus_dir, "two_pair"),
+                                 "--no-timing", "--precision", precision)
+        assert code == 1 and "outcome" not in out
+        assert err == f"error: precision {precision} is not between 1 and 256\n"
+
+
+def test_exponent_at_the_precision_ceiling_reports_error(capsys, tmp_path):
+    # precision is 1 + the largest exponent: t^20000 ran resolve at precision 20001
+    bad = tmp_path / "deep.branch"
+    bad.write_text("x = t^4\ny = t^6 + t^7 + t^20000\n")
+    code, out, err = run_cli(capsys, "resolve", str(bad), "--no-timing")
+    assert code == 1 and "outcome" not in out
+    assert err == "error: exponent 20000 is not below the precision ceiling 256\n"
 
 
 def test_determinism_all_commands(capsys, corpus_dir, tmp_path):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import struct
 from dataclasses import replace
 from fractions import Fraction
@@ -17,8 +18,8 @@ from germflow import (Branch, GraphMatch, Multiplicative, Shear, apply_plan, bui
                       bump_value, integrate_flow, lift_point, parse_branch,
                       pushdown_point, verify_isotopy)
 from germflow.branch import eval_branch
-from germflow.errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
-                             NumericError, SeriesError)
+from germflow.errors import (DegenerateSlopeError, GermflowError, LiftError,
+                             NotEquisingularError, NumericError, SeriesError)
 from germflow.isotopy import (MAX_RK4_STEPS, BumpSpec, distance_to_branch,
                               find_parameter_radius)
 from germflow.series import TruncatedSeries
@@ -404,7 +405,7 @@ def _bits(z):
     return struct.pack("<dd", z.real, z.imag)
 
 
-ORACLE_BUMP = BumpSpec(r_inner=0.3, r_outer=0.6, center=(0.05 + 0j, -0.02j))
+ORACLE_BUMP = BumpSpec(r_inner=0.3, r_outer=0.6)
 ORACLE_FIELDS = {
     "multiplicative": lambda o: Multiplicative(o, Fraction(-3), Fraction(1, 2),
                                                ORACLE_BUMP, level=1),
@@ -445,17 +446,16 @@ def _closed_form_oracle(f, p):
 
 
 def _reach(f, p, samples=1001):
-    """Largest distance from the bump centre along the raw trajectory of p,
-    sampled at `samples` times in [0, 1]."""
+    """Largest distance from the bump centre (the origin) along the raw
+    trajectory of p, sampled at `samples` times in [0, 1]."""
     fixed, w = _split(f, p)
-    cf, cw = _split(f, f.bump.center)
     if f.kind == "multiplicative":
         af = float(f.shear) * fixed
         at = lambda t: af + (w - af) * cmath.exp(f.lam * t)
     else:
         gap = f.s2.sub(f.s1).eval(fixed)
         at = lambda t: w + t * gap
-    return max(math.hypot(abs(fixed - cf), abs(at(k / (samples - 1)) - cw))
+    return max(math.hypot(abs(fixed), abs(at(k / (samples - 1))))
                for k in range(samples))
 
 
@@ -519,19 +519,16 @@ def test_closed_form_agrees_with_rk4_over_contained_points(kind, orientation, ra
     # linear map, no bump on a shear
     if kind == "multiplicative":
         f = Multiplicative(orientation, ratio, a, ORACLE_BUMP, level=1)
-        cf, cw = _split(f, ORACLE_BUMP.center)
-        fixed += cf
         af = float(a) * fixed
         p = _join(f, fixed, af + gap)  # gap = w - a*fixed
-        reach = math.hypot(abs(fixed - cf), abs(af - cw) + abs(gap) * max(1.0, abs(ratio)))
+        reach = math.hypot(abs(fixed), abs(af) + abs(gap) * max(1.0, abs(ratio)))
     elif kind == "shear":
         f = Shear(orientation, ratio)
         p = _join(f, fixed, gap)
         reach = 0.0
     else:
         f = ORACLE_FIELDS[kind](orientation)
-        cf, cw = _split(f, ORACLE_BUMP.center)
-        p = _join(f, fixed + cf, cw + gap)
+        p = _join(f, fixed, gap)
         reach = _reach(f, p, samples=2)
     assume(reach <= ORACLE_BUMP.r_inner)
     end = integrate_flow(f, p, 1e-3)
@@ -549,16 +546,16 @@ def test_trajectory_leaving_the_ball_takes_rk4():
     assert end != _closed_form_oracle(f, p)
     # a negative ratio whose end points both lie inside the ball while the
     # spiral between them leaves it
-    bump = BumpSpec(r_inner=0.27, r_outer=0.54, center=(0.1j, 0j))
+    bump = BumpSpec(r_inner=0.28, r_outer=0.56)
     f = Multiplicative("v", Fraction(-3), Fraction(2), bump, level=1)
     p = (0.1j, 0.05 + 0.2j)
     closed = _closed_form_oracle(f, p)
-    assert abs(p[1]) < bump.r_inner and abs(closed[1]) < bump.r_inner
+    assert max(math.hypot(*map(abs, q)) for q in (p, closed)) < bump.r_inner
     assert _reach(f, p) > bump.r_inner
     end = integrate_flow(f, p, 1e-2)
     assert end[1] == _oracle_flow(f, p, 1e-2)[1] and end != closed
     # the same spiral in a ball large enough to hold it takes the closed form
-    f = Multiplicative("v", Fraction(-3), Fraction(2), BumpSpec(0.36, 0.72, (0.1j, 0j)), 1)
+    f = Multiplicative("v", Fraction(-3), Fraction(2), BumpSpec(0.37, 0.74), 1)
     assert integrate_flow(f, p, 1e-2) == closed
 
 
@@ -721,6 +718,26 @@ def test_step_above_one_is_refused():
     p = ORACLE_POINTS[1]
     assert _reach(f, p) > ORACLE_BUMP.r_inner
     assert integrate_flow(f, p, 1.0) != integrate_flow(f, p, 0.5)
+
+
+VACUOUS_SETTINGS = [("n_samples", 0, "n_samples 0 is below 1")] + [
+    (name, value, f"{name} {value!r} is not finite and positive")
+    for name in ("radius", "tol") for value in (math.nan, math.inf, -1.0, 0.0)] + [
+    ("sample_radius", math.nan, "radius nan is not finite and positive")]
+
+
+@pytest.mark.parametrize("setting,value,message", VACUOUS_SETTINGS,
+                         ids=[f"{setting}={value}" for setting, value, _ in VACUOUS_SETTINGS])
+def test_settings_that_would_make_the_check_vacuous_are_refused(setting, value, message):
+    # the library once read PASS here: no samples and no records; a nan or
+    # non-positive radius put every sample at t = 0 (max_dist=0.0); tol=inf
+    # passed any distance
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    with pytest.raises(GermflowError, match=f"^{re.escape(message)}$"):
+        if setting == "sample_radius":
+            build_plan(a, b, sample_radius=value)
+        else:
+            verify_isotopy(a, b, build_plan(a, b), **{setting: value})
 
 
 def test_coefficient_beyond_float_range_keeps_the_sample_window():

@@ -14,6 +14,9 @@
   and none compares anything to a field-kind string (``"shear"``,
   ``"multiplicative"``, ``"graph-match"``); each stage class carries its
   own speed, time-1 map and stage-line text.
+- Each run setting is validated by the library function that uses it: no
+  module defines ``Config``, the command line's copy of the settings, their
+  defaults and a second set of range checks.
 - The distance check is Gauss-Newton from the fibre of x = t^n: no module
   defines ``_golden_min``, the golden-section search of the grid scan it
   replaced (the scan lives on in ``tests/oracles.py`` as a reference).
@@ -68,7 +71,8 @@ def test_reference_series_kernels_stay_in_series(path):
 
 TEST_ONLY_HELPERS = ("semigroup_elements", "proximity_matrix", "invert_unit")
 RETIRED_NAMES = ("FieldSpec", "multiplicative_field", "graph_match_field", "_raw_field",
-                 "_speed", "_update_moving_state", "_slope_after_shear", "_golden_min")
+                 "_speed", "_update_moving_state", "_slope_after_shear", "_golden_min",
+                 "Config")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
