@@ -226,4 +226,4 @@ def poly_to_text(f: BivarPoly) -> str:
 
 def parse_poly(text: str) -> BivarPoly:
     """Parse an `f = ...` document: the branch-file grammar over x and y."""
-    return BivarPoly.from_terms(_parse_lines(text, "f", "xy", bare=True)["f"])
+    return BivarPoly.from_terms(_parse_lines(text, "f", "xy", bare=True)["f"][0])

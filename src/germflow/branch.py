@@ -174,7 +174,8 @@ class _TermParser:
 
 
 def _parse_lines(text: str, names: str, variables: str, bare: bool):
-    """{name: terms} for a document of `name = body` lines, one per name.
+    """{name: (terms, (line, col))} for a document of `name = body` lines,
+    one per name; (line, col) is where the body starts.
 
     Each body is parsed as its line is read, so errors come in text order.
     """
@@ -194,7 +195,8 @@ def _parse_lines(text: str, names: str, variables: str, bare: bool):
         tokens = _tokenize(line[m.end():], line_no, m.end(), variables)
         if not tokens:
             raise ParseError("empty polynomial", line_no, m.end() + 1)
-        bodies[name] = _TermParser(tokens, line_no, variables, bare).parse_terms()
+        terms = _TermParser(tokens, line_no, variables, bare).parse_terms()
+        bodies[name] = terms, (line_no, tokens[0][2])
     for name in names:
         if name not in bodies:
             raise ParseError(f"missing {name}-line", 1, 1)
@@ -204,19 +206,21 @@ def _parse_lines(text: str, names: str, variables: str, bare: bool):
 def parse_branch(text: str, label: str = "") -> Branch:
     """Parse a branch document into an exact, canonicalized Branch."""
     polys = _parse_lines(text, "xy", "t", bare=False)
-    x_terms, y_terms = ({e: c for (e,), c in polys[var].items()} for var in "xy")
+    (x_body, x_at), (y_body, y_at) = polys["x"], polys["y"]
+    x_terms, y_terms = ({e: c for (e,), c in body.items()} for body in (x_body, y_body))
     if len(x_terms) != 1 or next(iter(x_terms.values())) != 1:
-        raise ParseError("x must be the pure monomial t^n", 1, 1)
+        raise ParseError("x must be the pure monomial t^n", *x_at)
     n = next(iter(x_terms))
     if n < 1:
-        raise ParseError("order of x must be >= 1", 1, 1)
+        raise ParseError("order of x must be >= 1", *x_at)
     if any(e < 1 for e in y_terms):
-        raise ParseError("order of y must be >= 1 (nonzero constant term)", 1, 1)
+        raise ParseError("order of y must be >= 1 (nonzero constant term)", *y_at)
 
     exponents = [n] + sorted(y_terms)
     g = math.gcd(*exponents)
-    if g != 1:
-        raise ParseError(f"non-primitive parametrization (gcd of exponents is {g})", 1, 1)
+    if g != 1:  # read off both lines: reported at the later one
+        raise ParseError(f"non-primitive parametrization (gcd of exponents is {g})",
+                         *max(x_at, y_at))
 
     if max(exponents) >= MAX_PRECISION:
         raise ParseError(f"exponent {max(exponents)} is not below the precision ceiling "

@@ -3,7 +3,9 @@
 Both branches are resolved once, and the plan replays the target's
 recorded resolution on the source alone, blowing it up in the target's
 recorded chart at each level.  Each stage of the plan is one of three
-field types, each pushing one chart coordinate:
+field types, each pushing one chart coordinate.  They are written below for
+a field pushing v; one pushing u is the same field after x and y are
+exchanged (``resolution.swapped``), as chart B is chart A:
 
 - ``Shear``: a global linear shear at level 0 (no exceptional divisor
   exists yet) that moves a tangent off 0 or infinity before the
@@ -41,7 +43,7 @@ from .errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
                      NumericError, PlanError, SeriesError)
 from .invariants import compare_dual_graphs
 from .resolution import (INF, ChartState, apply_step, dual_graph, initial_state,
-                         is_terminal, resolve, state_slope)
+                         is_terminal, reciprocal, resolve, state_slope, swapped)
 from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
@@ -197,7 +199,9 @@ MAX_RK4_STEPS = 100_000  # per time-1 stage flow: the smallest step is 1e-5
 
 def _rk4_steps(h: float) -> int:
     """Number of RK4 steps a time-1 flow takes at step h, for 1e-5 <= h <= 1."""
-    if not h >= 1.0 / MAX_RK4_STEPS:
+    if not h > 0.0:
+        raise NumericError(f"RK4 step {h!r} is not finite and positive")
+    if h < 1.0 / MAX_RK4_STEPS:
         raise NumericError(f"RK4 step {h!r} needs more than {MAX_RK4_STEPS} steps "
                            "per stage flow")
     if h > 1.0:  # h and h/2 would round to the same step count
@@ -259,20 +263,19 @@ _LIFT_EPS = 1e-12
 
 
 def lift_point(path: ChartPath, p: Point) -> Point:
-    """Coordinates of p in the chart at the end of the blowup path."""
+    """Coordinates of p in the chart at the end of the blowup path; a chart-B
+    step is the chart-A step with x and y exchanged."""
     x, y = p
     if x == 0 and y == 0:
         raise LiftError("the origin cannot be lifted")
     for chart, c in path:
-        fc = float(c)
-        if chart == "A":
-            if abs(x) < _LIFT_EPS * (1.0 + abs(y)):
-                raise LiftError("lift ill-conditioned near the blown-down set")
-            x, y = x, y / x - fc
-        else:
-            if abs(y) < _LIFT_EPS * (1.0 + abs(x)):
-                raise LiftError("lift ill-conditioned near the blown-down set")
-            x, y = x / y - fc, y
+        if chart == "B":
+            x, y = y, x
+        if abs(x) < _LIFT_EPS * (1.0 + abs(y)):
+            raise LiftError("lift ill-conditioned near the blown-down set")
+        x, y = x, y / x - float(c)
+        if chart == "B":
+            x, y = y, x
     return (x, y)
 
 
@@ -280,11 +283,11 @@ def pushdown_point(path: ChartPath, q: Point) -> Point:
     """Exact inverse of lift_point: apply the chart maps forward."""
     x, y = q
     for chart, c in reversed(path):
-        fc = float(c)
-        if chart == "A":
-            x, y = x, x * (y + fc)
-        else:
-            x, y = (x + fc) * y, y
+        if chart == "B":
+            x, y = y, x
+        x, y = x, x * (y + float(c))
+        if chart == "B":
+            x, y = y, x
     return (x, y)
 
 
@@ -346,20 +349,17 @@ def _mult_bump(s1, t1max, ratio, a) -> BumpSpec:
     return BumpSpec(r_inner=r_inner, r_outer=2.0 * r_inner)
 
 
-_SHEAR_CANDIDATES = [Fraction(k) for k in (1, -1, 2, -2, 3, -3)] + \
-                    [Fraction(1, 2), Fraction(-1, 2), Fraction(5), Fraction(-5)]
+_SHEAR_CANDIDATES = [Fraction(k) for k in (1, -1, 2)]  # each use excludes at most two
 
 
 def _level0_alignment_shears(c1, c2):
-    """Global shear stages carrying slope c1 onto c2 when 0/INF is involved."""
+    """Global shear stages carrying slope c1 onto c2 when 0/INF is involved;
+    for a target along {u = 0} they are the exchanged stages onto slope 0."""
+    if c2 is INF:
+        return [("u" if orientation == "v" else "v", amount) for orientation, amount
+                in _level0_alignment_shears(reciprocal(c1), Fraction(0))]
     stages = []
     cur = c1
-    if c2 is INF:
-        if cur == 0:
-            stages.append(("v", Fraction(1)))
-            cur = Fraction(1)
-        stages.append(("u", Fraction(-1) / cur))
-        return stages
     if cur is INF:
         s = next(s for s in _SHEAR_CANDIDATES if 1 / s != c2)
         stages.append(("u", s))
@@ -417,56 +417,38 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
 
 
 def _multiplicative_stage(s1, c1, c2, t1max, path) -> PlanStage:
-    level = s1.level
-    if s1.u_label is not None and s1.v_label is not None:
-        if INF in (c1, c2) or 0 in (c1, c2):
-            raise DegenerateSlopeError(
-                "tangent along an exceptional component at a satellite point")
-        orientation, a, d1, d2 = "v", Fraction(0), c1, c2
-    elif s1.v_label is None:
-        # only {u = 0} is exceptional (or level 0): slopes must be finite
-        if INF in (c1, c2):
-            raise DegenerateSlopeError("tangent along the exceptional axis u = 0")
-        orientation = "v"
-        d1, d2 = c1, c2
-        if 0 in (c1, c2) and level == 0:
-            raise PlanError("internal: level-0 degenerate slope reached stage builder")
-        a = Fraction(0) if 0 not in (c1, c2) else \
-            next(s for s in _SHEAR_CANDIDATES if s != c1 and s != c2)
-    else:
-        # only {v = 0} is exceptional: work with reciprocal slopes u/v
-        if 0 in (c1, c2):
-            raise DegenerateSlopeError("tangent along the exceptional axis v = 0")
-        orientation = "u"
-        d1 = Fraction(0) if c1 is INF else 1 / Fraction(c1)
-        d2 = Fraction(0) if c2 is INF else 1 / Fraction(c2)
-        a = Fraction(0) if 0 not in (d1, d2) else \
-            next(s for s in _SHEAR_CANDIDATES if s != d1 and s != d2)
+    """Stage rotating slope c1 onto c2 in the v-direction; when only {v = 0}
+    is exceptional it is built on the exchanged state, with reciprocal
+    slopes, and pushes u."""
+    moves_u = s1.u_label is None and s1.v_label is not None
+    s, d1, d2 = (swapped(s1), reciprocal(c1), reciprocal(c2)) if moves_u else (s1, c1, c2)
+    # s has {v = 0} exceptional only at a satellite point.  A slope INF lies
+    # along {u = 0}; a slope 0 needs a shear a != 0, which moves {v = 0}, and
+    # at level 0 the global shears act instead
+    if INF in (d1, d2) or (0 in (d1, d2) and (s.v_label is not None or s.level == 0)):
+        raise DegenerateSlopeError(
+            f"no multiplicative stage carries slope {c1} to {c2} at level {s.level}")
+    a = Fraction(0) if 0 not in (d1, d2) else \
+        next(k for k in _SHEAR_CANDIDATES if k != d1 and k != d2)
     ratio = (d2 - a) / (d1 - a)
     bump = _mult_bump(s1, t1max, ratio, a)
-    f = Multiplicative(orientation, ratio, a, bump, level)
+    f = Multiplicative("u" if moves_u else "v", ratio, a, bump, s1.level)
     return PlanStage(f, path, s1.u_label, s1.v_label)
 
 
 def _graph_match_stage(s1, s2, t1max, path) -> PlanStage:
-    if s1.u_label is not None:
-        orientation = "v"
-        g1 = s1.ys.in_terms_of(s1.xs)
-        g2 = s2.ys.in_terms_of(s2.xs)
-        base_idx = 0
-    else:
-        orientation = "u"
-        g1 = s1.xs.in_terms_of(s1.ys)
-        g2 = s2.xs.in_terms_of(s2.ys)
-        base_idx = 1
+    """Graph match over the exceptional coordinate, read from the exchanged
+    states when {v = 0} is the exceptional axis."""
+    moves_u = s1.u_label is None
+    a, b = (swapped(s1), swapped(s2)) if moves_u else (s1, s2)
+    g1, g2 = a.ys.in_terms_of(a.xs), b.ys.in_terms_of(b.xs)
     # flowed points are lifts of the moved source germ; both graphs are only
     # ever evaluated over that germ's transversal-coordinate range
-    bu, bv = _state_bounds(s1, t1max)
-    across = (bu, bv)[base_idx]
+    across, bw = _state_bounds(a, t1max)
     motion = g2.sub(g1).abs_bound(across)
-    r_inner = max(2.0 * (bu + bv + motion), 0.05)
+    r_inner = max(2.0 * (across + bw + motion), 0.05)
     bump = BumpSpec(r_inner=r_inner, r_outer=2.0 * r_inner)
-    f = GraphMatch(orientation, g1, g2, bump, s1.level)
+    f = GraphMatch("u" if moves_u else "v", g1, g2, bump, s1.level)
     return PlanStage(f, path, s1.u_label, s1.v_label)
 
 

@@ -100,8 +100,12 @@ def _transform(f: BivarPoly, q: int, m: int, c: Fraction) -> BivarPoly:
     return BivarPoly.from_terms({(a - shift, b): v for (a, b), v in g.terms})
 
 
-def newton_puiseux(f: BivarPoly, n_max: int = 16, precision: int = 64) -> Branch:
-    """One rational branch (t^n, y(t)) of f with f(x(t), y(t)) = 0 mod t^precision."""
+def newton_puiseux(f: BivarPoly, precision: int = 64) -> Branch:
+    """One rational branch (t^n, y(t)) of f with f(x(t), y(t)) = 0 mod t^precision.
+
+    The product of the edge denominators is the branch's multiplicity: an
+    edge of height q*d leaves a polynomial of height d, the multiplicity of
+    its root, so the product never exceeds the first height, at most deg_y f."""
     if f.is_zero():
         raise PuiseuxError("zero polynomial")
     if all(a > 0 for (a, _), _ in f.terms):
@@ -116,6 +120,7 @@ def newton_puiseux(f: BivarPoly, n_max: int = 16, precision: int = 64) -> Branch
     exact = False
     last_mult = 1
     guard = 4 * precision + 64
+    deg_y = max(b for (_, b), _ in f.terms)
 
     for _ in range(guard):
         if all(b > 0 for (_, b), _ in cur.terms):
@@ -145,8 +150,8 @@ def newton_puiseux(f: BivarPoly, n_max: int = 16, precision: int = 64) -> Branch
                 f"edge coefficient needs an irrational {q}-th root of {r}")
         c = Fraction(num if r > 0 else -num, den)
         denom *= q
-        if denom > n_max:
-            raise PuiseuxError(f"denominator {denom} exceeds n_max={n_max}")
+        if denom > deg_y:
+            raise PuiseuxError(f"internal: denominator {denom} exceeds deg_y f = {deg_y}")
         gamma = gamma + Fraction(m, denom)
         out_terms.append((gamma, c))
         cur = _transform(cur, q, m, c)

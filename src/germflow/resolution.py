@@ -6,13 +6,15 @@ Chart conventions for the blowup of the origin of a chart with coordinates
     chart A: (x, y) = (u, u*v)   exceptional divisor {u = 0}
     chart B: (x, y) = (u*v, v)   exceptional divisor {v = 0}
 
-Chart A is used when ord y(t) >= ord x(t) (the branch direction is a finite
-slope), chart B otherwise.  After the substitution the new point on the
-exceptional line is moved to the chart origin by translating the
-non-exceptional coordinate by its constant term c.  The divisor labels
-carried by the two coordinate axes are the bookkeeping that yields
-proximities: the centre blown up at each step is proximate to exactly the
-earlier divisors whose labels sit on the current axes.
+Chart B is chart A with x and y exchanged (``swapped``; Casas-Alvero,
+Singularities of Plane Curves, 2000, 3.2), so each chart rule is written for
+chart A alone.  Chart A is used when ord y(t) >= ord x(t) (the branch
+direction is a finite slope), chart B otherwise.  After the substitution the
+new point on the exceptional line is moved to the chart origin by
+translating the non-exceptional coordinate by its constant term c.  The
+divisor labels carried by the two coordinate axes are the bookkeeping that
+yields proximities: the centre blown up at each step is proximate to
+exactly the earlier divisors whose labels sit on the current axes.
 """
 from __future__ import annotations
 
@@ -76,74 +78,57 @@ class DualGraph:
         return self.vertices[-1][0]
 
 
+def swapped(state: ChartState) -> ChartState:
+    """The same chart state with x and y, and their axis labels, exchanged."""
+    return ChartState(state.ys, state.xs, state.v_label, state.u_label, state.level)
+
+
+def reciprocal(slope):
+    """The slope of the same direction after x and y are exchanged (0 <-> INF)."""
+    return INF if slope == 0 else Fraction(0) if slope is INF else 1 / Fraction(slope)
+
+
 def state_multiplicity(state: ChartState) -> int:
     ox, oy = state.xs.order(), state.ys.order()
     if ox is None and oy is None:
         raise ResolutionError("degenerate state: both coordinates vanish identically")
     if ox is None:
-        if oy > state.xs.precision:
-            raise PrecisionError("cannot compare orders at this precision")
-        return oy
-    if oy is None:
-        if ox > state.ys.precision:
-            raise PrecisionError("cannot compare orders at this precision")
-        return ox
-    return min(ox, oy)
+        return state_multiplicity(swapped(state))
+    if oy is None and ox > state.ys.precision:
+        raise PrecisionError("cannot compare orders at this precision")
+    return ox if oy is None else min(ox, oy)
 
 
 def state_slope(state: ChartState):
     """Tangent direction of the branch at the chart origin.
 
     Returns a Fraction (possibly 0) for the direction v = slope * u, or INF
-    for the direction along {u = 0}.
+    for the direction along {u = 0}, the reciprocal of the exchanged state's.
     """
     ox, oy = state.xs.order(), state.ys.order()
     if ox is None and oy is None:
         raise ResolutionError("degenerate state")
-    if oy is None:
-        if ox >= state.ys.precision:
-            raise PrecisionError("cannot decide the tangent direction at this precision")
+    if ox is None or (oy is not None and oy < ox):
+        return reciprocal(state_slope(swapped(state)))
+    if oy is None and ox >= state.ys.precision:
+        raise PrecisionError("cannot decide the tangent direction at this precision")
+    if oy is None or oy > ox:
         return Fraction(0)
-    if ox is None:
-        if oy >= state.xs.precision:
-            raise PrecisionError("cannot decide the tangent direction at this precision")
-        return INF
-    if oy > ox:
-        return Fraction(0)
-    if oy < ox:
-        return INF
     return state.ys.leading() / state.xs.leading()
-
-
-def choose_step(state: ChartState):
-    """Chart and recentring translation dictated by the branch direction."""
-    slope = state_slope(state)
-    if slope is INF:
-        return "B", Fraction(0)
-    return "A", Fraction(slope)
 
 
 def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
     """One blowup in the given chart, recentred by translation c."""
-    if chart == "A":
-        v = state.ys.divide(state.xs).add_const(-c)
-        if v.order() == 0:
-            raise ResolutionError("translation does not move the centre to the chart origin")
-        return ChartState(
-            xs=state.xs,
-            ys=v,
-            u_label=state.level + 1,
-            v_label=state.v_label if c == 0 else None,
-            level=state.level + 1,
-        )
-    u = state.xs.divide(state.ys).add_const(-c)
-    if u.order() == 0:
+    if chart == "B":
+        return swapped(apply_step(swapped(state), "A", c))
+    v = state.ys.divide(state.xs).add_const(-c)
+    if v.order() == 0:
         raise ResolutionError("translation does not move the centre to the chart origin")
     return ChartState(
-        xs=u,
-        ys=state.ys,
-        u_label=state.u_label if c == 0 else None,
-        v_label=state.level + 1,
+        xs=state.xs,
+        ys=v,
+        u_label=state.level + 1,
+        v_label=state.v_label if c == 0 else None,
         level=state.level + 1,
     )
 
@@ -151,7 +136,8 @@ def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
 def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
     m = state_multiplicity(state)
     prox = state.labels()
-    chart, c = choose_step(state)
+    slope = state_slope(state)  # chart B for a tangent along {u = 0}
+    chart, c = ("B", Fraction(0)) if slope is INF else ("A", Fraction(slope))
     rec = StepRecord(
         centre=state.level + 1,
         multiplicity=m,
@@ -166,10 +152,7 @@ def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
 def is_terminal(state: ChartState) -> bool:
     """Minimal embedded resolution reached: smooth branch, transverse to a
     single exceptional component at a free point."""
-    labels = state.labels()
-    if len(labels) != 1:
-        return False
-    if state_multiplicity(state) != 1:
+    if len(state.labels()) != 1 or state_multiplicity(state) != 1:
         return False
     cutting = state.xs if state.u_label is not None else state.ys
     return cutting.order() == 1
@@ -183,14 +166,22 @@ def initial_state(b: Branch) -> ChartState:
     return ChartState(b.xs, b.ys)
 
 
-def resolve(b: Branch, max_steps: int = 64) -> ResolutionData:
+def _blowup_bound(state: ChartState) -> int:
+    """More blowups than resolving from state can take: each one divides a
+    coordinate by the other, lowering its truncation order by at least 1,
+    and a quotient with no precision left raises PrecisionError."""
+    return state.xs.precision + state.ys.precision
+
+
+def resolve(b: Branch) -> ResolutionData:
     """Blow up until the total transform has normal crossings and the strict
     transform meets a single exceptional component transversally."""
     state = initial_state(b)
+    bound = _blowup_bound(state)
     steps: list[StepRecord] = []
     while not (state.level > 0 and is_terminal(state)):
-        if len(steps) >= max_steps:
-            raise ResolutionError(f"no termination within {max_steps} blowups")
+        if len(steps) >= bound:
+            raise ResolutionError(f"internal: no termination within {bound} blowups")
         state, rec = blowup_step(state)
         if steps and rec.multiplicity > steps[-1].multiplicity:
             raise ResolutionError("internal: multiplicity sequence increased")
@@ -205,10 +196,6 @@ def dual_graph(rd: ResolutionData) -> DualGraph:
         for i in rec.proximate_to:
             prox_to[i].append(rec.centre)
     vertices = tuple((i, -1 - len(prox_to[i])) for i in range(1, r + 1))
-    edges = []
-    for i in range(1, r + 1):
-        if prox_to[i]:
-            j = max(prox_to[i])
-            edges.append((i, j))
-    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+    # E_i meets the last centre proximate to it, which comes after i
+    edges = tuple((i, max(prox_to[i])) for i in range(1, r + 1) if prox_to[i])
     return DualGraph(vertices, edges)

@@ -70,8 +70,9 @@ def test_parse_strict_exponent_grammar():
 
 # (text, message, line, col) of every branch-file error.  Token errors point
 # at the token; an unexpected character points at the whitespace before it;
-# an error at the end of a line reports col 1; whole-document checks report
-# line 1 col 1.
+# an error at the end of a line reports col 1; a check on the whole x- or
+# y-polynomial points where that line's body starts, the gcd check, which
+# reads both, at the later of the two; a missing line reports line 1 col 1.
 BRANCH_ERRORS = [
     ("x = t^2\ny = t^3 + $", "unexpected character '$'", 2, 10),
     ("x = t^2\ny = t^3 +  $", "unexpected character '$'", 2, 10),
@@ -92,11 +93,13 @@ BRANCH_ERRORS = [
     ("x = t^2\n  y =   # nothing", "empty polynomial", 2, 6),
     ("x = t^2", "missing y-line", 1, 1),
     ("  y = t^3", "missing x-line", 1, 1),
-    ("x = t^2 + t^3\ny = t^5", "x must be the pure monomial t^n", 1, 1),
-    ("x = 2 t^2\ny = t^5", "x must be the pure monomial t^n", 1, 1),
-    ("x = t^0\ny = t^5", "order of x must be >= 1", 1, 1),
-    ("x = t^1\ny = 1 + t^2", "order of y must be >= 1 (nonzero constant term)", 1, 1),
-    ("x = t^2\ny = t^4", "non-primitive parametrization (gcd of exponents is 2)", 1, 1),
+    ("x = t^2 + t^3\ny = t^5", "x must be the pure monomial t^n", 1, 5),
+    ("x = 2 t^2\ny = t^5", "x must be the pure monomial t^n", 1, 5),
+    ("x = t^0\ny = t^5", "order of x must be >= 1", 1, 5),
+    ("x = t^1\ny = 1 + t^2", "order of y must be >= 1 (nonzero constant term)", 2, 5),
+    ("x = t^2\ny = t^4", "non-primitive parametrization (gcd of exponents is 2)", 2, 5),
+    ("y = t^3\n  x = t^2 + t^3", "x must be the pure monomial t^n", 2, 7),
+    ("y = t^4\nx =  t^2", "non-primitive parametrization (gcd of exponents is 2)", 2, 6),
 ]
 
 

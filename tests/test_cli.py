@@ -26,6 +26,15 @@ def test_resolve_cusp_output(capsys, corpus_dir):
     assert "outcome=ok" in out
 
 
+def test_resolve_needs_more_than_64_blowups(capsys, tmp_path):
+    # a fixed cap of 64 blowups once ended this in an error
+    branch = tmp_path / "long.branch"
+    branch.write_text("x = t^2\ny = t^129\n")
+    code, out, err = run_cli(capsys, "resolve", str(branch), "--no-timing")
+    assert code == 0 and err == ""
+    assert "r=66\n" in out
+
+
 def test_resolve_smooth_output(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "resolve", path(corpus_dir, "diag"), "--no-timing")
     assert code == 0
@@ -286,7 +295,7 @@ def test_isotopy_image_on_the_negative_sheet_passes(capsys, tmp_path):
 
 
 NON_FINITE_ERRORS = {
-    ("--step", "nan"): "RK4 step nan needs more than 100000 steps per stage flow",
+    ("--step", "nan"): "RK4 step nan is not finite and positive",
     ("--step", "inf"): "RK4 step inf is above 1, the length of a stage flow",
     ("--radius", "nan"): "radius nan is not finite and positive",
     ("--radius", "inf"): "radius inf is not finite and positive",

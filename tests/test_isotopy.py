@@ -20,8 +20,10 @@ from germflow import (Branch, GraphMatch, Multiplicative, Shear, apply_plan, bui
 from germflow.branch import eval_branch
 from germflow.errors import (DegenerateSlopeError, GermflowError, LiftError,
                              NotEquisingularError, NumericError, SeriesError)
-from germflow.isotopy import (MAX_RK4_STEPS, BumpSpec, distance_to_branch,
+from germflow.isotopy import (MAX_RK4_STEPS, BumpSpec, _level0_alignment_shears,
+                              _multiplicative_stage, distance_to_branch,
                               find_parameter_radius)
+from germflow.resolution import INF, ChartState
 from germflow.series import TruncatedSeries
 
 
@@ -84,6 +86,58 @@ def test_multiplicative_identity_when_equal():
 def test_multiplicative_zero_slope_rejected():
     with pytest.raises(DegenerateSlopeError):
         Multiplicative("v", Fraction(0), Fraction(0), BUMP, 0)
+
+
+DEGENERATE_SLOPES = [  # (labels of the chart state, c1, c2)
+    (dict(u_label=1, v_label=2, level=2), Fraction(0), Fraction(1)),  # satellite point
+    (dict(u_label=1, v_label=2, level=2), Fraction(1), INF),
+    (dict(u_label=1, level=1), INF, Fraction(1)),  # only {u = 0} exceptional
+    (dict(v_label=1, level=1), Fraction(1), Fraction(0)),  # only {v = 0} exceptional
+    (dict(), Fraction(0), Fraction(1)),  # level 0: the global shears act there
+]
+
+
+@pytest.mark.parametrize("labels, c1, c2", DEGENERATE_SLOPES)
+def test_multiplicative_stage_refuses_a_tangent_along_an_exceptional_axis(labels, c1, c2):
+    state = ChartState(S({1: 1}), S({1: 1}), **labels)
+    with pytest.raises(DegenerateSlopeError):
+        _multiplicative_stage(state, c1, c2, 0.1, ())
+
+
+@pytest.mark.parametrize("labels, c1, orientation, ratio, shear", [
+    (dict(u_label=1, level=1), Fraction(1), "v", 2, 0),
+    (dict(u_label=1, level=1), Fraction(0), "v", -1, 1),  # the shear moves {v = 0}
+    # with only {v = 0} exceptional the stage pushes u, with slopes u/v
+    (dict(v_label=1, level=1), Fraction(1), "u", Fraction(1, 2), 0),
+    (dict(v_label=1, level=1), INF, "u", Fraction(1, 2), 1),
+])
+def test_multiplicative_stage_moves_the_non_exceptional_axis(labels, c1, orientation,
+                                                            ratio, shear):
+    state = ChartState(S({1: 1}), S({1: 1}), **labels)
+    stage = _multiplicative_stage(state, c1, Fraction(2), 0.1, ())
+    f = stage.field
+    assert (f.orientation, f.ratio, f.shear, f.level) == (orientation, ratio, shear, 1)
+    assert (stage.u_label, stage.v_label) == (state.u_label, state.v_label)
+
+
+@pytest.mark.parametrize("c1, c2, shears", [
+    # onto a tangent along {u = 0}: the exchanged shears onto slope 0
+    (Fraction(0), INF, [("v", 1), ("u", -1)]),
+    (Fraction(3), INF, [("u", Fraction(-1, 3))]),
+    (INF, Fraction(1), [("u", -1), ("v", 2)]),
+    (INF, Fraction(0), [("u", 1), ("v", -1)]),
+])
+def test_level0_alignment_shears(c1, c2, shears):
+    assert _level0_alignment_shears(c1, c2) == shears
+
+
+def test_plan_onto_the_exchanged_cusp_passes():
+    # the target's tangent lies along {u = 0}, the source's along {v = 0}
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^3\ny = t^2")
+    plan = build_plan(a, b)
+    assert [(s.field.kind, s.field.orientation) for s in plan.stages] == [
+        ("shear", "v"), ("shear", "u"), ("graph-match", "v")]
+    assert verify_isotopy(a, b, plan).passed
 
 
 def test_multiplicative_time_one_scales():
@@ -696,6 +750,13 @@ def test_step_ceiling_refuses_tiny_steps():
     plan = build_plan(a, b)
     with pytest.raises(NumericError, match=r"RK4 step 1e-05 is below 2e-05: .* h/2"):
         verify_isotopy(a, b, plan, n_samples=2, h=1.0 / MAX_RK4_STEPS)
+
+
+@pytest.mark.parametrize("h", [math.nan, 0.0, -1e-3, -math.inf])
+def test_step_that_is_not_positive_is_refused(h):
+    # a nan step was once worded as needing more than 100000 steps
+    with pytest.raises(NumericError, match=f"^RK4 step {h!r} is not finite and positive$"):
+        integrate_flow(mult(1, 2, BUMP), (0.01 + 0j, 0.02 + 0j), h)
 
 
 def test_step_above_one_is_refused():

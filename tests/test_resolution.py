@@ -5,10 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import proximity_matrix
 
-from germflow import parse_branch, resolve
+from germflow import parse_branch, resolution, resolve
 from germflow.branch import Branch
 from germflow.errors import ResolutionError
-from germflow.resolution import ChartState, apply_step, blowup_step, dual_graph
+from germflow.resolution import (INF, ChartState, apply_step, blowup_step, dual_graph,
+                                 initial_state, state_slope, swapped)
 from germflow.series import TruncatedSeries
 
 
@@ -85,10 +86,20 @@ def test_resolve_exhausted_precision_raises():
         resolve(truncated)
 
 
-def test_resolve_max_steps_guard():
-    from germflow.errors import ResolutionError
-    with pytest.raises(ResolutionError):
-        resolve(parse_branch("x = t^2\ny = t^5").with_precision(64), max_steps=2)
+def test_resolve_max_steps_guard(monkeypatch):
+    # the bound cannot be reached (every blowup lowers a truncation order),
+    # so only a lowered bound shows the guard
+    monkeypatch.setattr(resolution, "_blowup_bound", lambda state: 2)
+    with pytest.raises(ResolutionError, match="no termination within 2 blowups"):
+        resolve(parse_branch("x = t^2\ny = t^5").with_precision(64))
+
+
+@pytest.mark.parametrize("text, r", [("x = t^2\ny = t^129", 66), ("x = t^2\ny = t^255", 129),
+                                     ("x = t^254\ny = t^255", 255)])
+def test_resolve_long_resolutions(text, r):
+    # a fixed cap of 64 blowups once refused the first of these
+    rd = resolve(parse_branch(text))
+    assert rd.r == r and rd.multiplicities()[-1] == 1
 
 
 def test_dual_graph_cusp():
@@ -119,6 +130,21 @@ def test_proximity_matrix_smooth():
 def corpus_resolutions(request):
     corpus = request.getfixturevalue("corpus")
     return {name: resolve(b) for name, b in corpus.items()}
+
+
+def test_swapped_is_an_involution_that_inverts_the_slope(corpus, corpus_resolutions):
+    for name, rd in corpus_resolutions.items():
+        state = initial_state(corpus[name])
+        for chart, c in rd.chart_path + (("A", None),):
+            t = swapped(state)
+            assert (t.xs, t.ys, t.u_label, t.v_label, t.level) == (
+                state.ys, state.xs, state.v_label, state.u_label, state.level)
+            assert swapped(t) == state
+            slope, back = state_slope(state), state_slope(t)
+            assert (slope, back) in ((0, INF), (INF, 0)) or slope * back == 1
+            if c is not None:
+                state = apply_step(state, chart, c)
+        assert state == rd.final
 
 
 def test_multiplicities_non_increasing_end_in_one(corpus_resolutions):
