@@ -2,7 +2,7 @@
 """Resolve every corpus branch, tabulate its invariants, and run the verified
 isotopy on each equisingular pair.
 
-Usage: python3 scripts/run_corpus.py [--radius R] [--samples N] [--step H]
+Usage: python3 scripts/run_corpus.py [--radius R] [--samples N]
 
 The library validates the settings; a bad one ends the run with an
 `error:` line on stderr and exit status 1.
@@ -23,7 +23,6 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--radius", type=float, default=0.05)
     ap.add_argument("--samples", type=int, default=40)
-    ap.add_argument("--step", type=float, default=1e-3)
     ap.add_argument("--corpus", default=os.path.join(os.path.dirname(__file__),
                                                      os.pardir, "corpus"))
     args = ap.parse_args()
@@ -54,7 +53,7 @@ def main() -> int:
               f"{inv.delta:5d} {inv.milnor:4d} [{weights}]")
 
     print("\nequisingular pairs and verified isotopies "
-          f"(radius={args.radius}, samples={args.samples}, h={args.step}):")
+          f"(radius={args.radius}, samples={args.samples}):")
     names = sorted(branches)
     for a, b in itertools.combinations(names, 2):
         # deep pairs need a smaller germ window; shrink until the graphs converge
@@ -66,7 +65,7 @@ def main() -> int:
         except NotEquisingularError:
             continue
         rep = verify_isotopy(branches[a], branches[b], plan, n_samples=args.samples,
-                             radius=radius, tol=1e-3, h=args.step)
+                             radius=radius, tol=1e-3)
         kinds = ",".join(f"{st.field.kind}@{st.field.level}" for st in plan.stages)
         flag = "PASS" if rep.passed else "FAIL"
         print(f"  {a:12s} -> {b:12s} stages=[{kinds}] radius={radius} "

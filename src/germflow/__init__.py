@@ -6,7 +6,7 @@ from .invariants import (CharExponents, EquisingularityVerdict, InvariantSet,
                          char_exponents, delta_mu, equisingular, invariant_set,
                          mult_seq_from_char, semigroup)
 from .isotopy import (BumpSpec, FlowReport, GraphMatch, IsotopyPlan, Multiplicative,
-                      Shear, apply_plan, build_plan, bump_value, integrate_flow,
+                      Shear, apply_plan, build_plan, integrate_flow,
                       lift_point, pushdown_point, verify_isotopy)
 from .puiseux import newton_puiseux
 from .resolution import (ChartState, DualGraph, ResolutionData, StepRecord,

@@ -14,7 +14,7 @@ from .resolution import dual_graph, resolve
 
 
 # the settings --show-config prints, in this order, for the subcommands that take them
-SETTINGS = ("precision", "step", "samples", "radius", "tol", "exit_status")
+SETTINGS = ("precision", "samples", "radius", "tol", "exit_status")
 
 
 def _fmt_list(xs) -> str:
@@ -101,24 +101,22 @@ def cmd_isotopy(args, out) -> int:
         out.append(f"not equisingular: {exc.certificate}")
         return 2
     report = verify_isotopy(a, b, plan, n_samples=args.samples, radius=args.radius,
-                            tol=args.tol, h=args.step)
-    budget = 10.0 * args.step ** 4  # verify_isotopy has checked 0 < step <= 1
-    if args.tol <= budget:
-        out.append(f"warning: tol={args.tol!r} is not above the integrator "
-                   f"error budget {budget!r} at step={args.step!r}")
+                            tol=args.tol)
     out.append(f"stages={len(plan.stages)}")
     for k, stage in enumerate(plan.stages, start=1):
         f = stage.field
         out.append(f"stage={k} level={f.level} kind={f.kind}{f.params()}")
     out.append(f"max_dist={report.max_distance!r}")
-    out.append(f"integrator: steps={report.steps_total} "
-               f"max_step_error={report.max_step_error!r}")
+    stops = [rec.uncontained_stage for rec in report.records if rec.uncontained_stage]
+    for k in sorted(set(stops)):
+        out.append(f"uncontained: stage={k} samples={stops.count(k)}")
     out.append("PASS" if report.passed else "FAIL")
     if args.trace:
         lines = [f"sample={i} t={rec.t.real!r},{rec.t.imag!r} "
                  f"start={_fmt_complex(rec.start[0])},{_fmt_complex(rec.start[1])} "
-                 f"end={_fmt_complex(rec.end[0])},{_fmt_complex(rec.end[1])} "
-                 f"dist={rec.dist!r}\n" for i, rec in enumerate(report.records)]
+                 f"end={_fmt_complex(rec.end[0])},{_fmt_complex(rec.end[1])} dist={rec.dist!r}"
+                 + (f" uncontained_stage={rec.uncontained_stage}" if rec.uncontained_stage
+                    else "") + "\n" for i, rec in enumerate(report.records)]
         lines.append(f"max_dist={report.max_distance!r} pass={report.passed}\n")
         _write(args.trace, "".join(lines))
         out.append(f"trace written to {args.trace}")
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("isotopy", parents=[common, verdict])
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    sp.add_argument("--step", type=float, default=1e-3)
     sp.add_argument("--samples", type=int, default=40)
     sp.add_argument("--radius", type=float, default=0.05)
     sp.add_argument("--tol", type=float, default=1e-3)

@@ -22,12 +22,11 @@ exchanged (``resolution.swapped``), as chart B is chart A:
 
 After a shear or multiplicative stage the moving branch's chart series is
 updated by the stage's exact rational time-1 map, so deeper stages are
-still built from exact data.  Sample points are flowed in the stage chart
-and carried between the plane and the chart by the recorded chart path.
-Each raw field is a translation or a linear map in the coordinate it moves,
-so wherever a trajectory stays in the ball on which the cut-off is 1 its
-time-1 flow is closed form; only a trajectory that may leave that ball is
-integrated, by fixed-step RK4.
+still built from exact data.  Sample points are carried in chart
+coordinates (``apply_plan``).  Each raw field is a translation or a linear
+map in the coordinate it moves, so wherever a trajectory stays in the ball
+on which the cut-off rho is 1 its time-1 flow is closed form; a sample whose
+trajectory may leave that ball is reported as uncontained, and FAILs.
 """
 from __future__ import annotations
 
@@ -54,7 +53,8 @@ ChartPath = tuple[tuple[str, Fraction], ...]
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Radii of a cut-off centred at the origin."""
+    """Radii of the cut-off rho that makes a stage field compactly supported:
+    rho is 1 on the closed r_inner ball and 0 outside r_outer."""
     r_inner: float
     r_outer: float
 
@@ -63,29 +63,13 @@ def _norm(p: Point) -> float:
     return math.hypot(p[0].real, p[0].imag, p[1].real, p[1].imag)
 
 
-def bump_value(b: BumpSpec, p: Point) -> float:
-    """1 on the closed r_inner ball about the origin, 0 outside r_outer,
-    smooth in between."""
-    r = _norm(p)
-    if r <= b.r_inner:
-        return 1.0
-    if r >= b.r_outer:
-        return 0.0
-    s = (r - b.r_inner) / (b.r_outer - b.r_inner)
-    hi = math.exp(-1.0 / (1.0 - s))
-    lo = math.exp(-1.0 / s)
-    return hi / (hi + lo)
-
-
 # -- stage fields ----------------------------------------------------------------
 # A field pushes one coordinate w (its orientation, "v" or "u") and is zero in
 # the other, `fixed`.  `flow(fixed, w)` is its float time-1 raw map of a point,
 # `contains(fixed, w, w1)` whether the raw trajectory from w to
 # w1 = flow(fixed, w) stays in the bump's r_inner ball (where the glued field
-# is the raw one), `speed(fixed)` the raw speed as a function of w that the RK4
-# fallback integrates (a global shear never falls back), `time_one` the exact
-# time-1 raw map on chart series, `params` the parameter text of a
-# `germflow isotopy` stage line.
+# is the raw one), `time_one` the exact time-1 raw map on chart series,
+# `params` the parameter text of a `germflow isotopy` stage line.
 
 def _push(state: ChartState, orientation: str, move) -> ChartState:
     """The chart state with its moving series w replaced by move(fixed, w)."""
@@ -132,14 +116,6 @@ class Multiplicative:
         if self.ratio == 0:
             raise DegenerateSlopeError("multiplicative field needs a nonzero ratio")
 
-    @property
-    def lam(self) -> complex:
-        return cmath.log(float(self.ratio))
-
-    def speed(self, fixed: complex):
-        lam, a = self.lam, float(self.shear)
-        return lambda w: lam * (w - a * fixed)
-
     def flow(self, fixed: complex, w: complex) -> complex:
         af = float(self.shear) * fixed
         return af + (w - af) * float(self.ratio)
@@ -176,10 +152,6 @@ class GraphMatch:
     def _gap(self) -> TruncatedSeries:
         return self.s2.sub(self.s1)
 
-    def speed(self, fixed: complex):
-        speed = self._gap.eval(fixed)
-        return lambda w: speed
-
     def flow(self, fixed: complex, w: complex) -> complex:
         return w + self._gap.eval(fixed)
 
@@ -194,67 +166,22 @@ class GraphMatch:
 
 StageField = Shear | Multiplicative | GraphMatch
 
-MAX_RK4_STEPS = 100_000  # per time-1 stage flow: the smallest step is 1e-5
-
-
-def _rk4_steps(h: float) -> int:
-    """Number of RK4 steps a time-1 flow takes at step h, for 1e-5 <= h <= 1."""
-    if not h > 0.0:
-        raise NumericError(f"RK4 step {h!r} is not finite and positive")
-    if h < 1.0 / MAX_RK4_STEPS:
-        raise NumericError(f"RK4 step {h!r} needs more than {MAX_RK4_STEPS} steps "
-                           "per stage flow")
-    if h > 1.0:  # h and h/2 would round to the same step count
-        raise NumericError(f"RK4 step {h!r} is above 1, the length of a stage flow")
-    return round(1.0 / h)
-
-
-def integrate_flow(f: StageField, p: Point, h: float = 1e-3) -> Point:
-    """Time-1 flow of the glued field.
+def integrate_flow(f: StageField, p: Point) -> Point | None:
+    """Time-1 flow of the glued field, or None where the raw trajectory may
+    leave the bump's r_inner ball.
 
     The coordinate the field does not push is constant along the trajectory
-    and is returned as given.  Where the raw trajectory stays in the bump's
-    r_inner ball (or the field has no bump) the flow is the field's closed
-    form; otherwise classical fixed-step RK4 at step h runs on the moving
-    coordinate alone."""
-    n = _rk4_steps(h)
-    q = _closed_form(f, p)
-    if q is None:
-        q = _rk4(f, p, n)
-    if not all(math.isfinite(c) for z in q for c in (z.real, z.imag)):
-        raise NumericError("non-finite value during flow integration")
-    return q
-
-
-def _closed_form(f: StageField, p: Point) -> Point | None:
-    """The closed-form time-1 image of p, or None where the raw trajectory
-    may leave the r_inner ball."""
+    and is returned as given.  In the r_inner ball (everywhere, for a field
+    without a bump) the glued field is the raw one, so the flow is its
+    closed form."""
     moves_v = f.orientation == "v"
     fixed, w = p if moves_v else p[::-1]
     w1 = f.flow(fixed, w)
     if not f.contains(fixed, w, w1):
         return None
+    if not cmath.isfinite(w1):
+        raise NumericError("non-finite value during flow integration")
     return (fixed, w1) if moves_v else (w1, fixed)
-
-
-def _rk4(f: StageField, p: Point, n: int) -> Point:
-    """n classical RK4 steps of the glued field on the moving coordinate."""
-    moves_v = f.orientation == "v"
-    fixed, w = p if moves_v else p[::-1]
-    speed, bump = f.speed(fixed), f.bump
-
-    def fn(w):
-        rho = bump_value(bump, (fixed, w) if moves_v else (w, fixed))
-        return 0j if rho == 0.0 else rho * speed(w)
-
-    step = 1.0 / n
-    for _ in range(n):
-        k1 = fn(w)
-        k2 = fn(w + 0.5 * step * k1)
-        k3 = fn(w + 0.5 * step * k2)
-        k4 = fn(w + step * k3)
-        w = w + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return (fixed, w) if moves_v else (w, fixed)
 
 
 # -- chart transport -------------------------------------------------------------
@@ -452,29 +379,38 @@ def _graph_match_stage(s1, s2, t1max, path) -> PlanStage:
     return PlanStage(f, path, s1.u_label, s1.v_label)
 
 
-def apply_plan(plan: IsotopyPlan, points: list[Point], h: float = 1e-3,
-               rk4_flows: list[int] | None = None) -> list[Point]:
-    """Map sample points through every stage: lift, flow, push back down.
+def apply_plan(plan: IsotopyPlan, points: list[Point],
+               uncontained: list[int | None] | None = None) -> list[Point]:
+    """Map sample points through every stage, carried in chart coordinates.
 
-    Points whose lift is ill-conditioned (or the origin itself) are fixed:
-    the glued field vanishes there.  When `rk4_flows` is a list, the index
-    of the stage is appended to it for every flow that falls back to RK4.
-    """
-    out = list(points)
-    for k, stage in enumerate(plan.stages):
-        nxt = []
-        for p in out:
-            try:
-                q = lift_point(stage.path, p)
-            except LiftError:
-                nxt.append(p)
+    Each stage's chart path must extend the previous one's (PlanError
+    otherwise): a point is lifted only along the steps a stage adds, and
+    pushed down to the plane once, after the last stage.  A point whose lift
+    is ill-conditioned (or the origin itself) skips the stage and stays in
+    its chart.  A point whose trajectory may leave a stage's bump stops
+    there; a list `uncontained` receives, per point, that stage's number
+    (from 1) or None."""
+    path: ChartPath = ()
+    carried = [(p, 0) for p in points]  # (coordinates in the chart path[:depth], depth)
+    stops: list[int | None] = [None] * len(points)
+    for k, stage in enumerate(plan.stages, start=1):
+        if stage.path[:len(path)] != path:
+            raise PlanError(f"the chart path of stage {k} does not extend the previous one")
+        path = stage.path
+        for i, (q, depth) in enumerate(carried):
+            if stops[i] is not None:
                 continue
-            if rk4_flows is not None and _closed_form(stage.field, q) is None:
-                rk4_flows.append(k)
-            q = integrate_flow(stage.field, q, h)
-            nxt.append(pushdown_point(stage.path, q))
-        out = nxt
-    return out
+            try:
+                q = lift_point(path[depth:], q)
+            except LiftError:
+                continue
+            q1 = integrate_flow(stage.field, q)
+            if q1 is None:
+                stops[i] = k
+            carried[i] = (q if q1 is None else q1, len(path))
+    if uncontained is not None:
+        uncontained.extend(stops)
+    return [pushdown_point(path[:depth], q) for q, depth in carried]
 
 
 # -- verification ------------------------------------------------------------------
@@ -483,9 +419,10 @@ def apply_plan(plan: IsotopyPlan, points: list[Point], h: float = 1e-3,
 class SampleRecord:
     t: complex
     start: Point
-    end: Point
-    dist: float
+    end: Point  # for an uncontained sample, where its transport stopped
+    dist: float  # inf for an uncontained sample
     dist_implicit: float
+    uncontained_stage: int | None  # first stage (from 1) whose trajectory may leave its bump
 
 
 @dataclass(frozen=True)
@@ -494,8 +431,7 @@ class FlowReport:
     max_distance: float
     tol: float
     passed: bool
-    steps_total: int
-    max_step_error: float
+    max_step_error: float = 0.0  # no flow is integrated; germbench's digest still reads it
 
 
 _GAUSS_NEWTON_ITERS = 50  # per start; each iterate is a point of the trace
@@ -530,42 +466,44 @@ def distance_to_branch(p: Point, b: Branch) -> float:
     return best
 
 
+MAX_SAMPLES = 10_000  # per check; the CLI default is 40
+
+
 def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 40,
                    radius: float = 0.05, tol: float = 1e-3, h: float = 1e-3) -> FlowReport:
     """Carry log-spaced samples of g1 through the plan and measure how far the
     images land from g2 (geometric distance, cross-checked against the value
-    of the implicit equation normalized by its gradient).
+    of the implicit equation normalized by its gradient).  A sample whose
+    trajectory may leave a stage's bump is uncontained: its record names the
+    stage, and its distance is inf, so the check FAILs.
+
+    Every stage flow is closed form, so there is no integrator step: `h` is
+    accepted and ignored, because germbench still passes it.
 
     Raises SeriesError when the target's x is not t^n, and NumericError for
-    n_samples below 1, a tol or radius that is not finite and positive, or a
-    step h outside [2/MAX_RK4_STEPS, 1]: each would make the check vacuous
-    or unbounded."""
+    n_samples outside 1..MAX_SAMPLES or a tol or radius that is not finite
+    and positive: each would make the check vacuous or unbounded."""
     if not g2.monomial_x():
         raise SeriesError("verify_isotopy requires the target's x to be the monomial t^n")
     if not n_samples >= 1:
         raise NumericError(f"n_samples {n_samples!r} is below 1")
+    if n_samples > MAX_SAMPLES:
+        raise NumericError(f"n_samples {n_samples!r} is above {MAX_SAMPLES}")
     if not 0.0 < tol < math.inf:
         raise NumericError(f"tol {tol!r} is not finite and positive")
-    steps = _rk4_steps(h)
-    if not h / 2.0 >= 1.0 / MAX_RK4_STEPS:  # the Richardson run's own check
-        raise NumericError(f"RK4 step {h!r} is below {2.0 / MAX_RK4_STEPS!r}: the check "
-                           f"also runs step h/2, at most {MAX_RK4_STEPS} steps per stage flow")
     tmax = find_parameter_radius(g1, radius)
     ts = [tmax * 10.0 ** (-2.0 * (1.0 - j / (n_samples - 1.0))) if n_samples > 1 else tmax
           for j in range(n_samples)]
     starts = [eval_branch(g1, complex(t)) for t in ts]
 
-    rk4_flows: list[int] = []
-    ends = apply_plan(plan, starts, h, rk4_flows)
-    # without an RK4 step every flow is its closed form, the same at h/2
-    ends_half = apply_plan(plan, starts, h / 2.0) if rk4_flows else ends
-    richardson = max(_norm((e[0] - e2[0], e[1] - e2[1])) for e, e2 in zip(ends, ends_half))
+    stops: list[int | None] = []
+    ends = apply_plan(plan, starts, stops)
 
     f2 = implicitize(g2)
-    records = [SampleRecord(complex(t), p0, p1, distance_to_branch(p1, g2),
-                            f2.implicit_distance(*p1))
-               for t, p0, p1 in zip(ts, starts, ends)]
+    records = [SampleRecord(complex(t), p0, p1,
+                            math.inf if stop else distance_to_branch(p1, g2),
+                            f2.implicit_distance(*p1), stop)
+               for t, p0, p1, stop in zip(ts, starts, ends, stops)]
 
     max_distance = max(rec.dist for rec in records)
-    return FlowReport(tuple(records), max_distance, tol, max_distance < tol,
-                      len(rk4_flows) * steps, richardson)
+    return FlowReport(tuple(records), max_distance, tol, max_distance < tol)

@@ -105,7 +105,9 @@ def newton_puiseux(f: BivarPoly, precision: int = 64) -> Branch:
 
     The product of the edge denominators is the branch's multiplicity: an
     edge of height q*d leaves a polynomial of height d, the multiplicity of
-    its root, so the product never exceeds the first height, at most deg_y f."""
+    its root, so the product never exceeds the first height, at most deg_y f.
+    Each edge raises gamma * denom by at least 1, so after `precision` edges
+    the expansion stops: the loop runs at most precision + 1 times."""
     if f.is_zero():
         raise PuiseuxError("zero polynomial")
     if all(a > 0 for (a, _), _ in f.terms):
@@ -119,10 +121,9 @@ def newton_puiseux(f: BivarPoly, precision: int = 64) -> Branch:
     cur = f
     exact = False
     last_mult = 1
-    guard = 4 * precision + 64
     deg_y = max(b for (_, b), _ in f.terms)
 
-    for _ in range(guard):
+    for _ in range(precision + 1):
         if all(b > 0 for (_, b), _ in cur.terms):
             if min(b for (_, b), _ in cur.terms) > 1:
                 raise ReducibleError("f has a multiple branch (square factor)")
@@ -156,7 +157,7 @@ def newton_puiseux(f: BivarPoly, precision: int = 64) -> Branch:
         out_terms.append((gamma, c))
         cur = _transform(cur, q, m, c)
     else:
-        raise PuiseuxError("expansion did not terminate (guard exceeded)")
+        raise PuiseuxError(f"internal: no stop after {precision + 1} edges")
 
     if not exact and last_mult > 1:
         raise PrecisionError(

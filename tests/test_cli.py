@@ -1,5 +1,4 @@
 import os
-import signal
 
 import pytest
 
@@ -259,7 +258,7 @@ def test_unwritable_trace_path_reports_error(capsys, corpus_dir, tmp_path):
     trace = tmp_path / "missing" / "trace.txt"
     code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
                              path(corpus_dir, "cusp_2t3"), "--no-timing", "--samples", "2",
-                             "--step", "0.01", "--trace", str(trace))
+                             "--trace", str(trace))
     assert code == 1
     assert err.startswith(f"error: cannot write {trace}: ") and "No such file" in err
     assert "outcome" not in out
@@ -273,7 +272,7 @@ def test_isotopy_far_sample_reports_fail(capsys, tmp_path):
     a.write_text("x = t^4\ny = 2 t^4 - 1/2 t^6 - t^9 - t^10\n")
     b.write_text("x = t^4\ny = t^4 + t^6 + t^9 - t^11\n")
     code, out, err = run_cli(capsys, "isotopy", str(a), str(b), "--radius", "0.002",
-                             "--samples", "3", "--step", "0.05", "--precision", "32",
+                             "--samples", "3", "--precision", "32",
                              "--no-timing")
     assert code == 0 and err == ""
     assert "max_dist=1.959" in out and "e+103\n" in out
@@ -291,12 +290,27 @@ def test_isotopy_image_on_the_negative_sheet_passes(capsys, tmp_path):
     max_dist = float(next(line for line in out.splitlines()
                           if line.startswith("max_dist="))[len("max_dist="):])
     assert max_dist < 1e-12
-    assert out.endswith("integrator: steps=0 max_step_error=0.0\nPASS\noutcome=ok\n")
+    assert out.endswith(f"max_dist={max_dist!r}\nPASS\noutcome=ok\n")
+
+
+def test_isotopy_uncontained_sample_reports_its_stage(capsys, tmp_path):
+    # isotopy_flow seed 34 op 32: the outer sample's graph-match trajectory
+    # may leave the bump's r_inner ball, so it has no closed-form image; RK4
+    # once carried it to max_dist=1.08e+28
+    a, b, trace = tmp_path / "a.branch", tmp_path / "b.branch", tmp_path / "trace.txt"
+    a.write_text("x = t^2\ny = t^3 - 4 t^4\n")
+    b.write_text("x = t^2\ny = -1 t^3 - 4/3 t^5\n")
+    code, out, err = run_cli(capsys, "isotopy", str(a), str(b), "--samples", "4",
+                             "--precision", "32", "--no-timing", "--trace", str(trace))
+    assert code == 0 and err == ""
+    assert "max_dist=inf\nuncontained: stage=1 samples=1\nFAIL\n" in out
+    lines = trace.read_text().splitlines()
+    assert [line.endswith(" dist=inf uncontained_stage=1") for line in lines[:4]] == \
+        [False, False, False, True]
+    assert lines[4] == "max_dist=inf pass=False"
 
 
 NON_FINITE_ERRORS = {
-    ("--step", "nan"): "RK4 step nan is not finite and positive",
-    ("--step", "inf"): "RK4 step inf is above 1, the length of a stage flow",
     ("--radius", "nan"): "radius nan is not finite and positive",
     ("--radius", "inf"): "radius inf is not finite and positive",
     ("--tol", "nan"): "tol nan is not finite and positive",
@@ -305,11 +319,10 @@ NON_FINITE_ERRORS = {
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("option", ["--step", "--radius", "--tol"])
+@pytest.mark.parametrize("option", ["--radius", "--tol"])
 def test_non_finite_config_reports_error(capsys, corpus_dir, option, value):
-    # nan passed a `<= 0` check: --step nan ended in a ValueError traceback,
-    # --radius nan shrank the window to 1e-67 and printed PASS; the library
-    # function that uses each setting now refuses it
+    # nan passed a `<= 0` check: --radius nan shrank the window to 1e-67 and
+    # printed PASS; the library function that uses each setting now refuses it
     code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
                              path(corpus_dir, "cusp_2t3"), "--no-timing", option, value)
     assert code == 1
@@ -317,40 +330,27 @@ def test_non_finite_config_reports_error(capsys, corpus_dir, option, value):
     assert "outcome" not in out
 
 
-@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
-def test_tiny_step_reports_error(capsys, corpus_dir, step):
-    # 1e-300 asked for 1e300 RK4 steps and never finished; 5e-324 overflowed round(1/h)
-    def expire(signum, frame):
-        raise TimeoutError(f"--step {step} still running after 5 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(5)
-    try:
-        code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
-                                 path(corpus_dir, "cusp_2t3"), "--no-timing", "--step", step)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert code == 1
-    assert err == f"error: RK4 step {float(step)!r} needs more than 100000 steps per stage flow\n"
-    assert "outcome" not in out
+def test_step_option_is_refused(capsys, corpus_dir):
+    # every stage flow is closed form: there is no integrator step to set
+    with pytest.raises(SystemExit) as exc:
+        main(["isotopy", path(corpus_dir, "cusp"), path(corpus_dir, "cusp_2t3"),
+              "--no-timing", "--step", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --step 0.01" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("step", ["2", "1.4", "1.0000001"])
-def test_step_above_one_reports_error(capsys, corpus_dir, step):
-    # --step 2 printed max_step_error=0.0 and PASS: steps h and h/2 both
-    # rounded to one RK4 step, so the Richardson check compared a run with itself
+def test_sample_count_above_the_ceiling_reports_error(capsys, corpus_dir):
     code, out, err = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
-                             path(corpus_dir, "cusp_2t3"), "--no-timing", "--step", step)
-    assert code == 1
-    assert err == f"error: RK4 step {float(step)!r} is above 1, the length of a stage flow\n"
-    assert "PASS" not in out and "outcome" not in out
+                             path(corpus_dir, "cusp_2t3"), "--no-timing",
+                             "--samples", "1000000000")
+    assert code == 1 and "outcome" not in out
+    assert err == "error: n_samples 1000000000 is above 10000\n"
 
 
 def test_show_config(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
                            path(corpus_dir, "cusp_2t3"), "--no-timing", "--show-config")
-    assert "config: precision=64 step=0.001 samples=40 radius=0.05 tol=0.001" in out
+    assert "config: precision=64 samples=40 radius=0.05 tol=0.001" in out
 
 
 def test_show_config_lists_only_the_subcommand_settings(capsys, corpus_dir):
@@ -361,14 +361,8 @@ def test_show_config_lists_only_the_subcommand_settings(capsys, corpus_dir):
     assert out.splitlines()[1] == "config: precision=64 exit-status=False"
 
 
-def test_tolerance_warning(capsys, corpus_dir):
-    code, out, _ = run_cli(capsys, "isotopy", path(corpus_dir, "cusp"),
-                           path(corpus_dir, "cusp_2t3"), "--no-timing", "--tol", "1e-13")
-    assert code == 0
-    assert "warning" in out
-
-
-ISOTOPY_ONLY = [["--step", "0.01"], ["--samples", "2"], ["--radius", "0.01"], ["--tol", "0.01"]]
+ISOTOPY_ONLY = [["--step", "0.01"],  # isotopy refuses --step too, since it lost its RK4 step
+                ["--samples", "2"], ["--radius", "0.01"], ["--tol", "0.01"]]
 UNUSED_OPTIONS = [
     *((command, option) for command in ("resolve", "invariants", "implicitize", "equisingular")
       for option in ISOTOPY_ONLY),

@@ -4,6 +4,8 @@
   resolutions in lockstep, pins every stage of every ordered corpus pair
   (or its ``NotEquisingularError`` certificate).
 - ``build_plan`` takes one blowup per level, on the source only.
+- Each stage's chart path extends the previous stage's, as ``apply_plan``
+  requires.
 - Its certificate is the one ``equisingular`` gives, also for mismatches the
   corpus never reaches.
 """
@@ -71,6 +73,24 @@ def test_golden_table_covers_every_ordered_corpus_pair():
     golden = _golden()
     assert sorted(golden) == sorted(f"{a} -> {b}" for a in CORPUS_NAMES for b in CORPUS_NAMES)
     assert sum("stages" in rec for rec in golden.values()) == 20
+
+
+def test_golden_stage_paths_extend_each_other():
+    # apply_plan carries samples in chart coordinates and lifts them only
+    # along the steps each stage adds: shears and level-0 stages sit in the
+    # plane, a level-k multiplicative stage in the target's path[:k], and the
+    # graph match at the end of the whole path
+    for key, rec in _golden().items():
+        paths = [stage["path"] for stage in rec.get("stages", ())]
+        for prev, path in zip(paths, paths[1:]):
+            assert path[:len(prev)] == prev, key
+        for stage in rec.get("stages", ()):
+            if stage["kind"] == "multiplicative":
+                assert len(stage["path"]) == stage["level"], key
+            if stage["kind"] == "shear":
+                assert stage["path"] == [], key
+        if paths:
+            assert rec["stages"][-1]["kind"] == "graph-match", key
 
 
 def test_only_the_source_is_blown_up(corpus, monkeypatch):

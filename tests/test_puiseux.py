@@ -29,6 +29,16 @@ def test_smooth_graph():
     assert b.ys.as_dict() == {1: 1}
 
 
+@pytest.mark.parametrize("precision", [2, 8, 64])
+def test_infinite_expansion_takes_the_whole_loop_bound(precision):
+    # y = x / (1 - x) = x + x^2 + ...: each edge raises gamma * denom by
+    # exactly 1, so the expansion stops on the last of its precision + 1 passes
+    b = newton_puiseux(parse_poly("f = y - x y - x"), precision=precision)
+    assert b.xs.as_dict() == {1: 1}
+    assert b.ys.as_dict() == {k: 1 for k in range(1, precision)}
+    assert not b.exact
+
+
 def test_irrational_root_refused():
     with pytest.raises(IrrationalRootError):
         newton_puiseux(parse_poly("f = y^2 - 2*x^3"))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import coefficient, shift
+
 from germflow.errors import PrecisionError, SeriesError
 from germflow.series import TruncatedSeries
 
@@ -52,9 +54,9 @@ def test_divide_shift():
 def test_divide_unit_expansion():
     # t^2 / (t^2 + t^3) = 1 - t + t^2 - ...
     q = S({2: 1}, 8).divide(S({2: 1, 3: 1}, 8))
-    assert q.coefficient(0) == 1
-    assert q.coefficient(1) == -1
-    assert q.coefficient(2) == 1
+    assert coefficient(q, 0) == 1
+    assert coefficient(q, 1) == -1
+    assert coefficient(q, 2) == 1
 
 
 def test_divide_order_error():
@@ -108,7 +110,7 @@ def _divide_by_inverse(a, b):
         raise PrecisionError("no precision left in quotient")
     if oa is None:
         return TruncatedSeries.zero(prec)
-    unit = b.shift(-ob)
+    unit = shift(b, -ob)
     p = min(prec, unit.precision)
     c0 = unit.leading()
     inv = {0: 1 / c0}
@@ -116,7 +118,7 @@ def _divide_by_inverse(a, b):
         s = sum((c * inv.get(k - e, 0) for e, c in unit.terms if 0 < e <= k), Fraction(0))
         if s:
             inv[k] = -s / c0
-    return a.shift(-ob).mul(S(inv, p)).truncate(prec)
+    return shift(a, -ob).mul(S(inv, p)).truncate(prec)
 
 
 def _outcome(fn, *args):
@@ -268,8 +270,8 @@ def test_invert_parameter_roundtrip():
     u = S({1: 1, 2: -1, 3: 1, 4: -1}, 12)
     t_of_u = u.invert_parameter()
     back = u.compose(t_of_u)
-    assert back.coefficient(1) == 1
-    assert all(back.coefficient(k) == 0 for k in range(2, back.precision))
+    assert coefficient(back, 1) == 1
+    assert all(coefficient(back, k) == 0 for k in range(2, back.precision))
 
 
 @given(series(min_order=1, max_terms=5, precision=10))
@@ -277,9 +279,9 @@ def test_invert_parameter_property(u):
     if u.order() != 1:
         return
     back = u.compose(u.invert_parameter())
-    assert back.coefficient(1) == 1
+    assert coefficient(back, 1) == 1
     for k in range(2, back.precision):
-        assert back.coefficient(k) == 0
+        assert coefficient(back, k) == 0
 
 
 @st.composite

@@ -13,7 +13,11 @@
   ``FieldSpec``, its constructors or the string dispatch helpers over it,
   and none compares anything to a field-kind string (``"shear"``,
   ``"multiplicative"``, ``"graph-match"``); each stage class carries its
-  own speed, time-1 map and stage-line text.
+  own closed-form flow, containment test, time-1 map and stage-line text.
+- No stage flow is integrated: no module defines the RK4 fallback
+  (``_rk4``, ``_rk4_steps``, ``MAX_RK4_STEPS``), the smooth cut-off
+  ``bump_value`` or a ``speed`` method (the glued-field RK4 lives on in
+  ``tests/oracles.py`` as the reference the closed forms are checked against).
 - Each run setting is validated by the library function that uses it: no
   module defines ``Config``, the command line's copy of the settings, their
   defaults and a second set of range checks.
@@ -72,7 +76,7 @@ def test_reference_series_kernels_stay_in_series(path):
 TEST_ONLY_HELPERS = ("semigroup_elements", "proximity_matrix", "invert_unit")
 RETIRED_NAMES = ("FieldSpec", "multiplicative_field", "graph_match_field", "_raw_field",
                  "_speed", "_update_moving_state", "_slope_after_shear", "_golden_min",
-                 "Config")
+                 "Config", "_rk4", "_rk4_steps", "MAX_RK4_STEPS", "bump_value")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -100,6 +104,14 @@ def test_retired_field_names_are_not_defined(path):
     defs = [(name, line) for name, line in _defined_names(_tree(path))
             if name in RETIRED_NAMES]
     assert defs == [], f"{path.name}: retired names defined {defs}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_class_defines_a_speed_method(path):
+    defs = [(cls.name, node.lineno) for cls in ast.walk(_tree(path))
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "speed"]
+    assert defs == [], f"{path.name}: speed methods {defs}"
 
 
 FIELD_KINDS = ("shear", "multiplicative", "graph-match")
