@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .branch import Branch, _parse_lines
 from .errors import SeriesError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, int_poly_mul
 
 
 def _lex_key(key):
@@ -150,16 +150,6 @@ def poly_on_branch(f: BivarPoly, b: Branch) -> TruncatedSeries:
 
 # -- implicit equation as a norm ---------------------------------------------
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of dense integer polynomials (coefficient lists, low to high)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def implicitize(b: Branch) -> BivarPoly:
     """Defining polynomial of a polynomial branch with monomial x = t^n.
 
@@ -181,12 +171,12 @@ def implicitize(b: Branch) -> BivarPoly:
     for k in range(1, n + 1):
         power_sums.append([n * c for c in zk[::n]])
         if k < n:
-            zk = _mul(zk, z)
+            zk = int_poly_mul(zk, z)
     elem = [[1]]
     for k in range(1, n + 1):
         acc: list[int] = []
         for i in range(1, k + 1):
-            term = _mul(elem[k - i], power_sums[i - 1])
+            term = int_poly_mul(elem[k - i], power_sums[i - 1])
             acc += [0] * (len(term) - len(acc))
             for m, c in enumerate(term):
                 acc[m] += c if i % 2 else -c

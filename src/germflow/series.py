@@ -8,8 +8,12 @@ coefficient raises :class:`~germflow.errors.PrecisionError` instead of
 guessing.
 
 ``compose`` and ``invert_parameter`` (Newton reversion) are the reference
-implementation that the tests check ``in_terms_of`` (triangular elimination)
-and ``divide`` (long division) against; the package does not call them.
+implementation that the tests check ``in_terms_of`` and ``divide`` (long
+division) against; the package does not call them.  ``in_terms_of`` is
+fraction-free triangular elimination: it works on integer numerators over
+common denominators, with O(p^3/6) integer multiply-adds and O(p)
+``Fraction``s per call at precision p.  ``int_poly_mul`` is the one dense
+integer polynomial product, shared with implicitization.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
@@ -18,6 +22,7 @@ that is itself out of range saturates.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +50,33 @@ def _scaled_power(m: float, s: int, t: complex, e: int) -> complex:
     t = complex(t)
     v = m * complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)) ** e
     return complex(math.ldexp(v.real, s + k * e), math.ldexp(v.imag, s + k * e))
+
+
+def int_poly_mul(a: list[int], b: list[int], length: int | None = None) -> list[int]:
+    """Product of dense integer polynomials (coefficient lists, low to high),
+    cut to its first ``length`` coefficients when a length is given; a zero
+    coefficient of either factor costs no multiplication."""
+    n = len(a) + len(b) - 1 if length is None else min(length, len(a) + len(b) - 1)
+    out = [0] * n
+    nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in nonzero:
+                if i + j >= n:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
+def _integer_coefficients(s: "TruncatedSeries", length: int) -> tuple[list[int], int]:
+    """(z, d): d is the lcm of the denominators of s, and z[e] = d * [t^e]s
+    for e < length, as a dense list."""
+    d = math.lcm(*(c.denominator for _, c in s.terms))
+    z = [0] * length
+    for e, c in s.terms:
+        if e < length:
+            z[e] = c.numerator * (d // c.denominator)
+    return z, d
 
 
 def _clean(terms, precision):
@@ -207,28 +239,46 @@ class TruncatedSeries:
     def in_terms_of(self, base: "TruncatedSeries") -> "TruncatedSeries":
         """Series g with g(base(t)) = self(t) mod t^min(T_self, T_base).
 
-        Triangular elimination against base of order exactly 1: g_k is the t^k
-        coefficient of the residual self - sum_{j<k} g_j base^j over lead^k.
-        The running power is kept as integers, (den * base)^k, so its O(p^3)
-        products need no gcd.
+        Fraction-free triangular elimination against base of order exactly 1.
+        With D the lcm of the base's denominators, B = D*base is an integer
+        series of t^1 coefficient lead, and h_j = g_j / D^j solves
+        self = sum_j h_j B^j, so h_k = (s_k - sum_{j<k} h_j [t^k]B^j) / lead^k.
+        The powers B^j mod t^p are dense integer lists, and the h_j integer
+        numerators over one running common denominator, rescaled only when
+        a new h_k brings a new factor: O(p^3/6) integer multiply-adds for the
+        powers, one integer dot product per k, and O(p) Fractions per call.
         """
         if base.order() != 1:
             raise SeriesError("graph elimination needs a base of order exactly 1")
         p = min(self.precision, base.precision)
-        den = math.lcm(*(c.denominator for _, c in base.terms))
-        scaled = [(e, int(c * den)) for e, c in base.terms]
-        residual = {e: c for e, c in self.terms if e < p}
-        power, lead_k = {0: 1}, 1  # (den*base)^k mod t^p and its t^k coefficient
-        g: dict[int, Fraction] = {}
-        for k in range(p):
-            c = residual.get(k)
-            if c:
-                g[k] = c * den ** k / lead_k
-                for e, pc in power.items():
-                    residual[e] = residual.get(e, 0) - c * pc / lead_k
-            power = {e: sum(power.get(e - j, 0) * b for j, b in scaled) for e in range(k + 1, p)}
-            lead_k *= scaled[0][1]
-        return TruncatedSeries(tuple(g.items()), p)
+        if not self.terms or self.terms[0][0] >= p:  # often: the graph v = 0
+            return TruncatedSeries.zero(p)
+        scaled, den = _integer_coefficients(base, p)
+        c1 = base.leading()  # read off the terms: p = 1 cuts t^1 from scaled
+        lead = c1.numerator * (den // c1.denominator)
+        target, sden = _integer_coefficients(self, p)
+        powers = [[1] + [0] * (p - 1)]
+        for _ in range(1, p):
+            powers.append(int_poly_mul(powers[-1], scaled, p))
+        # h_j = num[j] / (common * sden), so the pulled sum is one dot product
+        num, common, lead_k = [0] * p, 1, 1
+        for k, column in enumerate(zip(*powers)):
+            r = target[k] * common - sum(map(operator.mul, num, column))
+            if r:
+                d = common * lead_k
+                g = math.gcd(r, d)
+                r, d = r // g, d // g
+                if d < 0:
+                    r, d = -r, -d
+                if common % d:
+                    grown = math.lcm(common, d)
+                    num = [x * (grown // common) for x in num]
+                    common = grown
+                num[k] = r * (common // d)
+            lead_k *= lead
+        out_den = common * sden
+        return TruncatedSeries(tuple((k, Fraction(x * den ** k, out_den))
+                                     for k, x in enumerate(num) if x), p)
 
     # -- composition -------------------------------------------------------
 

@@ -333,6 +333,61 @@ def test_in_terms_of_needs_order_one_base(base):
         S({1: 1}, 6).in_terms_of(base)
 
 
+@pytest.mark.parametrize("other, base, want", [
+    (TruncatedSeries.zero(1), S({1: -1}, 2), TruncatedSeries.zero(1)),
+    (S({0: 3}, 1), S({1: 2}, 5), S({0: 3}, 1)),
+], ids=["zero", "constant"])
+def test_in_terms_of_at_precision_one(other, base, want):
+    # p = 1 cuts the base's order-1 term off; its lead is still read
+    got = other.in_terms_of(base)
+    assert got.terms == want.terms
+    assert got.precision == 1
+
+
+def test_in_terms_of_ignores_terms_beyond_the_base_precision():
+    base = S({1: Fraction(1, 3), 2: 5}, 4)
+    got = S({1: 1, 3: 2, 4: 7, 9: -1}, 12).in_terms_of(base)
+    assert got == S({1: 1, 3: 2}, 12).in_terms_of(base)
+    assert got.precision == 4
+
+
+def test_in_terms_of_sparse_base_with_non_unit_negative_lead():
+    # u = a t + t^3 with a = -3/7: t = u/a - u^3/a^4 + 3 u^5/a^7 + ...
+    g = S({1: 1}, 8).in_terms_of(S({1: Fraction(-3, 7), 3: 1}, 6))
+    assert g.as_dict() == {1: Fraction(-7, 3), 3: Fraction(-2401, 81),
+                           5: Fraction(-823543, 729)}
+    assert g.precision == 6
+
+
+def _bench_scale_cases():
+    """Graph-match inputs shaped like the isotopy benchmark's: up to 28 terms,
+    precision up to 61, denominators up to 2^29 and beyond, non-unit leads."""
+    geometric = S({k: Fraction((-1) ** (k + 1), 4 * 12 ** (k - 1)) for k in range(1, 28)}, 28)
+    dyadic = S({1: Fraction(-1, 2)} | {k: Fraction((-1) ** k * (k ** 3 - 7 * k + 3), 2 ** (k + 1))
+                                       for k in range(2, 29)}, 29)
+    gapped = S({1: Fraction(-3, 7)} | {k: Fraction(k - 20, 2 ** (k // 4))
+                                       for k in range(4, 40, 4)}, 40)
+    deep = S({1: Fraction(1, 4), 2: 3, 5: Fraction(-5, 2), 9: Fraction(1, 2 ** 28)}, 61)
+    return [
+        (S({1: Fraction(8, 3), 2: Fraction(1, 9)}, 27), geometric),
+        (S({1: Fraction(3, 2), 2: Fraction(-905, 64), 3: Fraction(141, 4),
+            4: Fraction(-3279, 128)}, 29), dyadic),
+        (S({0: 5, 1: 2, 2: Fraction(-1, 3), 3: 7}, 40), gapped),
+        (S({1: 1, 2: Fraction(-1, 2), 3: 4}, 64), deep),
+    ]
+
+
+@pytest.mark.parametrize("other, base", _bench_scale_cases(),
+                         ids=["geometric28", "dyadic29", "gapped40", "deep61"])
+def test_in_terms_of_matches_the_reference_at_benchmark_scale(other, base):
+    got = other.in_terms_of(base)
+    want = other.compose(base.invert_parameter())
+    assert got.terms == want.terms
+    assert got.precision == want.precision == min(other.precision, base.precision)
+    back = got.compose(base)
+    assert back.truncate(got.precision) == other.truncate(got.precision)
+
+
 def test_flip_negates_odd_exponents():
     s = S({2: 1, 3: 2, 4: -1}, 8)
     f = s.flip()

@@ -24,6 +24,9 @@
 - The distance check is Gauss-Newton from the fibre of x = t^n: no module
   defines ``_golden_min``, the golden-section search of the grid scan it
   replaced (the scan lives on in ``tests/oracles.py`` as a reference).
+- One dense integer product: ``series.int_poly_mul`` is the only function
+  with the convolution step ``out[i + j] += ...``; ``implicitize`` and
+  ``in_terms_of`` both call it, so no module keeps a second copy.
 - The implicit cross-check is exact: ``BivarPoly`` defines no float
   ``eval`` or ``grad`` (their float forms live in ``tests/oracles.py``), only
   ``implicit_distance``, which evaluates in integers and rounds once.
@@ -144,3 +147,22 @@ def test_bivar_poly_has_no_float_evaluation():
     methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert "implicit_distance" in methods
     assert methods & {"eval", "grad"} == set()
+
+
+def _convolution_owners(tree):
+    """Names of the functions with a step ``x[i + j] += ...``, the inner step
+    of a dense polynomial product."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript) \
+                        and isinstance(node.target.slice, ast.BinOp) \
+                        and isinstance(node.target.slice.op, ast.Add):
+                    yield func.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_dense_integer_product(path):
+    owners = set(_convolution_owners(_tree(path)))
+    assert owners == ({"int_poly_mul"} if path.name == "series.py" else set()), \
+        f"{path.name}: dense products in {sorted(owners)}"
