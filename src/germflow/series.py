@@ -8,12 +8,15 @@ coefficient raises :class:`~germflow.errors.PrecisionError` instead of
 guessing.
 
 ``compose`` and ``invert_parameter`` (Newton reversion) are the reference
-implementation that the tests check ``in_terms_of`` and ``divide`` (long
-division) against; the package does not call them.  ``in_terms_of`` is
-fraction-free triangular elimination: it works on integer numerators over
-common denominators, with O(p^3/6) integer multiply-adds and O(p)
-``Fraction``s per call at precision p.  ``int_poly_mul`` is the one dense
-integer polynomial product, shared with implicitization.
+implementation that the tests check ``in_terms_of`` against; the package
+does not call them; ``divide`` is checked against inverting the divisor and
+multiplying (``_divide_by_inverse`` in the tests).  Both kernels work on
+integer numerators over one running common denominator (``_store_reduced``)
+and build O(p) ``Fraction``s per call at precision p: ``in_terms_of`` is
+fraction-free triangular elimination, with O(p^3/6) integer multiply-adds,
+and ``divide`` is fraction-free long division, with O(p*terms) integer
+multiply-adds.  ``int_poly_mul`` is the one dense integer polynomial
+product, shared with implicitization.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
@@ -71,12 +74,30 @@ def int_poly_mul(a: list[int], b: list[int], length: int | None = None) -> list[
 def _integer_coefficients(s: "TruncatedSeries", length: int) -> tuple[list[int], int]:
     """(z, d): d is the lcm of the denominators of s, and z[e] = d * [t^e]s
     for e < length, as a dense list."""
-    d = math.lcm(*(c.denominator for _, c in s.terms))
+    d = math.lcm(*[c.denominator for _, c in s.terms])
     z = [0] * length
     for e, c in s.terms:
         if e < length:
             z[e] = c.numerator * (d // c.denominator)
     return z, d
+
+
+def _store_reduced(num: list[int], k: int, r: int, d: int, common: int) -> int:
+    """Store r/d at num[k], where num holds numerators over the running common
+    denominator ``common`` and num[k:] is still zero; when d in lowest terms
+    brings a new factor, common grows to the lcm and num[:k] is rescaled.
+    Returns the new common denominator."""
+    g = math.gcd(r, d)
+    r, d = r // g, d // g
+    if d < 0:
+        r, d = -r, -d
+    if common % d:
+        grown = math.lcm(common, d)
+        scale = grown // common
+        num[:k] = [x * scale for x in num[:k]]
+        common = grown
+    num[k] = r * (common // d)
+    return common
 
 
 def _clean(terms, precision):
@@ -196,11 +217,16 @@ class TruncatedSeries:
     def pow(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise SeriesError("negative power of a series")
-        out = TruncatedSeries.monomial(0, 1, self.precision + (n - 1) * self._order_floor()
-                                       if n > 0 else self.precision)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
+        # square and multiply: x^i mod t^(T + (i-1) ord x) is exact, so the
+        # product of two such powers is the next one, term for term
+        out, square = None, self
+        while n:
+            if n & 1:
+                out = square if out is None else out.mul(square)
+            n >>= 1
+            if n:
+                square = square.mul(square)
+        return TruncatedSeries.monomial(0, 1, self.precision) if out is None else out
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient q with self = other * q.
@@ -208,6 +234,15 @@ class TruncatedSeries:
         Errors when the divisor has no visible terms, or when the visible
         orders prove the quotient is not a power series.  The quotient's
         precision is min(T_a, T_b + ord(a) - ord(b)) - ord(b).
+
+        Fraction-free long division.  Both series are shifted down by
+        ord(b); with da and db the lcms of their denominators, A = da*a and
+        B = db*b are integer series, and Q = A/B is pulled one coefficient at
+        a time, Q_k = (A_k - sum_{j>=1} B_j Q_{k-j}) / B_0, the Q_j held as
+        integer numerators over one running common denominator, rescaled
+        only when a new Q_k brings a new factor.  The quotient is Q*db/da:
+        O(p*terms) integer multiply-adds and O(p) Fractions per call at
+        quotient precision p.
         """
         ob = other.order()
         if ob is None:
@@ -220,21 +255,26 @@ class TruncatedSeries:
             raise PrecisionError("no precision left in quotient")
         if oa is None:
             return TruncatedSeries.zero(prec)
-        # long division on the shifted series: q_k = (a_k - sum b_j q_{k-j}) / b_0
-        num = {e - ob: c for e, c in self.terms}
-        b0 = other.terms[0][1]
-        rest = [(e - ob, c) for e, c in other.terms[1:]]
-        q: dict[int, Fraction] = {}
+        a, da = _integer_coefficients(self, prec + ob)
+        b, db = _integer_coefficients(other, prec + ob)
+        a, b = a[ob:], b[ob:]
+        b0 = b[0]
+        rest = [(j, c) for j, c in enumerate(b[1:], 1) if c]
+        # Q_k = num[k] / common = (A_k common - sum_j B_j num[k-j]) / (common b0)
+        num, common = [0] * prec, 1
         for k in range(oa - ob, prec):
-            s = num.get(k, 0)
+            r = a[k] * common
             for j, c in rest:
                 if j > k:
                     break
-                if k - j in q:
-                    s -= c * q[k - j]
-            if s:
-                q[k] = s / b0
-        return TruncatedSeries(tuple(q.items()), prec)
+                r -= c * num[k - j]
+            if r:
+                common = _store_reduced(num, k, r, common * b0, common)
+        out_den = common * da
+        # tuple() of a list, not of a generator: growing and shrinking the
+        # tuple's block fragments the allocator and shows in peak memory
+        return TruncatedSeries(tuple([(k, Fraction(x * db, out_den))
+                                      for k, x in enumerate(num) if x]), prec)
 
     def in_terms_of(self, base: "TruncatedSeries") -> "TruncatedSeries":
         """Series g with g(base(t)) = self(t) mod t^min(T_self, T_base).
@@ -265,20 +305,11 @@ class TruncatedSeries:
         for k, column in enumerate(zip(*powers)):
             r = target[k] * common - sum(map(operator.mul, num, column))
             if r:
-                d = common * lead_k
-                g = math.gcd(r, d)
-                r, d = r // g, d // g
-                if d < 0:
-                    r, d = -r, -d
-                if common % d:
-                    grown = math.lcm(common, d)
-                    num = [x * (grown // common) for x in num]
-                    common = grown
-                num[k] = r * (common // d)
+                common = _store_reduced(num, k, r, common * lead_k, common)
             lead_k *= lead
         out_den = common * sden
-        return TruncatedSeries(tuple((k, Fraction(x * den ** k, out_den))
-                                     for k, x in enumerate(num) if x), p)
+        return TruncatedSeries(tuple([(k, Fraction(x * den ** k, out_den))
+                                      for k, x in enumerate(num) if x]), p)
 
     # -- composition -------------------------------------------------------
 

@@ -149,6 +149,52 @@ def test_divide_matches_inverse_then_multiply(a, b):
     assert _outcome(a.divide, b) == _outcome(_divide_by_inverse, a, b)
 
 
+def _bench_scale_divisions():
+    """Dividend and divisor pairs shaped like the blowup's chart divisions on
+    the benchmark: precision up to 64, divisors of 10+ terms, coefficients
+    up to 10^4 wide, non-unit leads and dyadic denominators."""
+    wide = (S({k: Fraction((-1) ** k * (7919 * k % 9973 + 1), 1 + 7717 * k % 9941)
+               for k in range(2, 64)}, 64),
+            S({k: Fraction((-1) ** (k // 2) * (6007 * k % 9901 + 1), 1 + 8501 * k % 9887)
+               for k in range(2, 14)}, 64))
+    non_unit_lead = (S({1: 1, 2: Fraction(2, 5), 5: -3, 9: Fraction(11, 13)}, 40),
+                     S({1: Fraction(-3, 7), 2: 5, 4: Fraction(1, 3), 7: -2, 10: Fraction(5, 11),
+                        12: 1, 15: Fraction(-9, 4), 19: 3, 22: Fraction(1, 17), 30: 2}, 40))
+    dyadic = (S({k: Fraction((-1) ** k * (k ** 3 - 7 * k + 3), 2 ** (k + 1))
+                 for k in range(0, 50)}, 64),
+              S({0: Fraction(1, 4), 1: 3, 2: Fraction(-1, 8), 4: Fraction(-5, 2), 6: 7,
+                 8: Fraction(1, 2 ** 28), 9: Fraction(3, 64), 11: -1, 13: Fraction(1, 2 ** 13),
+                 17: 5}, 64))
+    monomial = (S({3: 2, 4: Fraction(1, 3), 10: 7, 30: 1}, 64), S({3: Fraction(-5, 6)}, 20))
+    return [wide, non_unit_lead, dyadic, monomial]
+
+
+@pytest.mark.parametrize("a, b", _bench_scale_divisions(),
+                         ids=["wide64", "lead-3/7", "dyadic64", "monomial3"])
+def test_divide_matches_inverse_then_multiply_at_benchmark_scale(a, b):
+    q = _outcome(a.divide, b)
+    assert q == _outcome(_divide_by_inverse, a, b)
+    assert q.precision == min(a.precision, b.precision + a.order() - b.order()) - b.order()
+    residual = a.sub(b.mul(q))
+    assert residual.order() is None or residual.order() >= q.precision + b.order()
+
+
+def _repeated_mul(s, n):
+    out = TruncatedSeries.monomial(0, 1, s.precision)
+    for _ in range(n):
+        out = out.mul(s)
+    return out
+
+
+@given(st.one_of(series(max_terms=6), st.integers(1, 16).map(TruncatedSeries.zero),
+                 st.integers(1, 16).flatmap(series_at)),
+       st.integers(0, 9))
+def test_pow_equals_repeated_mul(s, n):
+    got, want = s.pow(n), _repeated_mul(s, n)
+    assert got.terms == want.terms
+    assert got.precision == want.precision
+
+
 @given(series(max_terms=5), series(max_terms=5))
 def test_mul_commutes(a, b):
     assert a.mul(b) == b.mul(a)

@@ -27,6 +27,10 @@
 - One dense integer product: ``series.int_poly_mul`` is the only function
   with the convolution step ``out[i + j] += ...``; ``implicitize`` and
   ``in_terms_of`` both call it, so no module keeps a second copy.
+- The exact kernels keep ``Fraction`` arithmetic out of their loops: no
+  ``for`` or ``while`` loop in ``TruncatedSeries.divide`` or ``in_terms_of``
+  holds a true division ``/`` or a ``Fraction(...)`` call; each builds its
+  output ``Fraction``s once, after the loop.
 - The implicit cross-check is exact: ``BivarPoly`` defines no float
   ``eval`` or ``grad`` (their float forms live in ``tests/oracles.py``), only
   ``implicit_distance``, which evaluates in integers and rounds once.
@@ -166,3 +170,29 @@ def test_one_dense_integer_product(path):
     owners = set(_convolution_owners(_tree(path)))
     assert owners == ({"int_poly_mul"} if path.name == "series.py" else set()), \
         f"{path.name}: dense products in {sorted(owners)}"
+
+
+EXACT_KERNELS = ("divide", "in_terms_of")
+
+
+def _fraction_steps_in_loops(func):
+    """Lines of the true divisions (``/``, ``/=``) and ``Fraction(...)``
+    calls inside a ``for`` or ``while`` statement of a function."""
+    for loop in ast.walk(func):
+        if isinstance(loop, (ast.For, ast.While)):
+            for node in ast.walk(loop):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) \
+                        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id == "Fraction":
+                    yield node.lineno
+
+
+def test_exact_kernels_keep_fractions_out_of_their_loops():
+    path = next(p for p in SOURCES if p.name == "series.py")
+    cls = next(node for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ClassDef) and node.name == "TruncatedSeries")
+    kernels = {node.name: node for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name in EXACT_KERNELS}
+    assert sorted(kernels) == sorted(EXACT_KERNELS)
+    hits = {name: sorted(set(_fraction_steps_in_loops(func))) for name, func in kernels.items()}
+    assert hits == {name: [] for name in EXACT_KERNELS}, f"Fraction steps in loops: {hits}"
