@@ -69,7 +69,7 @@ class BivarPoly:
             return math.inf
         s = max(d for _, d in parts).bit_length() - 1
         xr, xi, yr, yi = (m << (s - d.bit_length() + 1) for m, d in parts)
-        den = math.lcm(*(c.denominator for _, c in self.terms))
+        den = math.lcm(*[c.denominator for _, c in self.terms])
         deg = max((a + b for (a, b), _ in self.terms), default=0)
         xp = _gauss_powers(xr, xi, max((a for (a, _), _ in self.terms), default=0))
         yp = _gauss_powers(yr, yi, max((b for (_, b), _ in self.terms), default=0))
@@ -95,7 +95,7 @@ class BivarPoly:
         """Content 1, positive leading coefficient (lex order, y > x)."""
         if self.is_zero():
             return self
-        den = math.lcm(*(c.denominator for _, c in self.terms))
+        den = math.lcm(*[c.denominator for _, c in self.terms])
         num = math.gcd(*(abs(c.numerator * den // c.denominator) for _, c in self.terms))
         scale = Fraction(den, num)
         if self.leading()[1] < 0:
@@ -163,7 +163,7 @@ def implicitize(b: Branch) -> BivarPoly:
     if not b.monomial_x():
         raise SeriesError("implicitize requires x to be the monomial t^n")
     n = b.n
-    den = math.lcm(*(c.denominator for _, c in b.ys.terms))
+    den = math.lcm(*[c.denominator for _, c in b.ys.terms])
     z = [0] * (b.ys.degree_bound() + 1)
     for e, c in b.ys.terms:
         z[e] = c.numerator * (den // c.denominator)

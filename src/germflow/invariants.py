@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .branch import Branch
 from .errors import SeriesError
-from .resolution import DualGraph, ResolutionData, dual_graph, resolve
+from .resolution import DualGraph, ResolutionData, resolve_graph
 
 DEFAULT_PRECISION = 64
 
@@ -136,7 +136,10 @@ def compare_dual_graphs(g1: DualGraph, g2: DualGraph) -> EquisingularityVerdict:
 
 def equisingular(a: Branch, b: Branch,
                  precision: int = DEFAULT_PRECISION) -> EquisingularityVerdict:
-    """Compare the weighted dual graphs of the two desingularisations."""
-    ga = dual_graph(resolve(a.with_precision(precision) if a.exact else a))
-    gb = dual_graph(resolve(b.with_precision(precision) if b.exact else b))
-    return compare_dual_graphs(ga, gb)
+    """Compare the weighted dual graphs of the two desingularisations.
+
+    precision is a ceiling, not the working order: each graph is read off a
+    resolution of the branch cut only as deep as the graph needs
+    (``resolution.resolve_graph``), and a branch is resolved at precision
+    only when no lower cut resolves it."""
+    return compare_dual_graphs(resolve_graph(a, precision), resolve_graph(b, precision))

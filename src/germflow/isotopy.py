@@ -1,11 +1,12 @@
 """Ambient-isotopy construction between equisingular branches.
 
-Both branches are resolved once, and the plan replays the target's
-recorded resolution on the source alone, blowing it up in the target's
-recorded chart at each level.  Each stage of the plan is one of three
-field types, each pushing one chart coordinate.  They are written below for
-a field pushing v; one pushing u is the same field after x and y are
-exchanged (``resolution.swapped``), as chart B is chart A:
+The target is resolved once at full precision, the source only as deep as
+its dual graph needs (``resolution.resolve_graph``), and the plan replays
+the target's recorded resolution on the source alone, blowing it up in the
+target's recorded chart at each level.  Each stage of the plan is one of
+three field types, each pushing one chart coordinate.  They are written
+below for a field pushing v; one pushing u is the same field after x and y
+are exchanged (``resolution.swapped``), as chart B is chart A:
 
 - ``Shear``: a global linear shear at level 0 (no exceptional divisor
   exists yet) that moves a tangent off 0 or infinity before the
@@ -42,7 +43,8 @@ from .errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
                      NumericError, PlanError, SeriesError)
 from .invariants import compare_dual_graphs
 from .resolution import (INF, ChartState, apply_step, dual_graph, initial_state,
-                         is_terminal, reciprocal, resolve, state_slope, swapped)
+                         is_terminal, reciprocal, resolve, resolve_graph, state_slope,
+                         swapped)
 from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
@@ -309,8 +311,9 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
     for a precision outside 1..MAX_PRECISION (``Branch.with_precision``).
     """
     h1, h2 = (g.with_precision(precision) if g.exact else g for g in (g1, g2))
-    rd1, rd2 = resolve(h1), resolve(h2)
-    verdict = compare_dual_graphs(dual_graph(rd1), dual_graph(rd2))
+    graph1 = resolve_graph(h1, precision)
+    rd2 = resolve(h2)  # the replay reads its chart path, steps and final chart
+    verdict = compare_dual_graphs(graph1, dual_graph(rd2))
     if not verdict.equal:
         raise NotEquisingularError(verdict.certificate)
 

@@ -161,6 +161,8 @@ def is_terminal(state: ChartState) -> bool:
 def initial_state(b: Branch) -> ChartState:
     ox = b.xs.order()
     oy = b.ys.order()
+    if ox is None and not b.exact:
+        raise PrecisionError("x(t) is zero up to the truncation order of the branch")
     if ox is None or ox < 1 or (oy is not None and oy < 1):
         raise ResolutionError("branch does not pass through the origin")
     return ChartState(b.xs, b.ys)
@@ -187,6 +189,30 @@ def resolve(b: Branch) -> ResolutionData:
             raise ResolutionError("internal: multiplicity sequence increased")
         steps.append(rec)
     return ResolutionData(tuple(steps), state)
+
+
+def resolve_graph(b: Branch, precision: int) -> DualGraph:
+    """The weighted dual graph of ``resolve(b.with_precision(precision))``
+    for an exact branch, and of ``resolve(b)`` for a truncated one.
+
+    The branch is resolved cut to order ord x + 1 (a lower cut makes x
+    vanish), and on PrecisionError cut to twice that order, and so on; once
+    the cut reaches the branch's own order the whole branch is resolved, and
+    its error is raised.  A resolution that completes on a cut never read an
+    unknown coefficient, so its steps, and its graph, are those of the full
+    resolution.
+    """
+    full = b.with_precision(precision) if b.exact else b
+    top = max(full.xs.precision, full.ys.precision)
+    ox = full.xs.order()
+    cut = top if ox is None else ox + 1
+    while cut < top:
+        try:
+            return dual_graph(resolve(Branch(full.xs.truncate(cut), full.ys.truncate(cut),
+                                             full.label, exact=False)))
+        except PrecisionError:
+            cut *= 2
+    return dual_graph(resolve(full))
 
 
 def dual_graph(rd: ResolutionData) -> DualGraph:

@@ -160,7 +160,7 @@ class TruncatedSeries:
 
     def truncate(self, precision: int) -> "TruncatedSeries":
         p = min(self.precision, precision)
-        return TruncatedSeries(tuple((e, c) for e, c in self.terms if e < p), p)
+        return TruncatedSeries(tuple([(e, c) for e, c in self.terms if e < p]), p)
 
     def with_precision(self, precision: int) -> "TruncatedSeries":
         """Re-declare the truncation order.
@@ -174,7 +174,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.terms, precision)
 
     def neg(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple((e, -c) for e, c in self.terms), self.precision)
+        return TruncatedSeries(tuple([(e, -c) for e, c in self.terms]), self.precision)
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         p = min(self.precision, other.precision)
@@ -190,7 +190,7 @@ class TruncatedSeries:
         coef = Fraction(coef)
         if coef == 0:
             return TruncatedSeries.zero(self.precision)
-        return TruncatedSeries(tuple((e, c * coef) for e, c in self.terms), self.precision)
+        return TruncatedSeries(tuple([(e, c * coef) for e, c in self.terms]), self.precision)
 
     def add_const(self, coef) -> "TruncatedSeries":
         acc = self.as_dict()
@@ -334,7 +334,7 @@ class TruncatedSeries:
 
     def derivative(self) -> "TruncatedSeries":
         return TruncatedSeries(
-            tuple((e - 1, c * e) for e, c in self.terms if e >= 1),
+            tuple([(e - 1, c * e) for e, c in self.terms if e >= 1]),
             max(self.precision - 1, 1),
         )
 
@@ -359,7 +359,7 @@ class TruncatedSeries:
     def flip(self) -> "TruncatedSeries":
         """Substitute t -> -t."""
         return TruncatedSeries(
-            tuple((e, -c if e % 2 else c) for e, c in self.terms), self.precision
+            tuple([(e, -c if e % 2 else c) for e, c in self.terms]), self.precision
         )
 
     @cached_property

@@ -1,15 +1,16 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import proximity_matrix
 
-from germflow import parse_branch, resolution, resolve
-from germflow.branch import Branch
-from germflow.errors import ResolutionError
+from germflow import implicitize, newton_puiseux, parse_branch, resolution, resolve
+from germflow.branch import MAX_PRECISION, Branch
+from germflow.errors import PrecisionError, ResolutionError
 from germflow.resolution import (INF, ChartState, apply_step, blowup_step, dual_graph,
-                                 initial_state, state_slope, swapped)
+                                 initial_state, resolve_graph, state_slope, swapped)
 from germflow.series import TruncatedSeries
 
 
@@ -79,7 +80,6 @@ def test_resolve_default_parse_precision_suffices_for_cusp():
 
 
 def test_resolve_exhausted_precision_raises():
-    from germflow.errors import PrecisionError
     b = parse_branch("x = t^2\ny = t^3")
     truncated = Branch(b.xs.truncate(3), b.ys.truncate(3), b.label, exact=False)
     with pytest.raises(PrecisionError):
@@ -226,7 +226,6 @@ def random_branches(draw):
     coeffs = draw(st.lists(st.sampled_from([1, -1, 2, 3, Fraction(1, 2)]),
                            min_size=k, max_size=k))
     terms = dict(zip(exps, coeffs))
-    from math import gcd
     if gcd(n, *terms) != 1:
         terms[max(exps) + 1] = 1
     return Branch(TruncatedSeries.monomial(n, 1, 64),
@@ -252,3 +251,105 @@ def test_resolve_terminates_on_random_branches(b):
 def test_random_branch_engine_agrees_with_euclid(b):
     from germflow import char_exponents, mult_seq_from_char
     assert resolve(b).multiplicities() == mult_seq_from_char(char_exponents(b))
+
+
+def test_initial_state_of_a_truncated_branch_with_vanishing_x_needs_precision():
+    b = Branch(TruncatedSeries.zero(3), S({1: 1}, 3), exact=False)
+    with pytest.raises(PrecisionError, match="x\\(t\\) is zero up to the truncation order"):
+        initial_state(b)
+
+
+def test_truncated_branch_with_vanishing_y_passes_initial_state_and_needs_precision():
+    # ord y >= 3 passes through the origin; x = t^2 needs y's next terms
+    b = Branch(S({2: 1}, 3), TruncatedSeries.zero(3), exact=False)
+    assert initial_state(b) == ChartState(b.xs, b.ys)
+    with pytest.raises(PrecisionError):
+        resolve(b)
+
+
+def test_initial_state_of_an_exact_branch_with_vanishing_x_is_refused():
+    b = Branch(TruncatedSeries.zero(3), S({1: 1}, 3))
+    with pytest.raises(ResolutionError, match="does not pass through the origin"):
+        initial_state(b)
+
+
+def _graph_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionError, ResolutionError) as exc:
+        return type(exc), str(exc)
+
+
+def _full_graph(b, precision):
+    return dual_graph(resolve(b.with_precision(precision) if b.exact else b))
+
+
+_COEFFICIENTS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(9973, 7919)]
+
+
+@st.composite
+def family_branches(draw):
+    """x = t^n, y(t) in the benchmark's family shapes (n <= 6, one or two
+    characteristic pairs, free terms that keep the characteristic), exact or
+    as the newton_puiseux expansion of its implicit equation, whose lower
+    precisions give truncated branches."""
+    n = draw(st.integers(2, 6))
+    betas = [draw(st.integers(n + 1, 3 * n).filter(lambda b: b % n))]
+    chain = [n, gcd(n, betas[0])]
+    if chain[-1] > 1:  # a second pair brings the gcd down to 1
+        betas.append(draw(st.integers(betas[0] + 1, betas[0] + 2 * n)
+                          .filter(lambda b: gcd(chain[-1], b) == 1)))
+        chain.append(1)
+    free = list(range(n, betas[0], n))
+    for beta, top, e in zip(betas, betas[1:] + [betas[-1] + 4], chain[1:]):
+        free += [x for x in range(beta + 1, top) if x % e == 0]
+    extra = draw(st.lists(st.sampled_from(free), max_size=2, unique=True)) if free else []
+    exps = sorted(betas + extra)
+    coeffs = draw(st.lists(st.sampled_from(_COEFFICIENTS), min_size=len(exps),
+                           max_size=len(exps)))
+    p = exps[-1] + 1
+    b = Branch(TruncatedSeries.monomial(n, 1, p),
+               TruncatedSeries.from_terms(dict(zip(exps, coeffs)), p))
+    if draw(st.booleans()):
+        return b
+    return newton_puiseux(implicitize(b), draw(st.integers(betas[-1] + 1, p + 1)))
+
+
+@given(family_branches())
+def test_resolve_graph_equals_the_full_resolutions_graph(b):
+    assert _graph_outcome(resolve_graph, b, 64) == _graph_outcome(_full_graph, b, 64)
+
+
+def _recording_cuts(monkeypatch):
+    cuts = []
+    full_resolve = resolution.resolve
+
+    def recording(b):
+        cuts.append(max(b.xs.precision, b.ys.precision))
+        return full_resolve(b)
+    monkeypatch.setattr(resolution, "resolve", recording)
+    return cuts
+
+
+def test_resolve_graph_doubles_the_cut_until_the_resolution_completes(monkeypatch):
+    b = parse_branch("x = t^4\ny = t^6 + t^7 + 2 t^9")
+    cuts = _recording_cuts(monkeypatch)
+    graph = resolve_graph(b, 64)
+    assert cuts == [5, 10]  # ord x + 1 cuts t^6 and t^7: the first attempt raises
+    assert graph == _full_graph(b, 64)
+
+
+@pytest.mark.parametrize("b, precision, cuts", [
+    # y = t^9 truncated at t^9: no cut, nor the whole branch, resolves it
+    (Branch(S({2: 1}, 9), TruncatedSeries.zero(9), exact=False), 64, [3, 6, 9]),
+    (parse_branch("x = t^2\ny = t^3"), MAX_PRECISION + 1, []),
+])
+def test_resolve_graph_raises_what_resolve_raises_at_that_precision(monkeypatch, b, precision,
+                                                                    cuts):
+    with pytest.raises(PrecisionError) as full:
+        _full_graph(b, precision)
+    tried = _recording_cuts(monkeypatch)
+    with pytest.raises(PrecisionError) as graph:
+        resolve_graph(b, precision)
+    assert (type(graph.value), str(graph.value)) == (type(full.value), str(full.value))
+    assert tried == cuts

@@ -31,6 +31,10 @@
   ``for`` or ``while`` loop in ``TruncatedSeries.divide`` or ``in_terms_of``
   holds a true division ``/`` or a ``Fraction(...)`` call; each builds its
   output ``Fraction``s once, after the loop.
+- No repeated resolutions: ``invariants.py`` never calls ``resolve`` (its
+  graphs come from ``resolution.resolve_graph``, which resolves only as deep
+  as the graph needs), and ``isotopy.build_plan`` calls it once, for the
+  target whose chart path the plan replays.
 - The implicit cross-check is exact: ``BivarPoly`` defines no float
   ``eval`` or ``grad`` (their float forms live in ``tests/oracles.py``), only
   ``implicit_distance``, which evaluates in integers and rounds once.
@@ -196,3 +200,19 @@ def test_exact_kernels_keep_fractions_out_of_their_loops():
     assert sorted(kernels) == sorted(EXACT_KERNELS)
     hits = {name: sorted(set(_fraction_steps_in_loops(func))) for name, func in kernels.items()}
     assert hits == {name: [] for name in EXACT_KERNELS}, f"Fraction steps in loops: {hits}"
+
+
+def _calls_of(tree, name):
+    """Lines of the calls ``name(...)`` and ``<anything>.name(...)`` in a tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == name
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == name)]
+
+
+def test_no_repeated_resolutions():
+    invariants = next(p for p in SOURCES if p.name == "invariants.py")
+    assert _calls_of(_tree(invariants), "resolve") == []
+    isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
+    build_plan = next(node for node in ast.walk(_tree(isotopy))
+                      if isinstance(node, ast.FunctionDef) and node.name == "build_plan")
+    assert len(_calls_of(build_plan, "resolve")) == 1
