@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .branch import Branch
 from .errors import SeriesError
-from .resolution import DualGraph, ResolutionData, resolve_graph
+from .resolution import DualGraph, ResolutionData, dual_graph, resolve
 
 DEFAULT_PRECISION = 64
 
@@ -138,8 +138,9 @@ def equisingular(a: Branch, b: Branch,
                  precision: int = DEFAULT_PRECISION) -> EquisingularityVerdict:
     """Compare the weighted dual graphs of the two desingularisations.
 
-    precision is a ceiling, not the working order: each graph is read off a
-    resolution of the branch cut only as deep as the graph needs
-    (``resolution.resolve_graph``), and a branch is resolved at precision
-    only when no lower cut resolves it."""
-    return compare_dual_graphs(resolve_graph(a, precision), resolve_graph(b, precision))
+    An exact branch is extended to precision first, so precision is a
+    ceiling, not the working order: ``resolution.resolve`` reads each branch
+    only as deep as its blowups need."""
+    graph_a, graph_b = [dual_graph(resolve(g.with_precision(precision) if g.exact else g))
+                        for g in (a, b)]
+    return compare_dual_graphs(graph_a, graph_b)

@@ -1,12 +1,12 @@
 """Ambient-isotopy construction between equisingular branches.
 
-The target is resolved once at full precision, the source only as deep as
-its dual graph needs (``resolution.resolve_graph``), and the plan replays
-the target's recorded resolution on the source alone, blowing it up in the
-target's recorded chart at each level.  Each stage of the plan is one of
-three field types, each pushing one chart coordinate.  They are written
-below for a field pushing v; one pushing u is the same field after x and y
-are exchanged (``resolution.swapped``), as chart B is chart A:
+Each branch is resolved only as deep as its blowups need
+(``resolution.resolve``), and the plan walks both branches at full precision
+along the target's recorded chart path, blowing each up in the target's
+recorded chart at each level.  Each stage of the plan is one of three field
+types, each pushing one chart coordinate.  They are written below for a
+field pushing v; one pushing u is the same field after x and y are
+exchanged (``resolution.swapped``), as chart B is chart A:
 
 - ``Shear``: a global linear shear at level 0 (no exceptional divisor
   exists yet) that moves a tangent off 0 or infinity before the
@@ -43,8 +43,7 @@ from .errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
                      NumericError, PlanError, SeriesError)
 from .invariants import compare_dual_graphs
 from .resolution import (INF, ChartState, apply_step, dual_graph, initial_state,
-                         is_terminal, reciprocal, resolve, resolve_graph, state_slope,
-                         swapped)
+                         is_terminal, reciprocal, resolve, state_slope, swapped)
 from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
@@ -311,13 +310,12 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
     for a precision outside 1..MAX_PRECISION (``Branch.with_precision``).
     """
     h1, h2 = (g.with_precision(precision) if g.exact else g for g in (g1, g2))
-    graph1 = resolve_graph(h1, precision)
-    rd2 = resolve(h2)  # the replay reads its chart path, steps and final chart
-    verdict = compare_dual_graphs(graph1, dual_graph(rd2))
+    rd1, rd2 = resolve(h1), resolve(h2)
+    verdict = compare_dual_graphs(dual_graph(rd1), dual_graph(rd2))
     if not verdict.equal:
         raise NotEquisingularError(verdict.certificate)
 
-    s1 = initial_state(h1)
+    s1, s2 = initial_state(h1), initial_state(h2)
     t1max = find_parameter_radius(g1, sample_radius)
     stages: list[PlanStage] = []
 
@@ -335,14 +333,13 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
             s1 = stages[-1].field.time_one(s1)
         if state_slope(s1) != c2:
             raise PlanError("internal: the stages missed the target slope")
-        s1 = apply_step(s1, chart, c)
-        labels2 = rd2.steps[k + 1].proximate_to if k + 1 < rd2.r else rd2.final.labels()
-        if s1.labels() != labels2:
+        s1, s2 = apply_step(s1, chart, c), apply_step(s2, chart, c)
+        if s1.labels() != s2.labels():
             raise PlanError("internal: shared blowup gave different divisor labels")
 
     if not is_terminal(s1):
         raise PlanError("resolutions desynchronized; equisingularity violated")
-    stages.append(_graph_match_stage(s1, rd2.final, t1max, rd2.chart_path))
+    stages.append(_graph_match_stage(s1, s2, t1max, rd2.chart_path))
     return IsotopyPlan(tuple(stages), g1, g2)
 
 

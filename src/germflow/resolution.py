@@ -18,6 +18,7 @@ exactly the earlier divisors whose labels sit on the current axes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,7 +54,6 @@ class StepRecord:
 @dataclass(frozen=True)
 class ResolutionData:
     steps: tuple[StepRecord, ...]
-    final: ChartState
 
     @property
     def r(self) -> int:
@@ -159,12 +159,17 @@ def is_terminal(state: ChartState) -> bool:
 
 
 def initial_state(b: Branch) -> ChartState:
-    ox = b.xs.order()
-    oy = b.ys.order()
+    """The chart state of b at the origin; an exact b must be primitive (its
+    exponents have gcd 1), so a coordinate that vanishes makes b an axis."""
+    ox, oy = b.xs.order(), b.ys.order()
     if ox is None and not b.exact:
         raise PrecisionError("x(t) is zero up to the truncation order of the branch")
-    if ox is None or ox < 1 or (oy is not None and oy < 1):
+    if 0 in (ox, oy):
         raise ResolutionError("branch does not pass through the origin")
+    g = math.gcd(*b.xs.support(), *b.ys.support()) if b.exact else 1
+    if g != 1:
+        raise ResolutionError("both coordinates vanish identically" if g == 0 else
+                              f"non-primitive parametrization (gcd of exponents is {g})")
     return ChartState(b.xs, b.ys)
 
 
@@ -175,7 +180,7 @@ def _blowup_bound(state: ChartState) -> int:
     return state.xs.precision + state.ys.precision
 
 
-def resolve(b: Branch) -> ResolutionData:
+def _walk(b: Branch) -> ResolutionData:
     """Blow up until the total transform has normal crossings and the strict
     transform meets a single exceptional component transversally."""
     state = initial_state(b)
@@ -188,31 +193,29 @@ def resolve(b: Branch) -> ResolutionData:
         if steps and rec.multiplicity > steps[-1].multiplicity:
             raise ResolutionError("internal: multiplicity sequence increased")
         steps.append(rec)
-    return ResolutionData(tuple(steps), state)
+    return ResolutionData(tuple(steps))
 
 
-def resolve_graph(b: Branch, precision: int) -> DualGraph:
-    """The weighted dual graph of ``resolve(b.with_precision(precision))``
-    for an exact branch, and of ``resolve(b)`` for a truncated one.
+def resolve(b: Branch) -> ResolutionData:
+    """The minimal embedded resolution of b, read only as deep as its blowups need.
 
-    The branch is resolved cut to order ord x + 1 (a lower cut makes x
-    vanish), and on PrecisionError cut to twice that order, and so on; once
-    the cut reaches the branch's own order the whole branch is resolved, and
-    its error is raised.  A resolution that completes on a cut never read an
-    unknown coefficient, so its steps, and its graph, are those of the full
-    resolution.
+    b is resolved cut to order 2 (ord x + 1), then to twice the previous cut
+    on each PrecisionError (a cut at ord x + 1 would keep y(t) only up to
+    t^(ord x)); once the cut reaches b's own order the whole branch is
+    resolved and its error raised.  A resolution that completes on a cut
+    never read an unknown coefficient, so its steps are those of the whole
+    branch.  To follow the chart series at full precision, replay
+    ``chart_path`` with ``apply_step``.
     """
-    full = b.with_precision(precision) if b.exact else b
-    top = max(full.xs.precision, full.ys.precision)
-    ox = full.xs.order()
-    cut = top if ox is None else ox + 1
+    top = max(b.xs.precision, b.ys.precision)
+    ox = b.xs.order()
+    cut = top if ox is None else 2 * (ox + 1)
     while cut < top:
         try:
-            return dual_graph(resolve(Branch(full.xs.truncate(cut), full.ys.truncate(cut),
-                                             full.label, exact=False)))
+            return _walk(Branch(b.xs.truncate(cut), b.ys.truncate(cut), b.label, exact=False))
         except PrecisionError:
             cut *= 2
-    return dual_graph(resolve(full))
+    return _walk(b)
 
 
 def dual_graph(rd: ResolutionData) -> DualGraph:

@@ -16,7 +16,7 @@ and build O(p) ``Fraction``s per call at precision p: ``in_terms_of`` is
 fraction-free triangular elimination, with O(p^3/6) integer multiply-adds,
 and ``divide`` is fraction-free long division, with O(p*terms) integer
 multiply-adds.  ``int_poly_mul`` is the one dense integer polynomial
-product, shared with implicitization.
+product, shared with ``mul`` and implicitization.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
@@ -193,9 +193,11 @@ class TruncatedSeries:
         return TruncatedSeries(tuple([(e, c * coef) for e, c in self.terms]), self.precision)
 
     def add_const(self, coef) -> "TruncatedSeries":
-        acc = self.as_dict()
-        acc[0] = acc.get(0, Fraction(0)) + Fraction(coef)
-        return TruncatedSeries(_clean(acc, self.precision), self.precision)
+        coef, terms = Fraction(coef), self.terms
+        if terms and terms[0][0] == 0:
+            coef, terms = coef + terms[0][1], terms[1:]
+        head = ((0, coef),) if coef and self.precision > 0 else ()
+        return TruncatedSeries(head + terms, self.precision)
 
     def _order_floor(self) -> int:
         o = self.order()
@@ -203,16 +205,10 @@ class TruncatedSeries:
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         p = min(self.precision + other._order_floor(), other.precision + self._order_floor())
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            if e1 >= p:
-                break
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if e >= p:
-                    break
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return TruncatedSeries(_clean(acc, p), p)
+        (a, da), (b, db) = _integer_coefficients(self, p), _integer_coefficients(other, p)
+        den = da * db
+        return TruncatedSeries(tuple([(e, Fraction(x, den))
+                                      for e, x in enumerate(int_poly_mul(a, b, p)) if x]), p)
 
     def pow(self, n: int) -> "TruncatedSeries":
         if n < 0:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -6,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import proximity_matrix
 
-from germflow import implicitize, newton_puiseux, parse_branch, resolution, resolve
+from germflow import equisingular, implicitize, newton_puiseux, parse_branch, resolution, resolve
 from germflow.branch import MAX_PRECISION, Branch
 from germflow.errors import PrecisionError, ResolutionError
 from germflow.resolution import (INF, ChartState, apply_step, blowup_step, dual_graph,
-                                 initial_state, resolve_graph, state_slope, swapped)
+                                 initial_state, is_terminal, state_slope, swapped)
 from germflow.series import TruncatedSeries
 
 
@@ -134,17 +135,19 @@ def corpus_resolutions(request):
 
 def test_swapped_is_an_involution_that_inverts_the_slope(corpus, corpus_resolutions):
     for name, rd in corpus_resolutions.items():
-        state = initial_state(corpus[name])
-        for chart, c in rd.chart_path + (("A", None),):
+        states = [initial_state(corpus[name])]
+        for chart, c in rd.chart_path:
+            states.append(apply_step(states[-1], chart, c))
+        # replayed at full precision, each state carries the proximities its step recorded
+        assert [s.labels() for s in states[:-1]] == [rec.proximate_to for rec in rd.steps]
+        assert is_terminal(states[-1]) and states[-1].labels() == (rd.r,)
+        for state in states:
             t = swapped(state)
             assert (t.xs, t.ys, t.u_label, t.v_label, t.level) == (
                 state.ys, state.xs, state.v_label, state.u_label, state.level)
             assert swapped(t) == state
             slope, back = state_slope(state), state_slope(t)
             assert (slope, back) in ((0, INF), (INF, 0)) or slope * back == 1
-            if c is not None:
-                state = apply_step(state, chart, c)
-        assert state == rd.final
 
 
 def test_multiplicities_non_increasing_end_in_one(corpus_resolutions):
@@ -267,21 +270,32 @@ def test_truncated_branch_with_vanishing_y_passes_initial_state_and_needs_precis
         resolve(b)
 
 
-def test_initial_state_of_an_exact_branch_with_vanishing_x_is_refused():
+def test_initial_state_of_an_exact_branch_with_vanishing_x_is_the_y_axis():
     b = Branch(TruncatedSeries.zero(3), S({1: 1}, 3))
-    with pytest.raises(ResolutionError, match="does not pass through the origin"):
-        initial_state(b)
+    assert initial_state(b) == ChartState(b.xs, b.ys)
+    rd = resolve(b)
+    assert (rd.r, rd.chart_path) == (1, (("B", 0),))
+    mirror = resolve(Branch(S({1: 1}, 3), TruncatedSeries.zero(3)))
+    assert (mirror.r, mirror.chart_path) == (1, (("A", 0),))
 
 
-def _graph_outcome(fn, *args):
+@pytest.mark.parametrize("x, y, message", [
+    ({}, {}, "both coordinates vanish identically"),  # no exponents: gcd 0
+    ({2: 1}, {}, "non-primitive parametrization (gcd of exponents is 2)"),
+    ({}, {2: 1}, "non-primitive parametrization (gcd of exponents is 2)"),
+    ({2: 1}, {4: 1}, "non-primitive parametrization (gcd of exponents is 2)"),
+    ({3: 1}, {6: 2, 9: -1}, "non-primitive parametrization (gcd of exponents is 3)"),
+], ids=["0-0", "t2-0", "0-t2", "t2-t4", "t3-t6-t9"])
+def test_resolve_refuses_an_exact_branch_whose_exponents_have_a_gcd_other_than_1(x, y, message):
+    with pytest.raises(ResolutionError, match=f"^{re.escape(message)}$"):
+        resolve(Branch(S(x, 64), S(y, 64)))
+
+
+def _outcome(fn, b):
     try:
-        return fn(*args)
+        return fn(b).steps
     except (PrecisionError, ResolutionError) as exc:
         return type(exc), str(exc)
-
-
-def _full_graph(b, precision):
-    return dual_graph(resolve(b.with_precision(precision) if b.exact else b))
 
 
 _COEFFICIENTS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(9973, 7919)]
@@ -316,40 +330,49 @@ def family_branches(draw):
 
 
 @given(family_branches())
-def test_resolve_graph_equals_the_full_resolutions_graph(b):
-    assert _graph_outcome(resolve_graph, b, 64) == _graph_outcome(_full_graph, b, 64)
+def test_resolve_equals_one_full_precision_walk(b):
+    h = b.with_precision(64) if b.exact else b
+    assert _outcome(resolve, h) == _outcome(resolution._walk, h)
 
 
 def _recording_cuts(monkeypatch):
     cuts = []
-    full_resolve = resolution.resolve
+    walk = resolution._walk
 
     def recording(b):
         cuts.append(max(b.xs.precision, b.ys.precision))
-        return full_resolve(b)
-    monkeypatch.setattr(resolution, "resolve", recording)
+        return walk(b)
+    monkeypatch.setattr(resolution, "_walk", recording)
     return cuts
 
 
-def test_resolve_graph_doubles_the_cut_until_the_resolution_completes(monkeypatch):
-    b = parse_branch("x = t^4\ny = t^6 + t^7 + 2 t^9")
-    cuts = _recording_cuts(monkeypatch)
-    graph = resolve_graph(b, 64)
-    assert cuts == [5, 10]  # ord x + 1 cuts t^6 and t^7: the first attempt raises
-    assert graph == _full_graph(b, 64)
-
-
-@pytest.mark.parametrize("b, precision, cuts", [
-    # y = t^9 truncated at t^9: no cut, nor the whole branch, resolves it
-    (Branch(S({2: 1}, 9), TruncatedSeries.zero(9), exact=False), 64, [3, 6, 9]),
-    (parse_branch("x = t^2\ny = t^3"), MAX_PRECISION + 1, []),
-])
-def test_resolve_graph_raises_what_resolve_raises_at_that_precision(monkeypatch, b, precision,
-                                                                    cuts):
-    with pytest.raises(PrecisionError) as full:
-        _full_graph(b, precision)
+@pytest.mark.parametrize("b, cuts", [
+    # the first cut, 2 (ord x + 1), drops t^7; the second keeps it
+    (parse_branch("x = t^2\ny = t^7").with_precision(64), [6, 12]),
+    (parse_branch("x = t^4\ny = t^6 + t^7 + 2 t^9").with_precision(64), [10]),
+], ids=["t2-t7", "t4-t6-t7-t9"])
+def test_resolve_doubles_the_cut_until_the_resolution_completes(monkeypatch, b, cuts):
+    full = resolution._walk(b)
     tried = _recording_cuts(monkeypatch)
-    with pytest.raises(PrecisionError) as graph:
-        resolve_graph(b, precision)
-    assert (type(graph.value), str(graph.value)) == (type(full.value), str(full.value))
+    assert resolve(b) == full
     assert tried == cuts
+
+
+def test_resolve_raises_what_the_whole_branch_raises(monkeypatch):
+    # y = 0 truncated at t^9: no cut, nor the whole branch, resolves it
+    b = Branch(S({2: 1}, 9), TruncatedSeries.zero(9), exact=False)
+    with pytest.raises(PrecisionError) as full:
+        resolution._walk(b)
+    tried = _recording_cuts(monkeypatch)
+    with pytest.raises(PrecisionError) as cut:
+        resolve(b)
+    assert (type(cut.value), str(cut.value)) == (type(full.value), str(full.value))
+    assert tried == [6, 9]
+
+
+def test_a_precision_above_the_ceiling_is_refused_before_any_cut(monkeypatch):
+    b = parse_branch("x = t^2\ny = t^3")
+    tried = _recording_cuts(monkeypatch)
+    with pytest.raises(PrecisionError, match="is not between 1 and"):
+        equisingular(b, b, MAX_PRECISION + 1)
+    assert tried == []

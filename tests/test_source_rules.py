@@ -25,16 +25,19 @@
   defines ``_golden_min``, the golden-section search of the grid scan it
   replaced (the scan lives on in ``tests/oracles.py`` as a reference).
 - One dense integer product: ``series.int_poly_mul`` is the only function
-  with the convolution step ``out[i + j] += ...``; ``implicitize`` and
-  ``in_terms_of`` both call it, so no module keeps a second copy.
+  with the convolution step ``out[i + j] += ...``; ``implicitize``,
+  ``in_terms_of`` and ``TruncatedSeries.mul`` all call it, so no module
+  keeps a second copy.
 - The exact kernels keep ``Fraction`` arithmetic out of their loops: no
   ``for`` or ``while`` loop in ``TruncatedSeries.divide`` or ``in_terms_of``
   holds a true division ``/`` or a ``Fraction(...)`` call; each builds its
   output ``Fraction``s once, after the loop.
-- No repeated resolutions: ``invariants.py`` never calls ``resolve`` (its
-  graphs come from ``resolution.resolve_graph``, which resolves only as deep
-  as the graph needs), and ``isotopy.build_plan`` calls it once, for the
-  target whose chart path the plan replays.
+- One resolution function, no repeated resolutions: ``resolution.resolve``
+  reads a branch only as deep as its blowups need, and only
+  ``resolution.py`` calls the single-attempt blowup walk ``_walk``.
+  ``invariants.py`` calls ``resolve`` only in ``equisingular``, once per
+  branch, and ``isotopy.build_plan`` calls it twice, once per branch; no
+  module defines the retired ``resolve_graph``.
 - The implicit cross-check is exact: ``BivarPoly`` defines no float
   ``eval`` or ``grad`` (their float forms live in ``tests/oracles.py``), only
   ``implicit_distance``, which evaluates in integers and rounds once.
@@ -50,6 +53,11 @@ SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "germflow").glo
 
 def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _function(path, name):
+    return next(node for node in ast.walk(_tree(path))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
 def test_sources_found():
@@ -87,7 +95,8 @@ def test_reference_series_kernels_stay_in_series(path):
 TEST_ONLY_HELPERS = ("semigroup_elements", "proximity_matrix", "invert_unit")
 RETIRED_NAMES = ("FieldSpec", "multiplicative_field", "graph_match_field", "_raw_field",
                  "_speed", "_update_moving_state", "_slope_after_shear", "_golden_min",
-                 "Config", "_rk4", "_rk4_steps", "MAX_RK4_STEPS", "bump_value")
+                 "Config", "_rk4", "_rk4_steps", "MAX_RK4_STEPS", "bump_value",
+                 "resolve_graph")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -174,6 +183,9 @@ def test_one_dense_integer_product(path):
     owners = set(_convolution_owners(_tree(path)))
     assert owners == ({"int_poly_mul"} if path.name == "series.py" else set()), \
         f"{path.name}: dense products in {sorted(owners)}"
+    products = {"series.py": ("mul", "in_terms_of"), "bivar.py": ("implicitize",)}
+    for name in products.get(path.name, ()):
+        assert _calls_of(_function(path, name), "int_poly_mul"), f"{path.name}: {name}"
 
 
 EXACT_KERNELS = ("divide", "in_terms_of")
@@ -210,9 +222,13 @@ def _calls_of(tree, name):
 
 
 def test_no_repeated_resolutions():
+    for path in SOURCES:
+        if path.name != "resolution.py":
+            assert _calls_of(_tree(path), "_walk") == [], f"{path.name} calls the walk"
     invariants = next(p for p in SOURCES if p.name == "invariants.py")
-    assert _calls_of(_tree(invariants), "resolve") == []
+    # one call, in a comprehension over the two branches
+    assert _calls_of(_tree(invariants), "resolve") == \
+        _calls_of(_function(invariants, "equisingular"), "resolve")
+    assert len(_calls_of(_tree(invariants), "resolve")) == 1
     isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
-    build_plan = next(node for node in ast.walk(_tree(isotopy))
-                      if isinstance(node, ast.FunctionDef) and node.name == "build_plan")
-    assert len(_calls_of(build_plan, "resolve")) == 1
+    assert len(_calls_of(_function(isotopy, "build_plan"), "resolve")) == 2
