@@ -6,6 +6,8 @@ O'Shea, *Ideals, Varieties, and Algorithms*, section 3.6), so it is built from
 the power sums of the n conjugates y(tau) and Newton's identities, in integer
 polynomial arithmetic, with no determinant.
 
+``poly_on_branch`` evaluates f on a branch x = t^n by Horner in y.
+
 Polynomial text `f = ...` follows the branch-file grammar of branch.py over
 the variables x, y (in that order within a term); `parse_poly` reads it.
 """
@@ -131,20 +133,18 @@ def _sqrt_quotient(num: int, den: int) -> float:
 
 
 def poly_on_branch(f: BivarPoly, b: Branch) -> TruncatedSeries:
-    """The series f(x(t), y(t)); order of the result is the valuation of f."""
-    prec = min(b.xs.precision, b.ys.precision)
+    """The series f(x(t), y(t)) to precision min(T_x, T_y), for x = t^n; its
+    order is the valuation of f.  Horner in y, r <- r y(t) + row_k, where the
+    row row_k = sum_a c_ak t^(n a) of y^k writes each x^a as a shift of t."""
+    if not b.monomial_x():
+        raise SeriesError("poly_on_branch requires x to be the monomial t^n")
+    n, prec = b.n, min(b.xs.precision, b.ys.precision)
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (a, k), c in f.terms:
+        rows.setdefault(k, {})[n * a] = c
     out = TruncatedSeries.zero(prec)
-    xpow: dict[int, TruncatedSeries] = {0: TruncatedSeries.monomial(0, 1, prec)}
-    ypow: dict[int, TruncatedSeries] = {0: TruncatedSeries.monomial(0, 1, prec)}
-
-    def power(cache, s, n):
-        if n not in cache:
-            cache[n] = power(cache, s, n - 1).mul(s)
-        return cache[n]
-
-    for (a, bb), c in f.terms:
-        term = power(xpow, b.xs, a).mul(power(ypow, b.ys, bb)).scale(c)
-        out = out.add(term)
+    for k in range(max(rows, default=0), -1, -1):
+        out = out.mul(b.ys).add(TruncatedSeries.from_terms(rows.get(k, {}), prec))
     return out
 
 

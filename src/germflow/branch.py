@@ -30,6 +30,7 @@ from .errors import ParseError, PrecisionError, SeriesError
 from .series import TruncatedSeries
 
 MAX_PRECISION = 256  # truncation-order ceiling: the exact layer's cost grows steeply in it
+DEFAULT_PRECISION = 64  # truncation order of every command, plan and expansion by default
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import sys
 import time
 
 from .bivar import implicitize, poly_to_text
-from .branch import parse_branch_file
+from .branch import DEFAULT_PRECISION, parse_branch_file
 from .errors import GermflowError, NotEquisingularError
 from .invariants import char_exponents, equisingular, invariant_set
 from .isotopy import build_plan, verify_isotopy
@@ -133,7 +133,7 @@ def cmd_implicitize(args, out) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=64)
+    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     common.add_argument("--no-timing", action="store_true")
     common.add_argument("--show-config", action="store_true")
     verdict = argparse.ArgumentParser(add_help=False)

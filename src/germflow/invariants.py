@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .branch import Branch
+from .branch import DEFAULT_PRECISION, Branch
 from .errors import SeriesError
 from .resolution import DualGraph, ResolutionData, dual_graph, resolve
-
-DEFAULT_PRECISION = 64
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .branch import Branch, eval_branch
+from .branch import DEFAULT_PRECISION, Branch, eval_branch
 from .bivar import implicitize
 from .errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
                      NumericError, PlanError, SeriesError)
@@ -298,7 +298,7 @@ def _level0_alignment_shears(c1, c2):
 
 
 def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
-               precision: int = 64) -> IsotopyPlan:
+               precision: int = DEFAULT_PRECISION) -> IsotopyPlan:
     """Stage list whose composed time-1 flows carry g1 onto g2.
 
     Bump radii are sized so that every sample taken within sample_radius of

@@ -14,6 +14,9 @@ IrrationalRootError instead of a floating approximation.
 An edge with even q and r < 0 after an even denominator only reflects the
 sign chosen for earlier roots: the gauge x_k -> -x_k of the current
 parameter leaves x = x_k^denom fixed and turns C into -C.
+
+The loop works on one term dict {(a, b): coefficient of x^a y^b}; each edge
+is one substitution pass over it (``_transform``).
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .bivar import BivarPoly, poly_on_branch
-from .branch import Branch, normalize_branch
+from .branch import DEFAULT_PRECISION, MAX_PRECISION, Branch, normalize_branch
 from .errors import IrrationalRootError, PrecisionError, PuiseuxError, ReducibleError
 from .series import TruncatedSeries
 
@@ -45,13 +48,12 @@ def _edge_root(psi: list[Fraction]) -> tuple[Fraction, int]:
     return r, d
 
 
-def _branch_edges(f: BivarPoly):
+def _branch_edges(coeffs: dict[tuple[int, int], Fraction]):
     """Negative-slope edges of the Newton polygon at the origin.
 
     Each edge is (q, m, psi): the edge exponent is m/q in lowest terms and
     psi is the compressed edge polynomial in C = c^q.
     """
-    coeffs = f.as_dict()
     minb: dict[int, int] = {}
     for a, b in coeffs:
         if a not in minb or b < minb[a]:
@@ -83,49 +85,47 @@ def _branch_edges(f: BivarPoly):
     return edges
 
 
-def _transform(f: BivarPoly, q: int, m: int, c: Fraction) -> BivarPoly:
-    """Substitute x -> x^q, y -> x^m (c + y), then divide by the full x-power."""
+def _transform(f: dict, q: int, m: int, c: Fraction) -> dict:
+    """Substitute x -> x^q, y -> x^m (c + y) and divide by x^L, L = min(a q + b m):
+    the edge terms become x^L P(c + y) for the edge polynomial P != 0."""
+    shift = min(a * q + b * m for a, b in f)
     acc: dict[tuple[int, int], Fraction] = {}
-    for (a, b), coef in f.terms:
-        base = a * q + b * m
+    for (a, b), coef in f.items():
         for k in range(b + 1):
-            val = coef * math.comb(b, k) * c ** (b - k)
-            if val:
-                key = (base, k)
-                acc[key] = acc.get(key, Fraction(0)) + val
-    g = BivarPoly.from_terms(acc)
-    if g.is_zero():
-        return g
-    shift = min(a for (a, _), _ in g.terms)
-    return BivarPoly.from_terms({(a - shift, b): v for (a, b), v in g.terms})
+            key = (a * q + b * m - shift, k)
+            acc[key] = acc.get(key, 0) + coef * math.comb(b, k) * c ** (b - k)
+    return {key: v for key, v in acc.items() if v}
 
 
-def newton_puiseux(f: BivarPoly, precision: int = 64) -> Branch:
+def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
     """One rational branch (t^n, y(t)) of f with f(x(t), y(t)) = 0 mod t^precision.
 
     The product of the edge denominators is the branch's multiplicity: an
     edge of height q*d leaves a polynomial of height d, the multiplicity of
     its root, so the product never exceeds the first height, at most deg_y f.
     Each edge raises gamma * denom by at least 1, so after `precision` edges
-    the expansion stops: the loop runs at most precision + 1 times."""
-    if f.is_zero():
+    the expansion stops: the loop runs at most precision + 1 times.  x = t^n
+    needs precision > n >= 1, so a precision outside 2..MAX_PRECISION is refused."""
+    if not 2 <= precision <= MAX_PRECISION:
+        raise PrecisionError(f"precision {precision!r} is not between 2 and {MAX_PRECISION}")
+    cur = f.as_dict()
+    if not cur:
         raise PuiseuxError("zero polynomial")
-    if all(a > 0 for (a, _), _ in f.terms):
+    if all(a > 0 for a, _ in cur):
         raise ReducibleError("x divides f; the y-axis component is out of scope")
-    if any(a == 0 and b == 0 for (a, b), _ in f.terms):
+    if (0, 0) in cur:
         raise PuiseuxError("f does not vanish at the origin")
 
     out_terms: list[tuple[Fraction, Fraction]] = []  # (x-exponent, coefficient)
     gamma = Fraction(0)
     denom = 1
-    cur = f
     exact = False
     last_mult = 1
-    deg_y = max(b for (_, b), _ in f.terms)
+    deg_y = max(b for _, b in cur)
 
     for _ in range(precision + 1):
-        if all(b > 0 for (_, b), _ in cur.terms):
-            if min(b for (_, b), _ in cur.terms) > 1:
+        if all(b > 0 for _, b in cur):
+            if min(b for _, b in cur) > 1:
                 raise ReducibleError("f has a multiple branch (square factor)")
             exact = True
             break
@@ -141,8 +141,7 @@ def newton_puiseux(f: BivarPoly, precision: int = 64) -> Branch:
         if q % 2 == 0 and r < 0 and denom % 2 == 0:
             # gauge x_k -> -x_k; m is odd, so C -> -C
             e = int(gamma * denom)
-            cur = BivarPoly.from_terms({(a, b): v * (-1) ** (a + e * b)
-                                        for (a, b), v in cur.terms})
+            cur = {(a, b): -v if (a + e * b) % 2 else v for (a, b), v in cur.items()}
             out_terms = [(g, -c if int(g * denom) % 2 else c) for g, c in out_terms]
             r = -r
         num, den = _iroot(abs(r.numerator), q), _iroot(r.denominator, q)

@@ -329,10 +329,11 @@ class TruncatedSeries:
         return acc.mul(inner.pow(prev).truncate(p)).truncate(p)
 
     def derivative(self) -> "TruncatedSeries":
+        """d/dt, known to precision - 1 (PrecisionError when that is 0)."""
+        if self.precision < 2:
+            raise PrecisionError("no precision left in derivative")
         return TruncatedSeries(
-            tuple([(e - 1, c * e) for e, c in self.terms if e >= 1]),
-            max(self.precision - 1, 1),
-        )
+            tuple([(e - 1, c * e) for e, c in self.terms if e >= 1]), self.precision - 1)
 
     def invert_parameter(self) -> "TruncatedSeries":
         """Compositional inverse of an order-1 series, by Newton iteration."""

@@ -22,6 +22,11 @@ both signs of t, and ``bisect_parameter_radius`` is the fixed 200-step
 bisection that ``find_parameter_radius`` replaced with a loop that stops
 once its bracket is two adjacent floats.
 
+``poly_on_branch_by_terms`` is f(x(t), y(t)) as the package once computed
+it: every term c x^a y^b as a product of cached powers of x(t) and y(t).
+``germflow.poly_on_branch`` computes it by Horner in y, with each x-power a
+shift of t, and must give the same terms and precision.
+
 ``coefficient`` and ``shift`` read one coefficient of a series and multiply
 it by t^k; only the tests use them.
 
@@ -284,6 +289,23 @@ def bisect_parameter_radius(b: Branch, radius: float) -> float:
         else:
             hi = mid
     return hi
+
+
+def poly_on_branch_by_terms(f: BivarPoly, b: Branch) -> TruncatedSeries:
+    """The series f(x(t), y(t)), term by term, to precision min(T_x, T_y)."""
+    prec = min(b.xs.precision, b.ys.precision)
+    out = TruncatedSeries.zero(prec)
+    xpow = {0: TruncatedSeries.monomial(0, 1, prec)}
+    ypow = {0: TruncatedSeries.monomial(0, 1, prec)}
+
+    def power(cache, s, n):
+        if n not in cache:
+            cache[n] = power(cache, s, n - 1).mul(s)
+        return cache[n]
+
+    for (a, bb), c in f.terms:
+        out = out.add(power(xpow, b.xs, a).mul(power(ypow, b.ys, bb)).scale(c))
+    return out
 
 
 # -- series helpers the tests use ---------------------------------------------------

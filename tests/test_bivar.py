@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import float_eval, float_grad, sylvester_oracle
+from oracles import float_eval, float_grad, poly_on_branch_by_terms, sylvester_oracle
 
 from germflow import (Branch, BivarPoly, implicitize, parse_branch, parse_poly,
                       poly_on_branch, poly_to_text)
@@ -112,6 +112,38 @@ def test_poly_on_branch_valuation():
     assert poly_on_branch(f, b).is_zero()
     g = parse_poly("f = x")
     assert poly_on_branch(g, b).order() == 2
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def poly_branch_pairs(draw):
+    """(f, b): b has x = t^n (n <= 6) and y-precision independent of x's;
+    f is zero or an arbitrary polynomial, off the curve, with y-degree gaps."""
+    n = draw(st.integers(1, 6))
+    xs = TruncatedSeries.monomial(n, 1, draw(st.integers(n + 1, n + 30)))
+    ty = draw(st.integers(1, 40))
+    ys = TruncatedSeries.from_terms(
+        draw(st.dictionaries(st.integers(0, ty + 3), small, max_size=6)), ty)
+    f = BivarPoly.from_terms(draw(st.dictionaries(
+        st.tuples(st.integers(0, 8), st.integers(0, 7)), small, max_size=8)))
+    return f, Branch(xs, ys)
+
+
+@settings(max_examples=300)
+@given(poly_branch_pairs())
+def test_poly_on_branch_equals_the_term_by_term_reference(pair):
+    f, b = pair
+    got, want = poly_on_branch(f, b), poly_on_branch_by_terms(f, b)
+    assert (got.terms, got.precision) == (want.terms, want.precision)
+
+
+@pytest.mark.parametrize("xs", [{2: 2}, {2: 1, 3: 1}, {}], ids=["2t2", "t2+t3", "zero"])
+def test_poly_on_branch_refuses_a_non_monomial_x(xs):
+    b = Branch(TruncatedSeries.from_terms(xs, 6), TruncatedSeries.monomial(3, 1, 6))
+    with pytest.raises(SeriesError, match="poly_on_branch requires x to be the monomial t"):
+        poly_on_branch(parse_poly("f = y^2 - x^3"), b)
 
 
 def test_poly_text_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germflow import implicitize, newton_puiseux, parse_branch, parse_poly, poly_on_branch
-from germflow.branch import normalize_branch
+from germflow.branch import MAX_PRECISION, normalize_branch
 from germflow.errors import IrrationalRootError, PrecisionError, ReducibleError
 
 
@@ -37,6 +37,18 @@ def test_infinite_expansion_takes_the_whole_loop_bound(precision):
     assert b.xs.as_dict() == {1: 1}
     assert b.ys.as_dict() == {k: 1 for k in range(1, precision)}
     assert not b.exact
+
+
+@pytest.mark.parametrize("precision", [0, -3, 1, MAX_PRECISION + 1])
+def test_precision_outside_two_to_the_ceiling_is_refused(precision):
+    with pytest.raises(PrecisionError,
+                       match=f"precision {precision} is not between 2 and {MAX_PRECISION}"):
+        newton_puiseux(parse_poly("f = y - x y - x"), precision=precision)
+
+
+def test_the_precision_ceiling_is_accepted():
+    b = newton_puiseux(parse_poly("f = y^2 - x^3"), precision=MAX_PRECISION)
+    assert b.ys.precision == MAX_PRECISION and b.ys.as_dict() == {3: 1}
 
 
 def test_irrational_root_refused():

@@ -310,6 +310,13 @@ def test_compose_requires_positive_inner_order():
 def test_derivative():
     s = S({0: 7, 1: 2, 3: -1}, 6)
     assert s.derivative().as_dict() == {0: Fraction(2), 2: Fraction(-3)}
+    assert s.derivative().precision == 5
+
+
+def test_derivative_of_a_constant_term_alone_is_refused():
+    # d/dt(5 + O(t)) would need the unknown t^1 coefficient
+    with pytest.raises(PrecisionError, match="no precision left in derivative"):
+        S({0: 5}, 1).derivative()
 
 
 def test_invert_parameter_roundtrip():

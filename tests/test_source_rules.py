@@ -41,6 +41,11 @@
 - The implicit cross-check is exact: ``BivarPoly`` defines no float
   ``eval`` or ``grad`` (their float forms live in ``tests/oracles.py``), only
   ``implicit_distance``, which evaluates in integers and rounds once.
+- Newton-Puiseux builds no polynomial object per step: ``newton_puiseux``
+  and ``_transform`` make no ``BivarPoly(...)`` or ``BivarPoly.from_terms``
+  call, so the loop works on one term dict; and ``poly_on_branch`` defines
+  no nested function, so the residual is one Horner loop in y with no
+  recursive power cache.
 """
 import ast
 import pathlib
@@ -232,3 +237,24 @@ def test_no_repeated_resolutions():
     assert len(_calls_of(_tree(invariants), "resolve")) == 1
     isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
     assert len(_calls_of(_function(isotopy, "build_plan"), "resolve")) == 2
+
+
+def _bivar_poly_builds(func):
+    """Lines of the calls ``BivarPoly(...)`` and ``BivarPoly.<method>(...)``."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            target = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+            if isinstance(target, ast.Name) and target.id == "BivarPoly":
+                yield node.lineno
+
+
+def test_newton_puiseux_builds_no_polynomial_per_step():
+    puiseux = next(p for p in SOURCES if p.name == "puiseux.py")
+    for name in ("newton_puiseux", "_transform"):
+        lines = list(_bivar_poly_builds(_function(puiseux, name)))
+        assert lines == [], f"puiseux.py: {name} builds a BivarPoly at lines {lines}"
+    bivar = next(p for p in SOURCES if p.name == "bivar.py")
+    func = _function(bivar, "poly_on_branch")
+    nested = [node.lineno for node in ast.walk(func) if node is not func
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == [], f"bivar.py: poly_on_branch defines functions at lines {nested}"
