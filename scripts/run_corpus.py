@@ -16,7 +16,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from germflow import (build_plan, char_exponents, delta_mu, dual_graph, invariant_set,
                       parse_branch_file, resolve, verify_isotopy)
-from germflow.branch import DEFAULT_PRECISION
 from germflow.errors import GermflowError, NotEquisingularError
 
 
@@ -32,7 +31,7 @@ def main() -> int:
     for fn in sorted(os.listdir(args.corpus)):
         if fn.endswith(".branch"):
             b = parse_branch_file(os.path.join(args.corpus, fn))
-            branches[b.label] = b.with_precision(DEFAULT_PRECISION)
+            branches[b.label] = b
 
     print(f"{'branch':12s} {'r':>2s} {'mult':16s} {'n;betas':12s} "
           f"{'semigroup':12s} {'delta':>5s} {'mu':>4s} weights")

@@ -25,10 +25,6 @@ def _fmt_complex(z: complex) -> str:
     return repr(z).strip("()")
 
 
-def _load(path, precision: int):
-    return parse_branch_file(path).with_precision(precision)
-
-
 def _write(path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -50,8 +46,7 @@ def _dot_text(graph) -> str:
 
 
 def cmd_resolve(args, out) -> int:
-    b = _load(args.file, args.precision)
-    rd = resolve(b)
+    rd = resolve(parse_branch_file(args.file))
     g = dual_graph(rd)
     out.append(f"r={rd.r}")
     out.append(f"mult={_fmt_list(rd.multiplicities())}")
@@ -70,7 +65,7 @@ def cmd_resolve(args, out) -> int:
 
 
 def cmd_invariants(args, out) -> int:
-    b = _load(args.file, args.precision)
+    b = parse_branch_file(args.file)
     c = char_exponents(b)
     inv = invariant_set(b)
     out.append(f"n={c.n} betas={_fmt_list(c.betas)} "
@@ -81,9 +76,7 @@ def cmd_invariants(args, out) -> int:
 
 
 def cmd_equisingular(args, out) -> int:
-    a = _load(args.file_a, args.precision)
-    b = _load(args.file_b, args.precision)
-    verdict = equisingular(a, b, precision=args.precision)
+    verdict = equisingular(parse_branch_file(args.file_a), parse_branch_file(args.file_b))
     if verdict.equal:
         out.append("EQUISINGULAR")
         out.append(f"certificate: {verdict.certificate}")
@@ -93,8 +86,7 @@ def cmd_equisingular(args, out) -> int:
 
 
 def cmd_isotopy(args, out) -> int:
-    a = _load(args.file_a, args.precision)
-    b = _load(args.file_b, args.precision)
+    a, b = parse_branch_file(args.file_a), parse_branch_file(args.file_b)
     try:
         plan = build_plan(a, b, sample_radius=args.radius, precision=args.precision)
     except NotEquisingularError as exc:
@@ -126,18 +118,16 @@ def cmd_isotopy(args, out) -> int:
 
 
 def cmd_implicitize(args, out) -> int:
-    b = _load(args.file, args.precision)
-    out.append(poly_to_text(implicitize(b)))
+    out.append(poly_to_text(implicitize(parse_branch_file(args.file))))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     common.add_argument("--no-timing", action="store_true")
-    common.add_argument("--show-config", action="store_true")
-    verdict = argparse.ArgumentParser(add_help=False)
-    verdict.add_argument("--exit-status", action="store_true")
+    settings = argparse.ArgumentParser(add_help=False)  # equisingular and isotopy
+    settings.add_argument("--exit-status", action="store_true")
+    settings.add_argument("--show-config", action="store_true")
 
     p = argparse.ArgumentParser(prog="germflow",
                                 description="plane branch germs: resolution, "
@@ -153,14 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.set_defaults(fn=cmd_invariants)
 
-    sp = sub.add_parser("equisingular", parents=[common, verdict])
+    sp = sub.add_parser("equisingular", parents=[common, settings])
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.set_defaults(fn=cmd_equisingular)
 
-    sp = sub.add_parser("isotopy", parents=[common, verdict])
+    sp = sub.add_parser("isotopy", parents=[common, settings])
     sp.add_argument("file_a")
     sp.add_argument("file_b")
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     sp.add_argument("--samples", type=int, default=40)
     sp.add_argument("--radius", type=float, default=0.05)
     sp.add_argument("--tol", type=float, default=1e-3)
@@ -181,7 +172,7 @@ def main(argv=None) -> int:
                              if hasattr(args, name)]
     out.append("command: " + " ".join(str(x) for x in echo))
     try:
-        if args.show_config:
+        if getattr(args, "show_config", False):
             out.append("config: " + " ".join(
                 f"{name.replace('_', '-')}={getattr(args, name)!r}" for name in SETTINGS
                 if hasattr(args, name)))

@@ -4,14 +4,14 @@ The multiplicity sequence, semigroup, delta and Milnor number are computed
 here from the characteristic exponents alone (Euclidean-division
 bookkeeping), which gives an oracle that is fully independent of the blowup
 engine; equisingularity itself is decided on weighted dual graphs under the
-canonical blowup-order labeling.
+canonical blowup-order labeling.  None of these takes a precision.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .branch import DEFAULT_PRECISION, Branch
+from .branch import Branch
 from .errors import SeriesError
 from .resolution import DualGraph, ResolutionData, dual_graph, resolve
 
@@ -132,13 +132,11 @@ def compare_dual_graphs(g1: DualGraph, g2: DualGraph) -> EquisingularityVerdict:
     return EquisingularityVerdict(True, "dual graphs identical under blowup-order labeling")
 
 
-def equisingular(a: Branch, b: Branch,
-                 precision: int = DEFAULT_PRECISION) -> EquisingularityVerdict:
+def equisingular(a: Branch, b: Branch) -> EquisingularityVerdict:
     """Compare the weighted dual graphs of the two desingularisations.
 
-    An exact branch is extended to precision first, so precision is a
-    ceiling, not the working order: ``resolution.resolve`` reads each branch
-    only as deep as its blowups need."""
-    graph_a, graph_b = [dual_graph(resolve(g.with_precision(precision) if g.exact else g))
-                        for g in (a, b)]
+    ``resolution.resolve`` reads each branch only as deep as its blowups
+    need, an exact one to any order up to MAX_PRECISION, so no truncation
+    setting enters the verdict."""
+    graph_a, graph_b = [dual_graph(resolve(g)) for g in (a, b)]
     return compare_dual_graphs(graph_a, graph_b)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from .branch import DEFAULT_PRECISION, Branch, eval_branch
 from .bivar import implicitize
 from .errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
-                     NumericError, PlanError, SeriesError)
+                     NumericError, PlanError, PrecisionError, SeriesError)
 from .invariants import compare_dual_graphs
 from .resolution import (INF, ChartState, apply_step, dual_graph, initial_state,
                          is_terminal, reciprocal, resolve, state_slope, swapped)
@@ -307,9 +307,15 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
 
     Raises NotEquisingularError when the dual graphs differ, NumericError
     for a sample_radius that is not finite and positive, and PrecisionError
-    for a precision outside 1..MAX_PRECISION (``Branch.with_precision``).
+    for a precision outside 1..MAX_PRECISION (``Branch.with_precision``) or
+    below the order of an exact branch, which the plan would otherwise keep.
     """
     h1, h2 = (g.with_precision(precision) if g.exact else g for g in (g1, g2))
+    for h in (h1, h2):
+        order = max(h.xs.precision, h.ys.precision)
+        if h.exact and order > precision:
+            raise PrecisionError(f"precision {precision} is below the order {order} "
+                                 f"of branch {h.label!r}")
     rd1, rd2 = resolve(h1), resolve(h2)
     verdict = compare_dual_graphs(dual_graph(rd1), dual_graph(rd2))
     if not verdict.equal:

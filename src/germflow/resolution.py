@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branch import Branch
+from .branch import MAX_PRECISION, Branch
 from .errors import PrecisionError, ResolutionError
 from .series import TruncatedSeries
 
@@ -199,14 +199,16 @@ def _walk(b: Branch) -> ResolutionData:
 def resolve(b: Branch) -> ResolutionData:
     """The minimal embedded resolution of b, read only as deep as its blowups need.
 
-    b is resolved cut to order 2 (ord x + 1), then to twice the previous cut
-    on each PrecisionError (a cut at ord x + 1 would keep y(t) only up to
-    t^(ord x)); once the cut reaches b's own order the whole branch is
-    resolved and its error raised.  A resolution that completes on a cut
-    never read an unknown coefficient, so its steps are those of the whole
-    branch.  To follow the chart series at full precision, replay
-    ``chart_path`` with ``apply_step``.
+    An exact b is known to every order, so it is extended to MAX_PRECISION;
+    a truncated b keeps its own.  b is resolved cut to order 2 (ord x + 1),
+    then to twice the previous cut on each PrecisionError (a cut at ord x + 1
+    would keep y(t) only up to t^(ord x)); once the cut reaches b's order the
+    whole branch is resolved and its error raised.  A resolution that
+    completes on a cut never read an unknown coefficient, so its steps are
+    those of the whole branch.  To follow the chart series at full
+    precision, replay ``chart_path`` with ``apply_step``.
     """
+    b = b.with_precision(MAX_PRECISION) if b.exact else b
     top = max(b.xs.precision, b.ys.precision)
     ox = b.xs.order()
     cut = top if ox is None else 2 * (ox + 1)

@@ -1,8 +1,9 @@
+import argparse
 import os
 
 import pytest
 
-from germflow.cli import main
+from germflow.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -355,10 +356,13 @@ def test_show_config(capsys, corpus_dir):
 
 def test_show_config_lists_only_the_subcommand_settings(capsys, corpus_dir):
     cusp = path(corpus_dir, "cusp")
-    code, out, _ = run_cli(capsys, "resolve", cusp, "--no-timing", "--show-config")
-    assert out.splitlines()[1] == "config: precision=64"
     code, out, _ = run_cli(capsys, "equisingular", cusp, cusp, "--no-timing", "--show-config")
-    assert out.splitlines()[1] == "config: precision=64 exit-status=False"
+    assert out.splitlines()[1] == "config: exit-status=False"
+    # resolve has no setting left to show
+    with pytest.raises(SystemExit) as exc:
+        main(["resolve", cusp, "--no-timing", "--show-config"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --show-config" in capsys.readouterr().err
 
 
 ISOTOPY_ONLY = [["--step", "0.01"],  # isotopy refuses --step too, since it lost its RK4 step
@@ -366,7 +370,11 @@ ISOTOPY_ONLY = [["--step", "0.01"],  # isotopy refuses --step too, since it lost
 UNUSED_OPTIONS = [
     *((command, option) for command in ("resolve", "invariants", "implicitize", "equisingular")
       for option in ISOTOPY_ONLY),
-    *((command, ["--exit-status"]) for command in ("resolve", "invariants", "implicitize"))]
+    *((command, ["--exit-status"]) for command in ("resolve", "invariants", "implicitize")),
+    # only the plan's series order depends on a precision
+    *((command, ["--precision", "64"])
+      for command in ("resolve", "invariants", "implicitize", "equisingular")),
+    *((command, ["--show-config"]) for command in ("resolve", "invariants", "implicitize"))]
 
 
 @pytest.mark.parametrize("command,option", UNUSED_OPTIONS)
@@ -379,12 +387,56 @@ def test_options_a_subcommand_does_not_use_are_refused(capsys, corpus_dir, comma
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+# every option string of each subcommand, --help aside: a new knob changes this table
+OPTIONS = {
+    "resolve": {"--no-timing", "--dot"},
+    "invariants": {"--no-timing"},
+    "equisingular": {"--no-timing", "--exit-status", "--show-config"},
+    "isotopy": {"--no-timing", "--exit-status", "--show-config", "--precision", "--samples",
+                "--radius", "--tol", "--trace"},
+    "implicitize": {"--no-timing"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    got = {command: {s for action in parser._actions for s in action.option_strings}
+           - {"-h", "--help"} for command, parser in sub.choices.items()}
+    assert got == OPTIONS
+    assert sum(len(options) for options in got.values()) == 15
+
+
 def test_precision_outside_the_ceiling_reports_error(capsys, corpus_dir):
+    two_pair = path(corpus_dir, "two_pair")
     for precision in ("0", "257", "200000"):
-        code, out, err = run_cli(capsys, "resolve", path(corpus_dir, "two_pair"),
+        code, out, err = run_cli(capsys, "isotopy", two_pair, two_pair,
                                  "--no-timing", "--precision", precision)
         assert code == 1 and "outcome" not in out
         assert err == f"error: precision {precision} is not between 1 and 256\n"
+
+
+def test_isotopy_precision_below_a_branch_order_reports_error(capsys, corpus_dir):
+    # two_pair's largest exponent is 7, so it is known to order 8; the plan
+    # once kept order 8 silently and printed FAIL with 18 samples uncontained
+    two_pair = path(corpus_dir, "two_pair")
+    code, out, err = run_cli(capsys, "isotopy", two_pair, two_pair, "--no-timing",
+                             "--precision", "5")
+    assert code == 1 and "outcome" not in out
+    assert err == "error: precision 5 is below the order 8 of branch 'two_pair'\n"
+
+
+def test_exact_branch_resolves_to_the_order_it_needs(capsys, tmp_path):
+    # the file knows y(t) to order 74, too little to decide the tangent at
+    # the 37th blowup; an exact branch is known further (its later terms are 0)
+    branch = tmp_path / "deep.branch"
+    branch.write_text("x = t^6\ny = t^2 + 7 t^73\n")
+    code, out, err = run_cli(capsys, "resolve", str(branch), "--no-timing")
+    assert (code, err) == (0, "")
+    assert "\nr=40\n" in out
+    code, out, err = run_cli(capsys, "equisingular", str(branch), str(branch), "--no-timing")
+    assert (code, err) == (0, "")
+    assert "\nEQUISINGULAR\n" in out
 
 
 def test_exponent_at_the_precision_ceiling_reports_error(capsys, tmp_path):

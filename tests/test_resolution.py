@@ -1,18 +1,25 @@
+import os
+import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import proximity_matrix
 
-from germflow import equisingular, implicitize, newton_puiseux, parse_branch, resolution, resolve
+from germflow import (char_exponents, implicitize, mult_seq_from_char, newton_puiseux,
+                      parse_branch, resolution, resolve)
 from germflow.branch import MAX_PRECISION, Branch
 from germflow.errors import PrecisionError, ResolutionError
 from germflow.resolution import (INF, ChartState, apply_step, blowup_step, dual_graph,
                                  initial_state, is_terminal, state_slope, swapped)
 from germflow.series import TruncatedSeries
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "germbench"))
+import gen  # noqa: E402  (the benchmark's branch families)
 
 
 def S(terms, precision=32):
@@ -370,9 +377,51 @@ def test_resolve_raises_what_the_whole_branch_raises(monkeypatch):
     assert tried == [6, 9]
 
 
-def test_a_precision_above_the_ceiling_is_refused_before_any_cut(monkeypatch):
-    b = parse_branch("x = t^2\ny = t^3")
+@pytest.mark.parametrize("text, cuts, r", [
+    # known to order 74 in the file; the 37th blowup needs more
+    ("x = t^6\ny = t^2 + 7 t^73", [14, 28, 56, 112], 40),
+    # no order up to the ceiling decides this one: the walk's own error
+    ("x = t^8\ny = t^2 + t^253", [18, 36, 72, 144, MAX_PRECISION], None),
+], ids=["order-74", "order-254"])
+def test_an_exact_branch_is_cut_up_to_the_ceiling(monkeypatch, text, cuts, r):
+    b = parse_branch(text)
+    full = _outcome(resolution._walk, b.with_precision(MAX_PRECISION))
     tried = _recording_cuts(monkeypatch)
-    with pytest.raises(PrecisionError, match="is not between 1 and"):
-        equisingular(b, b, MAX_PRECISION + 1)
-    assert tried == []
+    assert _outcome(resolve, b) == full
+    assert tried == cuts and max(tried) <= MAX_PRECISION
+    if r is None:
+        assert full == (PrecisionError, "cannot decide the tangent direction at this precision")
+    else:
+        assert len(full) == r
+
+
+@st.composite
+def exact_branches(draw):
+    """Exact primitive branches: members of the benchmark's families
+    (germbench/gen.py), and y = t^m + c t^e with m < ord x and e up to the
+    ceiling, whose resolution reads far beyond the order of its first terms."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        beta = draw(st.integers(n + 1, 3 * n).filter(lambda b: b % n))
+        betas = [beta]
+        if gcd(n, beta) > 1:  # a second pair brings the gcd down to 1
+            betas.append(draw(st.integers(beta + 1, beta + 2 * n)
+                              .filter(lambda b: gcd(n, beta, b) == 1)))
+        free = gen.free_choice(n, betas, draw(st.integers(0, 2)), draw(st.integers(0, 99)))
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        return parse_branch(gen.branch(rng, n, betas, free, height=4))
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, n - 1))
+    e = draw(st.integers(n + 1, MAX_PRECISION - 1).filter(lambda e: gcd(n, m, e) == 1))
+    c = Fraction(draw(st.sampled_from(_COEFFICIENTS)))
+    return parse_branch(gen.branch_text(n, {m: Fraction(1), e: c}))
+
+
+@settings(max_examples=60)
+@given(exact_branches())
+def test_an_exact_branch_resolves_as_its_walk_at_the_ceiling(b):
+    full = _outcome(resolution._walk, b.with_precision(MAX_PRECISION))
+    assert _outcome(resolve, b) == full
+    if full[0] is not PrecisionError:  # the walk completed
+        assert tuple(step.multiplicity for step in full) == \
+            mult_seq_from_char(char_exponents(b))

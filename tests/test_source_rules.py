@@ -46,6 +46,12 @@
   call, so the loop works on one term dict; and ``poly_on_branch`` defines
   no nested function, so the residual is one Horner loop in y with no
   recursive power cache.
+- Precision only where it changes a result: ``equisingular`` takes exactly
+  ``(a, b)``; neither ``invariants.py`` nor ``scripts/run_corpus.py`` names
+  ``DEFAULT_PRECISION`` or calls ``with_precision`` (``resolve`` reads an
+  exact branch to whatever order it needs); and in ``cli.py`` only
+  ``cmd_isotopy`` reads ``args.precision``, since only the plan's series
+  order depends on it.
 """
 import ast
 import pathlib
@@ -53,7 +59,8 @@ import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "germflow").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "germflow").glob("*.py"))
 
 
 def _tree(path):
@@ -258,3 +265,30 @@ def test_newton_puiseux_builds_no_polynomial_per_step():
     nested = [node.lineno for node in ast.walk(func) if node is not func
               and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert nested == [], f"bivar.py: poly_on_branch defines functions at lines {nested}"
+
+
+def test_equisingular_takes_only_the_two_branches():
+    invariants = next(p for p in SOURCES if p.name == "invariants.py")
+    args = _function(invariants, "equisingular").args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["a", "b"]
+    assert (args.vararg, args.kwonlyargs, args.kwarg, args.defaults) == (None, [], None, [])
+
+
+@pytest.mark.parametrize("path", [ROOT / "src" / "germflow" / "invariants.py",
+                                  ROOT / "scripts" / "run_corpus.py"], ids=lambda p: p.name)
+def test_no_precision_setting_on_the_exact_path(path):
+    tree = _tree(path)
+    names = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "DEFAULT_PRECISION"
+             or isinstance(node, ast.alias) and node.name == "DEFAULT_PRECISION"]
+    assert names == [], f"{path.name}: DEFAULT_PRECISION at lines {names}"
+    assert _calls_of(tree, "with_precision") == [], f"{path.name} calls with_precision"
+
+
+def test_only_the_isotopy_command_reads_the_precision():
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    readers = {func.name for func in ast.walk(_tree(cli)) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Attribute)
+               and node.attr == "precision" and isinstance(node.value, ast.Name)
+               and node.value.id == "args"}
+    assert readers == {"cmd_isotopy"}
