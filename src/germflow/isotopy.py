@@ -23,11 +23,14 @@ exchanged (``resolution.swapped``), as chart B is chart A:
 
 After a shear or multiplicative stage the moving branch's chart series is
 updated by the stage's exact rational time-1 map, so deeper stages are
-still built from exact data.  Sample points are carried in chart
-coordinates (``apply_plan``).  Each raw field is a translation or a linear
-map in the coordinate it moves, so wherever a trajectory stays in the ball
-on which the cut-off rho is 1 its time-1 flow is closed form; a sample whose
-trajectory may leave that ball is reported as uncontained, and FAILs.
+still built from exact data.  The plan records the target's chart path once
+(a stage at level k acts in the chart of its first k steps) and the sample
+window its bumps were sized for.  Samples are carried in chart coordinates
+(``apply_plan``).  Each raw field is a translation or a linear map in the
+coordinate it moves, so wherever a trajectory stays in the ball on which the
+cut-off rho is 1 its time-1 flow is closed form; a sample that a stage cannot
+carry (a refused lift, or a trajectory that may leave that ball) is reported
+as uncontained, and FAILs.
 """
 from __future__ import annotations
 
@@ -223,10 +226,7 @@ def pushdown_point(path: ChartPath, q: Point) -> Point:
 
 @dataclass(frozen=True)
 class PlanStage:
-    field: StageField
-    path: ChartPath
-    u_label: int | None = None
-    v_label: int | None = None
+    field: StageField  # acts in the chart chart_path[:field.level] of its plan
 
 
 @dataclass(frozen=True)
@@ -234,6 +234,9 @@ class IsotopyPlan:
     stages: tuple[PlanStage, ...]
     source: Branch
     target: Branch
+    chart_path: ChartPath
+    radius: float  # the sample window the bumps are sized for
+    t_max: float  # find_parameter_radius(source, radius)
 
 
 def find_parameter_radius(b: Branch, radius: float) -> float:
@@ -325,31 +328,29 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
     t1max = find_parameter_radius(g1, sample_radius)
     stages: list[PlanStage] = []
 
-    for k, (chart, c) in enumerate(rd2.chart_path):
+    for chart, c in rd2.chart_path:
         if s1.level > 0 and is_terminal(s1):
             raise PlanError("resolutions desynchronized; equisingularity violated")
         c1, c2 = state_slope(s1), (INF if chart == "B" else c)
         if c1 != c2 and s1.level == 0 and (INF in (c1, c2) or 0 in (c1, c2)):
             for orientation, amount in _level0_alignment_shears(c1, c2):
                 f = Shear(orientation, amount)
-                stages.append(PlanStage(f, ()))
+                stages.append(PlanStage(f))
                 s1 = f.time_one(s1)
         elif c1 != c2:
-            stages.append(_multiplicative_stage(s1, c1, c2, t1max, rd2.chart_path[:k]))
+            stages.append(_multiplicative_stage(s1, c1, c2, t1max))
             s1 = stages[-1].field.time_one(s1)
         if state_slope(s1) != c2:
             raise PlanError("internal: the stages missed the target slope")
         s1, s2 = apply_step(s1, chart, c), apply_step(s2, chart, c)
-        if s1.labels() != s2.labels():
-            raise PlanError("internal: shared blowup gave different divisor labels")
 
     if not is_terminal(s1):
         raise PlanError("resolutions desynchronized; equisingularity violated")
-    stages.append(_graph_match_stage(s1, s2, t1max, rd2.chart_path))
-    return IsotopyPlan(tuple(stages), g1, g2)
+    stages.append(_graph_match_stage(s1, s2, t1max))
+    return IsotopyPlan(tuple(stages), g1, g2, rd2.chart_path, sample_radius, t1max)
 
 
-def _multiplicative_stage(s1, c1, c2, t1max, path) -> PlanStage:
+def _multiplicative_stage(s1, c1, c2, t1max) -> PlanStage:
     """Stage rotating slope c1 onto c2 in the v-direction; when only {v = 0}
     is exceptional it is built on the exchanged state, with reciprocal
     slopes, and pushes u."""
@@ -365,11 +366,10 @@ def _multiplicative_stage(s1, c1, c2, t1max, path) -> PlanStage:
         next(k for k in _SHEAR_CANDIDATES if k != d1 and k != d2)
     ratio = (d2 - a) / (d1 - a)
     bump = _mult_bump(s1, t1max, ratio, a)
-    f = Multiplicative("u" if moves_u else "v", ratio, a, bump, s1.level)
-    return PlanStage(f, path, s1.u_label, s1.v_label)
+    return PlanStage(Multiplicative("u" if moves_u else "v", ratio, a, bump, s1.level))
 
 
-def _graph_match_stage(s1, s2, t1max, path) -> PlanStage:
+def _graph_match_stage(s1, s2, t1max) -> PlanStage:
     """Graph match over the exceptional coordinate, read from the exchanged
     states when {v = 0} is the exceptional axis."""
     moves_u = s1.u_label is None
@@ -381,39 +381,38 @@ def _graph_match_stage(s1, s2, t1max, path) -> PlanStage:
     motion = g2.sub(g1).abs_bound(across)
     r_inner = max(2.0 * (across + bw + motion), 0.05)
     bump = BumpSpec(r_inner=r_inner, r_outer=2.0 * r_inner)
-    f = GraphMatch("u" if moves_u else "v", g1, g2, bump, s1.level)
-    return PlanStage(f, path, s1.u_label, s1.v_label)
+    return PlanStage(GraphMatch("u" if moves_u else "v", g1, g2, bump, s1.level))
 
 
 def apply_plan(plan: IsotopyPlan, points: list[Point],
                uncontained: list[int | None] | None = None) -> list[Point]:
     """Map sample points through every stage, carried in chart coordinates.
 
-    Each stage's chart path must extend the previous one's (PlanError
-    otherwise): a point is lifted only along the steps a stage adds, and
-    pushed down to the plane once, after the last stage.  A point whose lift
-    is ill-conditioned (or the origin itself) skips the stage and stays in
-    its chart.  A point whose trajectory may leave a stage's bump stops
-    there; a list `uncontained` receives, per point, that stage's number
-    (from 1) or None."""
-    path: ChartPath = ()
+    A stage acts in the chart its level names, plan.chart_path[:level], and
+    levels must not decrease (PlanError otherwise): a point is lifted only
+    along the steps a stage adds, and pushed down to the plane once, after
+    the last stage.  A point stops at the first stage that cannot carry it:
+    one whose lift is refused (ill-conditioned, or the origin itself) or
+    whose trajectory may leave the stage's bump.  A list `uncontained`
+    receives, per point, that stage's number (from 1) or None."""
+    path, level = plan.chart_path, 0
     carried = [(p, 0) for p in points]  # (coordinates in the chart path[:depth], depth)
     stops: list[int | None] = [None] * len(points)
     for k, stage in enumerate(plan.stages, start=1):
-        if stage.path[:len(path)] != path:
-            raise PlanError(f"the chart path of stage {k} does not extend the previous one")
-        path = stage.path
+        if stage.field.level < level:
+            raise PlanError(f"stage {k} is at a level below the previous stage's")
+        level = stage.field.level
         for i, (q, depth) in enumerate(carried):
             if stops[i] is not None:
                 continue
             try:
-                q = lift_point(path[depth:], q)
+                q, depth = lift_point(path[depth:level], q), level
+                q1 = integrate_flow(stage.field, q)
             except LiftError:
-                continue
-            q1 = integrate_flow(stage.field, q)
+                q1 = None
             if q1 is None:
                 stops[i] = k
-            carried[i] = (q if q1 is None else q1, len(path))
+            carried[i] = (q if q1 is None else q1, depth)
     if uncontained is not None:
         uncontained.extend(stops)
     return [pushdown_point(path[:depth], q) for q, depth in carried]
@@ -428,14 +427,13 @@ class SampleRecord:
     end: Point  # for an uncontained sample, where its transport stopped
     dist: float  # inf for an uncontained sample
     dist_implicit: float
-    uncontained_stage: int | None  # first stage (from 1) whose trajectory may leave its bump
+    uncontained_stage: int | None  # the first stage (from 1) that could not carry the sample
 
 
 @dataclass(frozen=True)
 class FlowReport:
     records: tuple[SampleRecord, ...]
     max_distance: float
-    tol: float
     passed: bool
     max_step_error: float = 0.0  # no flow is integrated; germbench's digest still reads it
 
@@ -477,18 +475,18 @@ MAX_SAMPLES = 10_000  # per check; the CLI default is 40
 
 def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 40,
                    radius: float = 0.05, tol: float = 1e-3, h: float = 1e-3) -> FlowReport:
-    """Carry log-spaced samples of g1 through the plan and measure how far the
-    images land from g2 (geometric distance, cross-checked against the value
-    of the implicit equation normalized by its gradient).  A sample whose
-    trajectory may leave a stage's bump is uncontained: its record names the
-    stage, and its distance is inf, so the check FAILs.
+    """Carry log-spaced samples of g1, up to the plan's t_max, through the
+    plan and measure how far the images land from g2 (geometric distance,
+    cross-checked against the value of the implicit equation normalized by
+    its gradient).  A sample that some stage cannot carry is uncontained:
+    its record names the stage, and its distance is inf, so the check FAILs.
 
     Every stage flow is closed form, so there is no integrator step: `h` is
     accepted and ignored, because germbench still passes it.
 
-    Raises SeriesError when the target's x is not t^n, and NumericError for
-    n_samples outside 1..MAX_SAMPLES or a tol or radius that is not finite
-    and positive: each would make the check vacuous or unbounded."""
+    Raises SeriesError when the target's x is not t^n, NumericError for
+    n_samples outside 1..MAX_SAMPLES or a tol that is not finite and positive
+    (a vacuous check), and PlanError unless g1, g2 and radius are the plan's."""
     if not g2.monomial_x():
         raise SeriesError("verify_isotopy requires the target's x to be the monomial t^n")
     if not n_samples >= 1:
@@ -497,7 +495,9 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
         raise NumericError(f"n_samples {n_samples!r} is above {MAX_SAMPLES}")
     if not 0.0 < tol < math.inf:
         raise NumericError(f"tol {tol!r} is not finite and positive")
-    tmax = find_parameter_radius(g1, radius)
+    if (g1, g2, radius) != (plan.source, plan.target, plan.radius):
+        raise PlanError("verify_isotopy needs the branches and radius the plan was built for")
+    tmax = plan.t_max
     ts = [tmax * 10.0 ** (-2.0 * (1.0 - j / (n_samples - 1.0))) if n_samples > 1 else tmax
           for j in range(n_samples)]
     starts = [eval_branch(g1, complex(t)) for t in ts]
@@ -512,4 +512,4 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
                for t, p0, p1, stop in zip(ts, starts, ends, stops)]
 
     max_distance = max(rec.dist for rec in records)
-    return FlowReport(tuple(records), max_distance, tol, max_distance < tol)
+    return FlowReport(tuple(records), max_distance, max_distance < tol)

@@ -16,14 +16,15 @@ CORPUS_NAMES = [
 ]
 
 
+def load_corpus():
+    """label -> Branch for every corpus file, at working precision 64."""
+    return {name: parse_branch_file(os.path.join(CORPUS_DIR, name + ".branch")).with_precision(64)
+            for name in CORPUS_NAMES}
+
+
 @pytest.fixture(scope="session")
 def corpus():
-    """label -> Branch for every corpus file, at working precision 64."""
-    out = {}
-    for name in CORPUS_NAMES:
-        b = parse_branch_file(os.path.join(CORPUS_DIR, name + ".branch"))
-        out[name] = b.with_precision(64)
-    return out
+    return load_corpus()
 
 
 @pytest.fixture(scope="session")

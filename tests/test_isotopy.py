@@ -15,7 +15,7 @@ from oracles import (bisect_parameter_radius, bump_value, glued_flow, grid_dista
                      log_ratio, raw_speed, two_sheet_grid)
 
 from germflow import (Branch, GraphMatch, IsotopyPlan, Multiplicative, Shear, apply_plan,
-                      build_plan, integrate_flow, lift_point, parse_branch,
+                      build_plan, integrate_flow, isotopy, lift_point, parse_branch,
                       pushdown_point, verify_isotopy)
 from germflow.branch import eval_branch
 from germflow.errors import (DegenerateSlopeError, GermflowError, LiftError,
@@ -101,7 +101,7 @@ DEGENERATE_SLOPES = [  # (labels of the chart state, c1, c2)
 def test_multiplicative_stage_refuses_a_tangent_along_an_exceptional_axis(labels, c1, c2):
     state = ChartState(S({1: 1}), S({1: 1}), **labels)
     with pytest.raises(DegenerateSlopeError):
-        _multiplicative_stage(state, c1, c2, 0.1, ())
+        _multiplicative_stage(state, c1, c2, 0.1)
 
 
 @pytest.mark.parametrize("labels, c1, orientation, ratio, shear", [
@@ -114,10 +114,8 @@ def test_multiplicative_stage_refuses_a_tangent_along_an_exceptional_axis(labels
 def test_multiplicative_stage_moves_the_non_exceptional_axis(labels, c1, orientation,
                                                             ratio, shear):
     state = ChartState(S({1: 1}), S({1: 1}), **labels)
-    stage = _multiplicative_stage(state, c1, Fraction(2), 0.1, ())
-    f = stage.field
+    f = _multiplicative_stage(state, c1, Fraction(2), 0.1).field
     assert (f.orientation, f.ratio, f.shear, f.level) == (orientation, ratio, shear, 1)
-    assert (stage.u_label, stage.v_label) == (state.u_label, state.v_label)
 
 
 @pytest.mark.parametrize("c1, c2, shears", [
@@ -402,7 +400,8 @@ def test_divisor_probe_stays_on_axis():
     g2 = parse_branch("x = t^2\ny = 2 t^3")
     plan = build_plan(g1, g2)
     stage = plan.stages[0]
-    assert stage.u_label is not None and stage.v_label is not None
+    # at level 2, after the charts A0, B0: a satellite point, both axes divisors
+    assert stage.field.level == 2 and plan.chart_path[:2] == (("A", 0), ("B", 0))
     bump = stage.field.bump
     for v in (0.1, 0.5 * bump.r_inner, 0.9 * bump.r_inner):
         end = glued_flow(stage.field, (0j, complex(v)), 1e-3)
@@ -621,7 +620,8 @@ def test_plan_whose_trajectory_leaves_the_ball_fails_and_names_the_stage():
     g = parse_branch("x = t^2\ny = t^3")
     still = match(S({1: 1}), S({1: 1}), ORACLE_BUMP)
     leaving = match(S({0: 0}), S({0: Fraction(1, 2)}), ORACLE_BUMP)
-    plan = IsotopyPlan((PlanStage(still, ()), PlanStage(leaving, ())), g, g)
+    plan = IsotopyPlan((PlanStage(still), PlanStage(leaving)), g, g, (), 0.05,
+                       find_parameter_radius(g, 0.05))
     rep = verify_isotopy(g, g, plan, n_samples=4)
     assert [rec.uncontained_stage for rec in rep.records] == [2] * 4
     assert all(rec.dist == math.inf and rec.end == rec.start for rec in rep.records)
@@ -638,11 +638,57 @@ def test_plan_whose_trajectory_leaves_the_ball_fails_and_names_the_stage():
 
 
 def test_apply_plan_refuses_stage_paths_that_do_not_extend_each_other():
+    # a stage acts in the chart chart_path[:level], so the charts of the
+    # stages extend each other exactly when their levels do not decrease
     a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
     plan = build_plan(a, b)
-    assert [len(stage.path) for stage in plan.stages] == [2, 3]
-    with pytest.raises(PlanError, match="chart path of stage 2 does not extend"):
+    assert [stage.field.level for stage in plan.stages] == [2, 3] == [2, len(plan.chart_path)]
+    with pytest.raises(PlanError, match="^stage 2 is at a level below the previous stage's$"):
         apply_plan(replace(plan, stages=plan.stages[::-1]), [(0.01 + 0j, 0.001 + 0j)])
+
+
+def test_a_refused_lift_stops_the_sample():
+    # a coefficient far beyond float range puts every sample at |x| ~ 1e-161,
+    # where the lift into the graph match's chart is ill-conditioned; such a
+    # sample once skipped the stage unmoved and FAILed on its distance alone
+    a = parse_branch("x = t^2\ny = t^3 + 1" + "0" * 400 + " t^5")
+    b = parse_branch("x = t^2\ny = t^3")
+    plan = build_plan(a, b)
+    rep = verify_isotopy(a, b, plan)
+    with pytest.raises(LiftError):
+        lift_point((("A", 0), ("B", 0), ("A", 1)), rep.records[-1].start)
+    assert [rec.uncontained_stage for rec in rep.records] == [1] * 40
+    assert all(rec.dist == math.inf and rec.end == rec.start for rec in rep.records)
+    assert rep.max_distance == math.inf and not rep.passed
+
+
+def test_one_plan_and_its_check_find_the_parameter_radius_once(monkeypatch):
+    calls = []
+
+    def counted(b, radius):
+        calls.append(radius)
+        return find_parameter_radius(b, radius)
+
+    monkeypatch.setattr(isotopy, "find_parameter_radius", counted)
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b, sample_radius=0.01)
+    rep = verify_isotopy(a, b, plan, n_samples=4, radius=0.01)
+    assert calls == [0.01] and rep.passed
+    assert plan.t_max == find_parameter_radius(a, 0.01)
+    assert rep.records[-1].t == plan.t_max
+
+
+@pytest.mark.parametrize("other", ["radius", "source", "target"])
+def test_verify_refuses_a_window_or_pair_the_plan_was_not_built_for(other):
+    # the bumps are sized for the plan's own source and radius
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b, sample_radius=0.01)
+    c = parse_branch("x = t^2\ny = 3 t^3")
+    g1, g2, radius = {"radius": (a, b, 0.05), "source": (c, b, 0.01),
+                      "target": (a, c, 0.01)}[other]
+    with pytest.raises(PlanError, match="^verify_isotopy needs the branches and radius "
+                                        "the plan was built for$"):
+        verify_isotopy(g1, g2, plan, n_samples=4, radius=radius)
 
 
 def test_deep_pair_whose_float_relift_left_the_ball_passes_by_closed_form():
@@ -786,8 +832,7 @@ def test_sample_count_above_the_ceiling_is_refused(n_samples):
 
 VACUOUS_SETTINGS = [("n_samples", 0, "n_samples 0 is below 1")] + [
     (name, value, f"{name} {value!r} is not finite and positive")
-    for name in ("radius", "tol") for value in (math.nan, math.inf, -1.0, 0.0)] + [
-    ("sample_radius", math.nan, "radius nan is not finite and positive")]
+    for name in ("radius", "tol") for value in (math.nan, math.inf, -1.0, 0.0)]
 
 
 @pytest.mark.parametrize("setting,value,message", VACUOUS_SETTINGS,
@@ -795,10 +840,11 @@ VACUOUS_SETTINGS = [("n_samples", 0, "n_samples 0 is below 1")] + [
 def test_settings_that_would_make_the_check_vacuous_are_refused(setting, value, message):
     # the library once read PASS here: no samples and no records; a nan or
     # non-positive radius put every sample at t = 0 (max_dist=0.0); tol=inf
-    # passed any distance
+    # passed any distance.  The radius is checked once, where the plan's
+    # sample window is set
     a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
     with pytest.raises(GermflowError, match=f"^{re.escape(message)}$"):
-        if setting == "sample_radius":
+        if setting == "radius":
             build_plan(a, b, sample_radius=value)
         else:
             verify_isotopy(a, b, build_plan(a, b), **{setting: value})

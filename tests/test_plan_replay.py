@@ -6,9 +6,14 @@
 - ``build_plan`` takes one blowup per level on each branch, in the target's
   recorded chart.
 - Each stage's chart path extends the previous stage's, as ``apply_plan``
-  requires.
+  requires: the plan records the target's chart path once, and a stage acts
+  in its first ``level`` steps.
 - Its certificate is the one ``equisingular`` gives, also for mismatches the
   corpus never reaches.
+
+A change that sets out to change a plan regenerates the table with
+``PYTHONPATH=src python tests/test_plan_replay.py`` from the repository root
+and says why in its change notes.
 """
 import itertools
 import json
@@ -16,7 +21,7 @@ import math
 import os
 
 import pytest
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, load_corpus
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -50,8 +55,7 @@ def plan_record(g1, g2):
             "kind": f.kind, "level": f.level, "orientation": f.orientation,
             "ratio": None if ratio is None else str(ratio),
             "shear": str(getattr(f, "shear", 0)), "amount": str(getattr(f, "amount", 0)),
-            "path": [[chart, str(c)] for chart, c in stage.path],
-            "u_label": stage.u_label, "v_label": stage.v_label,
+            "path": [[chart, str(c)] for chart, c in plan.chart_path[:f.level]],
             "s1": _series(getattr(f, "s1", None)), "s2": _series(getattr(f, "s2", None)),
         })
     return {"stages": stages}
@@ -151,6 +155,20 @@ def test_plan_certificate_is_the_equisingular_certificate(a, b):
     assert exc.value.certificate == verdict.certificate
 
 
+@given(st.sampled_from(FAMILIES).flatmap(lambda f: st.tuples(signed_members(f),
+                                                             signed_members(f))))
+def test_plan_follows_the_target_chart_path(pair):
+    # two members of one family share their characteristic data
+    a, b = pair
+    assume(equisingular(a, b).equal)
+    plan = build_plan(a, b)
+    assert plan.chart_path == resolve(b).chart_path
+    levels = [stage.field.level for stage in plan.stages]
+    assert levels == sorted(levels)
+    last = plan.stages[-1].field
+    assert last.kind == "graph-match" and last.level == len(plan.chart_path)
+
+
 def test_dual_graph_certificates_for_edges_and_arrow():
     # branches never reach the edges certificate: equal r and weights have so
     # far always meant equal edges; the arrow always sits on E_r
@@ -159,3 +177,11 @@ def test_dual_graph_certificates_for_edges_and_arrow():
     assert g.arrow == other_edges.arrow == 3
     assert compare_dual_graphs(g, other_edges).certificate == \
         "edges differ (E1--E3 only in first; E1--E2 only in second)"
+
+
+if __name__ == "__main__":
+    corpus = load_corpus()
+    table = {f"{a} -> {b}": plan_record(corpus[a], corpus[b])
+             for a in CORPUS_NAMES for b in CORPUS_NAMES}
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(table, indent=1, sort_keys=True))

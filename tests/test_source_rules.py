@@ -52,6 +52,15 @@
   exact branch to whatever order it needs); and in ``cli.py`` only
   ``cmd_isotopy`` reads ``args.precision``, since only the plan's series
   order depends on it.
+- The isotopy plan states each fact once: ``PlanStage`` has the one field
+  ``field`` (a stage acts in the chart its level names), and only
+  ``build_plan`` calls ``find_parameter_radius``, so ``verify_isotopy``
+  samples the plan's own window; ``FlowReport`` keeps no ``tol``, and
+  ``build_plan`` calls no ``labels()``, since two states blown up in the
+  same charts have the same divisor labels by construction.
+- One way for a sample to stop: no ``except LiftError`` handler in
+  ``apply_plan`` holds a ``continue``, so a refused lift stops the sample as
+  an uncontained trajectory does, instead of skipping the stage.
 """
 import ast
 import pathlib
@@ -292,3 +301,31 @@ def test_only_the_isotopy_command_reads_the_precision():
                and node.attr == "precision" and isinstance(node.value, ast.Name)
                and node.value.id == "args"}
     assert readers == {"cmd_isotopy"}
+
+
+def _class_fields(path, name):
+    cls = next(node for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+
+
+def test_the_plan_states_each_fact_once():
+    isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
+    assert _class_fields(isotopy, "PlanStage") == ["field"]
+    assert "tol" not in _class_fields(isotopy, "FlowReport")
+    callers = {path.name: _calls_of(_tree(path), "find_parameter_radius") for path in SOURCES}
+    assert {name: lines for name, lines in callers.items() if lines} == \
+        {"isotopy.py": _calls_of(_function(isotopy, "build_plan"), "find_parameter_radius")}
+    assert len(callers["isotopy.py"]) == 1
+    assert _calls_of(_function(isotopy, "build_plan"), "labels") == []
+
+
+def test_a_refused_lift_stops_the_sample():
+    isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
+    handlers = [node for node in ast.walk(_function(isotopy, "apply_plan"))
+                if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
+                and node.type.id == "LiftError"]
+    assert handlers, "apply_plan handles no LiftError"
+    skips = [node.lineno for handler in handlers for node in ast.walk(handler)
+             if isinstance(node, ast.Continue)]
+    assert skips == [], f"isotopy.py: apply_plan skips a stage at lines {skips}"
