@@ -831,8 +831,11 @@ def test_sample_count_above_the_ceiling_is_refused(n_samples):
 
 
 VACUOUS_SETTINGS = [("n_samples", 0, "n_samples 0 is below 1")] + [
-    (name, value, f"{name} {value!r} is not finite and positive")
-    for name in ("radius", "tol") for value in (math.nan, math.inf, -1.0, 0.0)]
+    ("radius", value, "verify_isotopy needs the branches and radius the plan was built for")
+    for value in (math.nan, math.inf, -1.0, 0.0)] + [
+    ("tol", value, f"tol {value!r} is not finite and positive")
+    for value in (math.nan, math.inf, -1.0, 0.0)] + [
+    ("sample_radius", math.nan, "radius nan is not finite and positive")]
 
 
 @pytest.mark.parametrize("setting,value,message", VACUOUS_SETTINGS,
@@ -841,10 +844,10 @@ def test_settings_that_would_make_the_check_vacuous_are_refused(setting, value, 
     # the library once read PASS here: no samples and no records; a nan or
     # non-positive radius put every sample at t = 0 (max_dist=0.0); tol=inf
     # passed any distance.  The radius is checked once, where the plan's
-    # sample window is set
+    # sample window is set; verify_isotopy refuses any radius but the plan's
     a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
     with pytest.raises(GermflowError, match=f"^{re.escape(message)}$"):
-        if setting == "radius":
+        if setting == "sample_radius":
             build_plan(a, b, sample_radius=value)
         else:
             verify_isotopy(a, b, build_plan(a, b), **{setting: value})
