@@ -197,8 +197,6 @@ def lift_point(path: ChartPath, p: Point) -> Point:
     """Coordinates of p in the chart at the end of the blowup path; a chart-B
     step is the chart-A step with x and y exchanged."""
     x, y = p
-    if x == 0 and y == 0:
-        raise LiftError("the origin cannot be lifted")
     for chart, c in path:
         if chart == "B":
             x, y = y, x
@@ -391,28 +389,30 @@ def apply_plan(plan: IsotopyPlan, points: list[Point],
     A stage acts in the chart its level names, plan.chart_path[:level], and
     levels must not decrease (PlanError otherwise): a point is lifted only
     along the steps a stage adds, and pushed down to the plane once, after
-    the last stage.  A point stops at the first stage that cannot carry it:
-    one whose lift is refused (ill-conditioned, or the origin itself) or
-    whose trajectory may leave the stage's bump.  A list `uncontained`
+    the last stage.  The origin stays put (every stage fixes it); any other
+    point stops at the first stage that cannot carry it, by a refused lift
+    or a trajectory that may leave the stage's bump.  A list `uncontained`
     receives, per point, that stage's number (from 1) or None."""
     path, level = plan.chart_path, 0
     carried = [(p, 0) for p in points]  # (coordinates in the chart path[:depth], depth)
     stops: list[int | None] = [None] * len(points)
+    moving = [i for i, p in enumerate(points) if p != (0, 0)]  # every stage fixes the origin
     for k, stage in enumerate(plan.stages, start=1):
         if stage.field.level < level:
             raise PlanError(f"stage {k} is at a level below the previous stage's")
         level = stage.field.level
-        for i, (q, depth) in enumerate(carried):
-            if stops[i] is not None:
-                continue
+        for i in moving:
+            q, depth = carried[i]
             try:
-                q, depth = lift_point(path[depth:level], q), level
-                q1 = integrate_flow(stage.field, q)
+                q = lift_point(path[depth:level], q)
             except LiftError:
-                q1 = None
-            if q1 is None:
                 stops[i] = k
-            carried[i] = (q if q1 is None else q1, depth)
+            else:
+                q1 = integrate_flow(stage.field, q)
+                if q1 is None:
+                    stops[i] = k
+                carried[i] = (q if q1 is None else q1, level)
+        moving = [i for i in moving if stops[i] is None]
     if uncontained is not None:
         uncontained.extend(stops)
     return [pushdown_point(path[:depth], q) for q, depth in carried]

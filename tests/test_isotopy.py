@@ -253,6 +253,7 @@ def test_lift_empty_path_identity():
     p = (0.1 + 0.2j, -0.3 + 0j)
     assert lift_point((), p) == p
     assert pushdown_point((), p) == p
+    assert lift_point((), (0j, 0j)) == (0j, 0j)
 
 
 def test_lift_chart_a():
@@ -382,7 +383,11 @@ def test_apply_plan_origin_fixed():
     g1 = parse_branch("x = t^2\ny = t^3")
     g2 = parse_branch("x = t^2\ny = 2 t^3")
     plan = build_plan(g1, g2)
-    assert apply_plan(plan, [(0j, 0j)]) == [(0j, 0j)]
+    uncontained = []
+    assert apply_plan(plan, [(0j, 0j)], uncontained) == [(0j, 0j)]
+    # every stage fixes the origin, so no stage stops it, though no chart
+    # lift can carry it
+    assert uncontained == [None]
 
 
 def test_apply_plan_identity_within_tolerance():
@@ -831,10 +836,8 @@ def test_sample_count_above_the_ceiling_is_refused(n_samples):
 
 
 VACUOUS_SETTINGS = [("n_samples", 0, "n_samples 0 is below 1")] + [
-    ("radius", value, "verify_isotopy needs the branches and radius the plan was built for")
-    for value in (math.nan, math.inf, -1.0, 0.0)] + [
-    ("tol", value, f"tol {value!r} is not finite and positive")
-    for value in (math.nan, math.inf, -1.0, 0.0)] + [
+    (name, value, f"{name} {value!r} is not finite and positive")
+    for name in ("radius", "tol") for value in (math.nan, math.inf, -1.0, 0.0)] + [
     ("sample_radius", math.nan, "radius nan is not finite and positive")]
 
 
@@ -843,11 +846,11 @@ VACUOUS_SETTINGS = [("n_samples", 0, "n_samples 0 is below 1")] + [
 def test_settings_that_would_make_the_check_vacuous_are_refused(setting, value, message):
     # the library once read PASS here: no samples and no records; a nan or
     # non-positive radius put every sample at t = 0 (max_dist=0.0); tol=inf
-    # passed any distance.  The radius is checked once, where the plan's
-    # sample window is set; verify_isotopy refuses any radius but the plan's
+    # passed any distance.  The radius is checked once, by build_plan, where
+    # the plan's sample window is set
     a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
     with pytest.raises(GermflowError, match=f"^{re.escape(message)}$"):
-        if setting == "sample_radius":
+        if setting in ("radius", "sample_radius"):
             build_plan(a, b, sample_radius=value)
         else:
             verify_isotopy(a, b, build_plan(a, b), **{setting: value})
