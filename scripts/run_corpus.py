@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from germflow import (build_plan, char_exponents, delta_mu, dual_graph, invariant_set,
+from germflow import (build_plan, char_exponents, delta_from_mult, dual_graph, invariant_set,
                       parse_branch_file, resolve, verify_isotopy)
 from germflow.errors import GermflowError, NotEquisingularError
 
@@ -42,8 +42,9 @@ def main() -> int:
         c = char_exponents(b)
         inv = invariant_set(b)
         # cross-oracle: blowup engine vs. Euclidean division on (n; betas)
-        if inv.mult_seq != rd.multiplicities() or inv.delta != delta_mu(rd)[0]:
-            print(f"{name}: blowup mult={list(rd.multiplicities())} delta={delta_mu(rd)[0]} "
+        delta = delta_from_mult(rd.multiplicities())
+        if inv.mult_seq != rd.multiplicities() or inv.delta != delta:
+            print(f"{name}: blowup mult={list(rd.multiplicities())} delta={delta} "
                   f"!= Euclidean mult={list(inv.mult_seq)} delta={inv.delta}",
                   file=sys.stderr)
             return 1

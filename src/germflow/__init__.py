@@ -3,7 +3,7 @@
 from .branch import Branch, eval_branch, normalize_branch, parse_branch, parse_branch_file
 from .bivar import BivarPoly, implicitize, parse_poly, poly_on_branch, poly_to_text
 from .invariants import (CharExponents, EquisingularityVerdict, InvariantSet,
-                         char_exponents, delta_mu, equisingular, invariant_set,
+                         char_exponents, delta_from_mult, equisingular, invariant_set,
                          mult_seq_from_char, semigroup)
 from .isotopy import (BumpSpec, FlowReport, GraphMatch, IsotopyPlan, Multiplicative,
                       Shear, apply_plan, build_plan, integrate_flow,

@@ -47,7 +47,7 @@ class BivarPoly:
     def leading(self) -> tuple[tuple[int, int], Fraction]:
         """Leading term in lexicographic order with y > x."""
         if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+            raise SeriesError("zero polynomial has no leading term")
         return self.terms[-1]
 
     def scale(self, c) -> "BivarPoly":
@@ -162,11 +162,7 @@ def implicitize(b: Branch) -> BivarPoly:
     """
     if not b.monomial_x():
         raise SeriesError("implicitize requires x to be the monomial t^n")
-    n = b.n
-    den = math.lcm(*[c.denominator for _, c in b.ys.terms])
-    z = [0] * (b.ys.degree_bound() + 1)
-    for e, c in b.ys.terms:
-        z[e] = c.numerator * (den // c.denominator)
+    n, z, den = b.n, b.ys.num, b.ys.den
     power_sums, zk = [], z
     for k in range(1, n + 1):
         power_sums.append([n * c for c in zk[::n]])

@@ -49,7 +49,7 @@ class Branch:
         return o
 
     def monomial_x(self) -> bool:
-        return len(self.xs.terms) == 1 and self.xs.leading() == 1
+        return len(self.xs.support()) == 1 and self.xs.leading() == 1
 
     def with_precision(self, precision: int) -> "Branch":
         """Extend the truncation order; valid only for exact polynomial data.
@@ -75,12 +75,9 @@ def eval_branch(b: Branch, t: complex) -> tuple[complex, complex]:
 
 def normalize_branch(b: Branch) -> Branch:
     """Canonical sign representative: see module docstring."""
-    if b.n % 2 == 0:
-        for e, c in b.ys.terms:
-            if e % 2 == 1:
-                if c < 0:
-                    return b.flip()
-                break
+    # den > 0, so a numerator's sign is its coefficient's sign
+    if b.n % 2 == 0 and next((x for x in b.ys.num[1::2] if x), 0) < 0:
+        return b.flip()
     return b
 
 

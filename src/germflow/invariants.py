@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .branch import Branch
 from .errors import SeriesError
-from .resolution import DualGraph, ResolutionData, dual_graph, resolve
+from .resolution import DualGraph, dual_graph, resolve
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,6 @@ def semigroup(c: CharExponents) -> tuple[int, ...]:
 
 def delta_from_mult(seq) -> int:
     return sum(m * (m - 1) // 2 for m in seq)
-
-
-def delta_mu(rd: ResolutionData) -> tuple[int, int]:
-    d = delta_from_mult(rd.multiplicities())
-    return d, 2 * d
 
 
 def invariant_set(b: Branch) -> InvariantSet:

@@ -15,8 +15,10 @@ An edge with even q and r < 0 after an even denominator only reflects the
 sign chosen for earlier roots: the gauge x_k -> -x_k of the current
 parameter leaves x = x_k^denom fixed and turns C into -C.
 
-The loop works on one term dict {(a, b): coefficient of x^a y^b}; each edge
-is one substitution pass over it (``_transform``).
+The loop works on one term dict {(a, b): coefficient of x^a y^b}, a primitive
+integer polynomial: f's denominators are cleared once, and each edge is one
+integer substitution pass over it (``_transform``).  Scaling f by a nonzero
+constant changes neither its Newton polygon nor its edge roots.
 """
 from __future__ import annotations
 
@@ -87,14 +89,19 @@ def _branch_edges(coeffs: dict[tuple[int, int], Fraction]):
 
 def _transform(f: dict, q: int, m: int, c: Fraction) -> dict:
     """Substitute x -> x^q, y -> x^m (c + y) and divide by x^L, L = min(a q + b m):
-    the edge terms become x^L P(c + y) for the edge polynomial P != 0."""
+    the edge terms become x^L P(c + y) for the edge polynomial P != 0.  In
+    integers: with c = num/den and B = deg_y f, the result is scaled by den^B,
+    each term coef C(b, k) num^(b-k) den^(B-b+k), and its content divided out."""
     shift = min(a * q + b * m for a, b in f)
-    acc: dict[tuple[int, int], Fraction] = {}
+    top = max(b for _, b in f)
+    scale = [c.numerator ** i * c.denominator ** (top - i) for i in range(top + 1)]
+    acc: dict[tuple[int, int], int] = {}
     for (a, b), coef in f.items():
         for k in range(b + 1):
             key = (a * q + b * m - shift, k)
-            acc[key] = acc.get(key, 0) + coef * math.comb(b, k) * c ** (b - k)
-    return {key: v for key, v in acc.items() if v}
+            acc[key] = acc.get(key, 0) + coef * math.comb(b, k) * scale[b - k]
+    g = math.gcd(*acc.values())
+    return {key: v // g for key, v in acc.items() if v}
 
 
 def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
@@ -108,7 +115,8 @@ def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
     needs precision > n >= 1, so a precision outside 2..MAX_PRECISION is refused."""
     if not 2 <= precision <= MAX_PRECISION:
         raise PrecisionError(f"precision {precision!r} is not between 2 and {MAX_PRECISION}")
-    cur = f.as_dict()
+    den = math.lcm(*[c.denominator for _, c in f.terms])
+    cur = {key: c.numerator * (den // c.denominator) for key, c in f.terms}
     if not cur:
         raise PuiseuxError("zero polynomial")
     if all(a > 0 for a, _ in cur):

@@ -1,22 +1,27 @@
 """Exact truncated power series in one variable over the rationals.
 
-A series is a finite set of (exponent, coefficient) pairs together with an
-explicit truncation order ``precision``: coefficients of t^j for
-j >= precision are unknown.  Every arithmetic operation propagates the
-truncation order conservatively, and any decision that would need an unknown
-coefficient raises :class:`~germflow.errors.PrecisionError` instead of
-guessing.
+A series is a dense tuple ``num`` of the integer numerators of t^0, t^1, ...
+over one positive denominator ``den``, with an explicit truncation order
+``precision``: coefficients of t^j for j >= precision are unknown.  One
+helper, ``_series``, trims and reduces every result (no trailing zero,
+gcd(den, *num) = 1), so equal series compare equal.  Every arithmetic
+operation propagates the truncation order conservatively, and any decision
+that would need an unknown coefficient raises
+:class:`~germflow.errors.PrecisionError` instead of guessing.
 
-``compose`` and ``invert_parameter`` (Newton reversion) are the reference
-implementation that the tests check ``in_terms_of`` against; the package
-does not call them; ``divide`` is checked against inverting the divisor and
-multiplying (``_divide_by_inverse`` in the tests).  Both kernels work on
-integer numerators over one running common denominator (``_store_reduced``)
-and build O(p) ``Fraction``s per call at precision p: ``in_terms_of`` is
-fraction-free triangular elimination, with O(p^3/6) integer multiply-adds,
-and ``divide`` is fraction-free long division, with O(p*terms) integer
-multiply-adds.  ``int_poly_mul`` is the one dense integer polynomial
-product, shared with ``mul`` and implicitization.
+The kernels read and write this form directly and build no ``Fraction``:
+``Fraction`` appears only at the edges, in ``from_terms`` (the parsers'
+constructor), the read-only view ``terms``, ``leading``, ``__str__`` and the
+reference ``compose`` and ``invert_parameter`` (Newton reversion).  The tests
+check ``in_terms_of`` against that reference, which the package does not
+call, and ``divide`` against inverting the divisor and multiplying
+(``_divide_by_inverse`` in the tests).  Both kernels pull their output one
+coefficient at a time as integer numerators over one running common
+denominator (``_store_reduced``): ``in_terms_of`` is fraction-free triangular
+elimination, with O(p^3/6) integer multiply-adds at precision p, and
+``divide`` is fraction-free long division, with O(p*terms) integer
+multiply-adds.  ``int_poly_mul`` is the one dense integer polynomial product,
+shared with ``mul`` and implicitization.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
@@ -55,10 +60,10 @@ def _scaled_power(m: float, s: int, t: complex, e: int) -> complex:
     return complex(math.ldexp(v.real, s + k * e), math.ldexp(v.imag, s + k * e))
 
 
-def int_poly_mul(a: list[int], b: list[int], length: int | None = None) -> list[int]:
-    """Product of dense integer polynomials (coefficient lists, low to high),
-    cut to its first ``length`` coefficients when a length is given; a zero
-    coefficient of either factor costs no multiplication."""
+def int_poly_mul(a, b, length: int | None = None) -> list[int]:
+    """Product of dense integer polynomials (coefficient sequences, low to
+    high), cut to its first ``length`` coefficients when a length is given; a
+    zero coefficient of either factor costs no multiplication."""
     n = len(a) + len(b) - 1 if length is None else min(length, len(a) + len(b) - 1)
     out = [0] * n
     nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
@@ -69,17 +74,6 @@ def int_poly_mul(a: list[int], b: list[int], length: int | None = None) -> list[
                     break
                 out[i + j] += ai * bj
     return out
-
-
-def _integer_coefficients(s: "TruncatedSeries", length: int) -> tuple[list[int], int]:
-    """(z, d): d is the lcm of the denominators of s, and z[e] = d * [t^e]s
-    for e < length, as a dense list."""
-    d = math.lcm(*[c.denominator for _, c in s.terms])
-    z = [0] * length
-    for e, c in s.terms:
-        if e < length:
-            z[e] = c.numerator * (d // c.denominator)
-    return z, d
 
 
 def _store_reduced(num: list[int], k: int, r: int, d: int, common: int) -> int:
@@ -100,20 +94,23 @@ def _store_reduced(num: list[int], k: int, r: int, d: int, common: int) -> int:
     return common
 
 
-def _clean(terms, precision):
-    out = []
-    for exp, coef in sorted(terms.items()):
-        if coef == 0 or exp >= precision:
-            continue
-        if exp < 0:
-            raise SeriesError(f"negative exponent {exp} in power series")
-        out.append((exp, coef))
-    return tuple(out)
+def _series(num, den: int, precision: int) -> "TruncatedSeries":
+    """The series sum_e num[e]/den t^e cut to precision, for den > 0, in the
+    stored form: no trailing zero, gcd(den, *num) = 1."""
+    k = min(len(num), precision)
+    while k and not num[k - 1]:
+        k -= 1
+    num = num[:k]
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [x // g for x in num], den // g
+    return TruncatedSeries(tuple(num), den, precision)
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    terms: tuple[tuple[int, Fraction], ...]
+    num: tuple[int, ...]
+    den: int
     precision: int
 
     # -- construction ------------------------------------------------------
@@ -122,12 +119,20 @@ class TruncatedSeries:
     def from_terms(terms: dict[int, Fraction], precision: int) -> "TruncatedSeries":
         if precision < 1:
             raise SeriesError("precision must be >= 1")
-        frac_terms = {int(e): Fraction(c) for e, c in terms.items()}
-        return TruncatedSeries(_clean(frac_terms, precision), precision)
+        coefs = {int(e): Fraction(c) for e, c in terms.items()}
+        coefs = {e: c for e, c in coefs.items() if c}
+        if coefs and min(coefs) < 0:
+            raise SeriesError(f"negative exponent {min(coefs)} in power series")
+        den = math.lcm(*[c.denominator for c in coefs.values()])
+        num = [0] * min(max(coefs, default=-1) + 1, precision)
+        for e, c in coefs.items():
+            if e < precision:
+                num[e] = c.numerator * (den // c.denominator)
+        return _series(num, den, precision)
 
     @staticmethod
     def monomial(exp: int, coef, precision: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_terms({exp: Fraction(coef)}, precision)
+        return TruncatedSeries.from_terms({exp: coef}, precision)
 
     @staticmethod
     def zero(precision: int) -> "TruncatedSeries":
@@ -135,32 +140,37 @@ class TruncatedSeries:
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero terms (e, coefficient), by increasing exponent."""
+        return tuple([(e, Fraction(x, self.den)) for e, x in enumerate(self.num) if x])
+
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.terms)
 
+    @cached_property
+    def _order(self) -> int | None:
+        return next((e for e, x in enumerate(self.num) if x), None)
+
     def order(self) -> int | None:
         """Smallest stored exponent, or None when zero up to precision."""
-        return self.terms[0][0] if self.terms else None
+        return self._order
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def leading(self) -> Fraction:
-        if not self.terms:
+        if not self.num:
             raise SeriesError("zero series has no leading coefficient")
-        return self.terms[0][1]
+        return Fraction(self.num[self._order], self.den)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.terms)
-
-    def degree_bound(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
+        return tuple([e for e, x in enumerate(self.num) if x])
 
     # -- ring operations ---------------------------------------------------
 
     def truncate(self, precision: int) -> "TruncatedSeries":
-        p = min(self.precision, precision)
-        return TruncatedSeries(tuple([(e, c) for e, c in self.terms if e < p]), p)
+        return _series(self.num, self.den, min(self.precision, precision))
 
     def with_precision(self, precision: int) -> "TruncatedSeries":
         """Re-declare the truncation order.
@@ -171,44 +181,39 @@ class TruncatedSeries:
         """
         if precision <= self.precision:
             return self.truncate(precision)
-        return TruncatedSeries(self.terms, precision)
+        return TruncatedSeries(self.num, self.den, precision)
 
     def neg(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple([(e, -c) for e, c in self.terms]), self.precision)
+        return TruncatedSeries(tuple([-x for x in self.num]), self.den, self.precision)
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         p = min(self.precision, other.precision)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return TruncatedSeries(_clean(acc, p), p)
+        g = math.gcd(self.den, other.den)
+        a_scale, b_scale = other.den // g, self.den // g  # to the common denominator
+        a, b = [x * a_scale for x in self.num[:p]], other.num[:p]
+        a += [0] * (len(b) - len(a))
+        for e, x in enumerate(b):
+            a[e] += x * b_scale
+        return _series(a, self.den * a_scale, p)
 
     def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self.add(other.neg())
 
     def scale(self, coef) -> "TruncatedSeries":
         coef = Fraction(coef)
-        if coef == 0:
-            return TruncatedSeries.zero(self.precision)
-        return TruncatedSeries(tuple([(e, c * coef) for e, c in self.terms]), self.precision)
+        return _series([x * coef.numerator for x in self.num],
+                       self.den * coef.denominator, self.precision)
 
     def add_const(self, coef) -> "TruncatedSeries":
-        coef, terms = Fraction(coef), self.terms
-        if terms and terms[0][0] == 0:
-            coef, terms = coef + terms[0][1], terms[1:]
-        head = ((0, coef),) if coef and self.precision > 0 else ()
-        return TruncatedSeries(head + terms, self.precision)
+        return self.add(TruncatedSeries.monomial(0, coef, self.precision))
 
     def _order_floor(self) -> int:
-        o = self.order()
+        o = self._order
         return o if o is not None else self.precision
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         p = min(self.precision + other._order_floor(), other.precision + self._order_floor())
-        (a, da), (b, db) = _integer_coefficients(self, p), _integer_coefficients(other, p)
-        den = da * db
-        return TruncatedSeries(tuple([(e, Fraction(x, den))
-                                      for e, x in enumerate(int_poly_mul(a, b, p)) if x]), p)
+        return _series(int_poly_mul(self.num, other.num, p), self.den * other.den, p)
 
     def pow(self, n: int) -> "TruncatedSeries":
         if n < 0:
@@ -231,19 +236,18 @@ class TruncatedSeries:
         orders prove the quotient is not a power series.  The quotient's
         precision is min(T_a, T_b + ord(a) - ord(b)) - ord(b).
 
-        Fraction-free long division.  Both series are shifted down by
-        ord(b); with da and db the lcms of their denominators, A = da*a and
-        B = db*b are integer series, and Q = A/B is pulled one coefficient at
-        a time, Q_k = (A_k - sum_{j>=1} B_j Q_{k-j}) / B_0, the Q_j held as
+        Fraction-free long division.  Both numerator series A and B are
+        shifted down by ord(b), and Q = A/B is pulled one coefficient at a
+        time, Q_k = (A_k - sum_{j>=1} B_j Q_{k-j}) / B_0, the Q_j held as
         integer numerators over one running common denominator, rescaled
-        only when a new Q_k brings a new factor.  The quotient is Q*db/da:
-        O(p*terms) integer multiply-adds and O(p) Fractions per call at
-        quotient precision p.
+        only when a new Q_k brings a new factor.  The quotient is Q times
+        the ratio of the two denominators: O(p*terms) integer multiply-adds
+        at quotient precision p.
         """
-        ob = other.order()
+        ob = other._order
         if ob is None:
             raise PrecisionError("divisor is zero up to its precision")
-        oa = self.order()
+        oa = self._order
         if oa is not None and oa < ob:
             raise SeriesError(f"quotient not a power series (orders {oa} < {ob})")
         prec = min(self.precision, other.precision + self._order_floor() - ob) - ob
@@ -251,61 +255,53 @@ class TruncatedSeries:
             raise PrecisionError("no precision left in quotient")
         if oa is None:
             return TruncatedSeries.zero(prec)
-        a, da = _integer_coefficients(self, prec + ob)
-        b, db = _integer_coefficients(other, prec + ob)
-        a, b = a[ob:], b[ob:]
+        a = self.num[ob:prec + ob]
+        b = other.num[ob:prec + ob]
         b0 = b[0]
         rest = [(j, c) for j, c in enumerate(b[1:], 1) if c]
         # Q_k = num[k] / common = (A_k common - sum_j B_j num[k-j]) / (common b0)
         num, common = [0] * prec, 1
         for k in range(oa - ob, prec):
-            r = a[k] * common
+            r = a[k] * common if k < len(a) else 0
             for j, c in rest:
                 if j > k:
                     break
                 r -= c * num[k - j]
             if r:
                 common = _store_reduced(num, k, r, common * b0, common)
-        out_den = common * da
-        # tuple() of a list, not of a generator: growing and shrinking the
-        # tuple's block fragments the allocator and shows in peak memory
-        return TruncatedSeries(tuple([(k, Fraction(x * db, out_den))
-                                      for k, x in enumerate(num) if x]), prec)
+        return _series([x * other.den for x in num], common * self.den, prec)
 
     def in_terms_of(self, base: "TruncatedSeries") -> "TruncatedSeries":
         """Series g with g(base(t)) = self(t) mod t^min(T_self, T_base).
 
         Fraction-free triangular elimination against base of order exactly 1.
-        With D the lcm of the base's denominators, B = D*base is an integer
-        series of t^1 coefficient lead, and h_j = g_j / D^j solves
+        With D the base's denominator, B = D*base is its integer numerator
+        series, of t^1 coefficient lead, and h_j = g_j / D^j solves
         self = sum_j h_j B^j, so h_k = (s_k - sum_{j<k} h_j [t^k]B^j) / lead^k.
         The powers B^j mod t^p are dense integer lists, and the h_j integer
         numerators over one running common denominator, rescaled only when
         a new h_k brings a new factor: O(p^3/6) integer multiply-adds for the
-        powers, one integer dot product per k, and O(p) Fractions per call.
+        powers and one integer dot product per k.
         """
-        if base.order() != 1:
+        if base._order != 1:
             raise SeriesError("graph elimination needs a base of order exactly 1")
         p = min(self.precision, base.precision)
-        if not self.terms or self.terms[0][0] >= p:  # often: the graph v = 0
+        if self._order is None or self._order >= p:  # often: the graph v = 0
             return TruncatedSeries.zero(p)
-        scaled, den = _integer_coefficients(base, p)
-        c1 = base.leading()  # read off the terms: p = 1 cuts t^1 from scaled
-        lead = c1.numerator * (den // c1.denominator)
-        target, sden = _integer_coefficients(self, p)
+        target = self.num[:p] + (0,) * (p - len(self.num))
+        lead = base.num[1]  # read off the numerators: p = 1 cuts t^1 from B
+        scaled = base.num[:p]
         powers = [[1] + [0] * (p - 1)]
         for _ in range(1, p):
             powers.append(int_poly_mul(powers[-1], scaled, p))
-        # h_j = num[j] / (common * sden), so the pulled sum is one dot product
+        # h_j = num[j] / (common * self.den), so the pulled sum is one dot product
         num, common, lead_k = [0] * p, 1, 1
         for k, column in enumerate(zip(*powers)):
             r = target[k] * common - sum(map(operator.mul, num, column))
             if r:
                 common = _store_reduced(num, k, r, common * lead_k, common)
             lead_k *= lead
-        out_den = common * sden
-        return TruncatedSeries(tuple([(k, Fraction(x * den ** k, out_den))
-                                      for k, x in enumerate(num) if x]), p)
+        return _series([x * base.den ** k for k, x in enumerate(num)], common * self.den, p)
 
     # -- composition -------------------------------------------------------
 
@@ -332,8 +328,8 @@ class TruncatedSeries:
         """d/dt, known to precision - 1 (PrecisionError when that is 0)."""
         if self.precision < 2:
             raise PrecisionError("no precision left in derivative")
-        return TruncatedSeries(
-            tuple([(e - 1, c * e) for e, c in self.terms if e >= 1]), self.precision - 1)
+        return _series([e * x for e, x in enumerate(self.num)][1:], self.den,
+                       self.precision - 1)
 
     def invert_parameter(self) -> "TruncatedSeries":
         """Compositional inverse of an order-1 series, by Newton iteration."""
@@ -355,9 +351,8 @@ class TruncatedSeries:
 
     def flip(self) -> "TruncatedSeries":
         """Substitute t -> -t."""
-        return TruncatedSeries(
-            tuple([(e, -c if e % 2 else c) for e, c in self.terms]), self.precision
-        )
+        return TruncatedSeries(tuple([-x if e % 2 else x for e, x in enumerate(self.num)]),
+                               self.den, self.precision)
 
     @cached_property
     def _float_terms(self) -> tuple[tuple[tuple[int, float], ...],
@@ -367,15 +362,17 @@ class TruncatedSeries:
         # converted on first evaluation, not at construction: most series
         # built during resolution and plan construction are never evaluated
         fits, scaled = [], []
-        for e, c in self.terms:
+        for e, x in enumerate(self.num):
+            if not x:
+                continue
             try:
-                f = float(c)
+                f = x / self.den  # correctly rounded, as float(Fraction(x, den)) is
             except OverflowError:
                 f = 0.0
             if abs(f) >= sys.float_info.min:
                 fits.append((e, f))
             else:
-                scaled.append((e, *_split(c)))
+                scaled.append((e, *_split(Fraction(x, self.den))))
         return tuple(fits), tuple(scaled)
 
     def eval(self, t: complex) -> complex:
@@ -413,7 +410,7 @@ class TruncatedSeries:
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return f"O(t^{self.precision})"
         parts = [f"{c}*t^{e}" for e, c in self.terms]
         return " + ".join(parts) + f" + O(t^{self.precision})"

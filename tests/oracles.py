@@ -188,7 +188,7 @@ def sylvester_oracle(b: Branch) -> BivarPoly:
     p[0] = BivarPoly.from_terms({(1, 0): Fraction(-1)})
     p[n] = const(1)
     # q(t) = y - y(t)
-    d = b.ys.degree_bound()
+    d = max(b.ys.support(), default=0)
     q = [zero() for _ in range(d + 1)]
     q[0] = BivarPoly.from_terms({(0, 1): Fraction(1)})
     for e, c in b.ys.terms:
@@ -319,7 +319,7 @@ def coefficient(s: TruncatedSeries, exp: int) -> Fraction:
 
 def shift(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """s times t^k (k may be negative if every exponent allows it)."""
-    return TruncatedSeries(tuple((e + k, c) for e, c in s.terms), s.precision + k)
+    return TruncatedSeries.from_terms({e + k: c for e, c in s.terms}, s.precision + k)
 
 
 # -- the glued stage field, integrated by RK4 ------------------------------------------

@@ -6,13 +6,12 @@ from fractions import Fraction
 
 from oracles import glued_flow
 
-from germflow import (Multiplicative, build_plan, char_exponents, delta_mu, dual_graph,
-                      equisingular, integrate_flow, mult_seq_from_char, parse_branch,
-                      resolve, semigroup, verify_isotopy)
+from germflow import (Multiplicative, build_plan, char_exponents, delta_from_mult, dual_graph,
+                      equisingular, integrate_flow, invariant_set, mult_seq_from_char,
+                      parse_branch, resolve, semigroup, verify_isotopy)
 from germflow.bivar import implicitize, poly_on_branch
 from germflow.branch import normalize_branch
 from germflow.cli import main
-from germflow.invariants import delta_from_mult
 from germflow.isotopy import BumpSpec
 from germflow.puiseux import newton_puiseux
 
@@ -33,10 +32,11 @@ def test_criterion_1_cusp_pipeline(corpus):
     c = char_exponents(b)
     assert (c.n, c.betas) == (2, (3,))
     assert semigroup(c) == (2, 3)
-    assert delta_mu(rd) == (1, 2)
+    delta = delta_from_mult(rd.multiplicities())
+    assert (delta, 2 * delta) == (1, 2)
     # both computation paths agree exactly
     assert mult_seq_from_char(c) == rd.multiplicities()
-    assert delta_from_mult(mult_seq_from_char(c)) == delta_mu(rd)[0]
+    assert delta_from_mult(mult_seq_from_char(c)) == delta
     report(1, "cusp pipeline: r, multiplicities, weights, edges, arrow, invariants")
 
 
@@ -56,9 +56,9 @@ def test_criterion_3_cross_oracle_invariants(corpus):
         seq_engine = rd.multiplicities()
         seq_euclid = mult_seq_from_char(char_exponents(b))
         assert seq_engine == seq_euclid, name
-        d_engine, mu = delta_mu(rd)
+        d_engine = delta_from_mult(seq_engine)
         assert d_engine == delta_from_mult(seq_euclid), name
-        assert mu == 2 * d_engine, name
+        assert invariant_set(b).milnor == 2 * d_engine, name
     report(3, f"{len(corpus)}-branch corpus: engine = Euclidean path, mu = 2*delta")
 
 

@@ -146,6 +146,13 @@ def test_poly_on_branch_refuses_a_non_monomial_x(xs):
         poly_on_branch(parse_poly("f = y^2 - x^3"), b)
 
 
+def test_zero_polynomial_has_no_leading_term():
+    # a typed error, as TruncatedSeries.leading raises for the zero series
+    assert BivarPoly.from_terms({(1, 1): Fraction(1, 2)}).leading() == ((1, 1), Fraction(1, 2))
+    with pytest.raises(SeriesError, match="zero polynomial has no leading term"):
+        parse_poly("f = x - x").leading()
+
+
 def test_poly_text_roundtrip():
     f = implicitize(parse_branch("x = t^2\ny = t^3 + t^4"))
     assert parse_poly(poly_to_text(f)) == f

@@ -28,10 +28,15 @@
   with the convolution step ``out[i + j] += ...``; ``implicitize``,
   ``in_terms_of`` and ``TruncatedSeries.mul`` all call it, so no module
   keeps a second copy.
-- The exact kernels keep ``Fraction`` arithmetic out of their loops: no
-  ``for`` or ``while`` loop in ``TruncatedSeries.divide`` or ``in_terms_of``
-  holds a true division ``/`` or a ``Fraction(...)`` call; each builds its
-  output ``Fraction``s once, after the loop.
+- One exact representation: ``TruncatedSeries`` has exactly the fields
+  ``num``, ``den`` and ``precision`` (integer numerators over one
+  denominator), and no module defines the retired conversions
+  ``_integer_coefficients`` and ``_clean``.  The exact kernels build no
+  ``Fraction`` at all: ``TruncatedSeries.mul``, ``add``, ``divide`` and
+  ``in_terms_of`` and ``puiseux._transform`` hold no true division ``/``
+  and no ``Fraction(...)`` call.  ``bivar.implicitize`` and
+  ``branch.normalize_branch`` read no ``.terms``, the ``Fraction`` view of a
+  series, but its numerators.
 - One resolution function, no repeated resolutions: ``resolution.resolve``
   reads a branch only as deep as its blowups need, and only
   ``resolution.py`` calls the single-attempt blowup walk ``_walk``.
@@ -117,7 +122,7 @@ TEST_ONLY_HELPERS = ("semigroup_elements", "proximity_matrix", "invert_unit")
 RETIRED_NAMES = ("FieldSpec", "multiplicative_field", "graph_match_field", "_raw_field",
                  "_speed", "_update_moving_state", "_slope_after_shear", "_golden_min",
                  "Config", "_rk4", "_rk4_steps", "MAX_RK4_STEPS", "bump_value",
-                 "resolve_graph")
+                 "resolve_graph", "_integer_coefficients", "_clean")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -209,30 +214,37 @@ def test_one_dense_integer_product(path):
         assert _calls_of(_function(path, name), "int_poly_mul"), f"{path.name}: {name}"
 
 
-EXACT_KERNELS = ("divide", "in_terms_of")
+EXACT_KERNELS = {"series.py": ("mul", "add", "divide", "in_terms_of"),
+                 "puiseux.py": ("_transform",)}
 
 
-def _fraction_steps_in_loops(func):
+def _fraction_steps(func):
     """Lines of the true divisions (``/``, ``/=``) and ``Fraction(...)``
-    calls inside a ``for`` or ``while`` statement of a function."""
-    for loop in ast.walk(func):
-        if isinstance(loop, (ast.For, ast.While)):
-            for node in ast.walk(loop):
-                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) \
-                        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                        and node.func.id == "Fraction":
-                    yield node.lineno
+    calls in a function."""
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) \
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "Fraction":
+            yield node.lineno
 
 
 def test_exact_kernels_keep_fractions_out_of_their_loops():
-    path = next(p for p in SOURCES if p.name == "series.py")
-    cls = next(node for node in ast.walk(_tree(path))
-               if isinstance(node, ast.ClassDef) and node.name == "TruncatedSeries")
-    kernels = {node.name: node for node in cls.body
-               if isinstance(node, ast.FunctionDef) and node.name in EXACT_KERNELS}
-    assert sorted(kernels) == sorted(EXACT_KERNELS)
-    hits = {name: sorted(set(_fraction_steps_in_loops(func))) for name, func in kernels.items()}
-    assert hits == {name: [] for name in EXACT_KERNELS}, f"Fraction steps in loops: {hits}"
+    hits = {}
+    for name, kernels in EXACT_KERNELS.items():
+        path = next(p for p in SOURCES if p.name == name)
+        for kernel in kernels:
+            hits[f"{name}:{kernel}"] = sorted(set(_fraction_steps(_function(path, kernel))))
+    assert hits == {key: [] for key in hits}, f"Fraction steps in kernels: {hits}"
+
+
+def test_one_exact_series_representation():
+    series = next(p for p in SOURCES if p.name == "series.py")
+    assert _class_fields(series, "TruncatedSeries") == ["num", "den", "precision"]
+    for name, func in (("bivar.py", "implicitize"), ("branch.py", "normalize_branch")):
+        path = next(p for p in SOURCES if p.name == name)
+        reads = [node.lineno for node in ast.walk(_function(path, func))
+                 if isinstance(node, ast.Attribute) and node.attr == "terms"]
+        assert reads == [], f"{name}: {func} reads .terms at lines {reads}"
 
 
 def _calls_of(tree, name):
