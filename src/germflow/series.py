@@ -148,13 +148,10 @@ class TruncatedSeries:
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.terms)
 
-    @cached_property
-    def _order(self) -> int | None:
-        return next((e for e, x in enumerate(self.num) if x), None)
-
     def order(self) -> int | None:
         """Smallest stored exponent, or None when zero up to precision."""
-        return self._order
+        # the last numerator is nonzero, so the first nonzero one exists
+        return self.num.index(next(filter(None, self.num))) if self.num else None
 
     def is_zero(self) -> bool:
         return not self.num
@@ -162,7 +159,7 @@ class TruncatedSeries:
     def leading(self) -> Fraction:
         if not self.num:
             raise SeriesError("zero series has no leading coefficient")
-        return Fraction(self.num[self._order], self.den)
+        return Fraction(self.num[self.order()], self.den)
 
     def support(self) -> tuple[int, ...]:
         return tuple([e for e, x in enumerate(self.num) if x])
@@ -205,10 +202,14 @@ class TruncatedSeries:
                        self.den * coef.denominator, self.precision)
 
     def add_const(self, coef) -> "TruncatedSeries":
-        return self.add(TruncatedSeries.monomial(0, coef, self.precision))
+        coef = Fraction(coef)
+        den = math.lcm(self.den, coef.denominator)
+        num = [x * (den // self.den) for x in self.num] or [0]
+        num[0] += coef.numerator * (den // coef.denominator)
+        return _series(num, den, self.precision)
 
     def _order_floor(self) -> int:
-        o = self._order
+        o = self.order()
         return o if o is not None else self.precision
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -244,10 +245,10 @@ class TruncatedSeries:
         the ratio of the two denominators: O(p*terms) integer multiply-adds
         at quotient precision p.
         """
-        ob = other._order
+        ob = other.order()
         if ob is None:
             raise PrecisionError("divisor is zero up to its precision")
-        oa = self._order
+        oa = self.order()
         if oa is not None and oa < ob:
             raise SeriesError(f"quotient not a power series (orders {oa} < {ob})")
         prec = min(self.precision, other.precision + self._order_floor() - ob) - ob
@@ -283,10 +284,10 @@ class TruncatedSeries:
         a new h_k brings a new factor: O(p^3/6) integer multiply-adds for the
         powers and one integer dot product per k.
         """
-        if base._order != 1:
+        if base.order() != 1:
             raise SeriesError("graph elimination needs a base of order exactly 1")
         p = min(self.precision, base.precision)
-        if self._order is None or self._order >= p:  # often: the graph v = 0
+        if self.order() is None or self.order() >= p:  # often: the graph v = 0
             return TruncatedSeries.zero(p)
         target = self.num[:p] + (0,) * (p - len(self.num))
         lead = base.num[1]  # read off the numerators: p = 1 cuts t^1 from B
