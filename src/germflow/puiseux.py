@@ -50,7 +50,7 @@ def _edge_root(psi: list[Fraction]) -> tuple[Fraction, int]:
     return r, d
 
 
-def _branch_edges(coeffs: dict[tuple[int, int], Fraction]):
+def _branch_edges(coeffs: dict[tuple[int, int], int]):
     """Negative-slope edges of the Newton polygon at the origin.
 
     Each edge is (q, m, psi): the edge exponent is m/q in lowest terms and

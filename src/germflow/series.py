@@ -287,7 +287,7 @@ class TruncatedSeries:
         if base.order() != 1:
             raise SeriesError("graph elimination needs a base of order exactly 1")
         p = min(self.precision, base.precision)
-        if self.order() is None or self.order() >= p:  # often: the graph v = 0
+        if self._order_floor() >= p:  # often: the graph v = 0
             return TruncatedSeries.zero(p)
         target = self.num[:p] + (0,) * (p - len(self.num))
         lead = base.num[1]  # read off the numerators: p = 1 cuts t^1 from B

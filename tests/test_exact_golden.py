@@ -40,10 +40,10 @@ def _member(rng, n, betas, height):
     exps = sorted({*betas, *rng.sample(range(n, betas[-1] + n), 2)})
     terms = {e: Fraction(rng.randint(1, height) * rng.choice((-1, 1)), rng.randint(1, height))
              for e in exps}
-    y = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} t^{e}" for e, c in terms.items())
     # the grammar has no unary minus: the first coefficient carries its sign
-    first = y.index("t^")
-    return f"x = t^{n}\ny = {y[:first].replace(' ', '').lstrip('+')} {y[first:]}\n"
+    (e0, c0), *rest = terms.items()
+    y = f"{c0} t^{e0}" + "".join(f" {'-' if c < 0 else '+'} {abs(c)} t^{e}" for e, c in rest)
+    return f"x = t^{n}\ny = {y}\n"
 
 
 def branch_texts():
