@@ -8,7 +8,8 @@ Chart conventions for the blowup of the origin of a chart with coordinates
 
 Chart B is chart A with x and y exchanged (``swapped``; Casas-Alvero,
 Singularities of Plane Curves, 2000, 3.2), so each chart rule is written for
-chart A alone.  Chart A is used when ord y(t) >= ord x(t) (the branch
+chart A alone; the blowup step itself reads the two coordinates the other
+way round for chart B.  Chart A is used when ord y(t) >= ord x(t) (the branch
 direction is a finite slope), chart B otherwise.  After the substitution the
 new point on the exceptional line is moved to the chart origin by
 translating the non-exceptional coordinate by its constant term c.  The
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .branch import MAX_PRECISION, Branch
 from .errors import PrecisionError, ResolutionError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _quotient, _series
 
 INF = float("inf")  # slope of a branch tangent to {u = 0}
 
@@ -88,15 +89,30 @@ def reciprocal(slope):
     return INF if slope == 0 else Fraction(0) if slope is INF else 1 / Fraction(slope)
 
 
-def state_multiplicity(state: ChartState) -> int:
-    ox, oy = state.xs.order(), state.ys.order()
-    if ox is None and oy is None:
-        raise ResolutionError("degenerate state: both coordinates vanish identically")
+def _multiplicity(xs: TruncatedSeries, ys: TruncatedSeries, ox, oy) -> int:
+    """The multiplicity of the branch (xs, ys) of coordinate orders ox, oy."""
     if ox is None:
-        return state_multiplicity(swapped(state))
-    if oy is None and ox > state.ys.precision:
+        if oy is None:
+            raise ResolutionError("degenerate state: both coordinates vanish identically")
+        xs, ys, ox, oy = ys, xs, oy, ox
+    if oy is None and ox > ys.precision:
         raise PrecisionError("cannot compare orders at this precision")
     return ox if oy is None else min(ox, oy)
+
+
+def _slope(xs: TruncatedSeries, ys: TruncatedSeries, ox, oy):
+    """The tangent direction of the branch (xs, ys) of coordinate orders ox, oy."""
+    if ox is None and oy is None:
+        raise ResolutionError("degenerate state")
+    if ox is None or (oy is not None and oy < ox):  # tangent to {u = 0}
+        if ox is None and oy >= xs.precision:
+            raise PrecisionError("cannot decide the tangent direction at this precision")
+        return INF
+    if oy is None and ox >= ys.precision:
+        raise PrecisionError("cannot decide the tangent direction at this precision")
+    if oy is None or oy > ox:
+        return Fraction(0)
+    return Fraction(ys.num[oy] * xs.den, xs.num[ox] * ys.den)
 
 
 def state_slope(state: ChartState):
@@ -105,39 +121,41 @@ def state_slope(state: ChartState):
     Returns a Fraction (possibly 0) for the direction v = slope * u, or INF
     for the direction along {u = 0}, the reciprocal of the exchanged state's.
     """
-    ox, oy = state.xs.order(), state.ys.order()
-    if ox is None and oy is None:
-        raise ResolutionError("degenerate state")
-    if ox is None or (oy is not None and oy < ox):
-        return reciprocal(state_slope(swapped(state)))
-    if oy is None and ox >= state.ys.precision:
-        raise PrecisionError("cannot decide the tangent direction at this precision")
-    if oy is None or oy > ox:
-        return Fraction(0)
-    return state.ys.leading() / state.xs.leading()
+    return _slope(state.xs, state.ys, state.xs.order(), state.ys.order())
 
 
 def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
-    """One blowup in the given chart, recentred by translation c."""
-    if chart == "B":
-        return swapped(apply_step(swapped(state), "A", c))
-    v = state.ys.divide(state.xs).add_const(-c)
-    if v.order() == 0:
+    """One blowup in the given chart, recentred by translation c.
+
+    An exact kernel: in chart A the moving coordinate is y and the fixed one
+    x (in chart B the other way round), and the new moving coordinate
+    moving / fixed - c is one integer pass, ``series._quotient``, whose
+    constant numerator must equal c over the quotient's denominator (else
+    ResolutionError) and is then set to zero; ``_series`` reduces the result
+    once.
+    """
+    fixed, moving = (state.ys, state.xs) if chart == "B" else (state.xs, state.ys)
+    num, den, prec = _quotient(moving, fixed)
+    if (num[0] if num else 0) * c.denominator != c.numerator * den:
         raise ResolutionError("translation does not move the centre to the chart origin")
-    return ChartState(
-        xs=state.xs,
-        ys=v,
-        u_label=state.level + 1,
-        v_label=state.v_label if c == 0 else None,
-        level=state.level + 1,
-    )
+    if num:
+        num[0] = 0
+    v = _series(num, den, prec)
+    level = state.level + 1
+    if chart == "B":
+        return ChartState(xs=v, ys=fixed, u_label=state.u_label if c == 0 else None,
+                          v_label=level, level=level)
+    return ChartState(xs=fixed, ys=v, u_label=level,
+                      v_label=state.v_label if c == 0 else None, level=level)
 
 
 def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
-    m = state_multiplicity(state)
+    xs, ys = state.xs, state.ys
+    ox, oy = xs.order(), ys.order()
+    m = _multiplicity(xs, ys, ox, oy)
     prox = state.labels()
-    slope = state_slope(state)  # chart B for a tangent along {u = 0}
-    chart, c = ("B", Fraction(0)) if slope is INF else ("A", Fraction(slope))
+    slope = _slope(xs, ys, ox, oy)  # chart B for a tangent along {u = 0}
+    chart, c = ("B", Fraction(0)) if slope is INF else ("A", slope)
     rec = StepRecord(
         centre=state.level + 1,
         multiplicity=m,
@@ -152,10 +170,12 @@ def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
 def is_terminal(state: ChartState) -> bool:
     """Minimal embedded resolution reached: smooth branch, transverse to a
     single exceptional component at a free point."""
-    if len(state.labels()) != 1 or state_multiplicity(state) != 1:
+    if (state.u_label is None) == (state.v_label is None):  # not a single label
         return False
-    cutting = state.xs if state.u_label is not None else state.ys
-    return cutting.order() == 1
+    ox, oy = state.xs.order(), state.ys.order()
+    if _multiplicity(state.xs, state.ys, ox, oy) != 1:
+        return False
+    return (ox if state.u_label is not None else oy) == 1
 
 
 def initial_state(b: Branch) -> ChartState:

@@ -19,9 +19,12 @@ call, and ``divide`` against inverting the divisor and multiplying
 coefficient at a time as integer numerators over one running common
 denominator (``_store_reduced``): ``in_terms_of`` is fraction-free triangular
 elimination, with O(p^3/6) integer multiply-adds at precision p, and
-``divide`` is fraction-free long division, with O(p*terms) integer
-multiply-adds.  ``int_poly_mul`` is the one dense integer polynomial product,
-shared with ``mul`` and implicitization.
+``_quotient`` is fraction-free long division, with O(p*terms) integer
+multiply-adds, or a shift when the divisor is a monomial.  ``_quotient``
+returns the unreduced numerators, so ``divide`` and the blowup's chart step
+(``resolution.apply_step``, which also translates the constant numerator)
+each reduce once with ``_series``.  ``int_poly_mul`` is the one dense integer
+polynomial product, shared with ``mul`` and implicitization.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
@@ -105,6 +108,55 @@ def _series(num, den: int, precision: int) -> "TruncatedSeries":
     if g != 1:
         num, den = [x // g for x in num], den // g
     return TruncatedSeries(tuple(num), den, precision)
+
+
+def _quotient(a: "TruncatedSeries", b: "TruncatedSeries") -> tuple[list[int], int, int]:
+    """The quotient q with a = b * q as (num, den, precision), q = num/den,
+    before ``_series`` trims and reduces it.
+
+    Errors when the divisor has no visible terms, or when the visible
+    orders prove the quotient is not a power series.  The quotient's
+    precision is min(T_a, T_b + ord(a) - ord(b)) - ord(b).
+
+    A divisor with one term that the quotient reads is a shift and a sign
+    fix, reduced once by the caller.  Any other divisor takes
+    fraction-free long division: both numerator series A and B are shifted
+    down by ord(b), and Q = A/B is pulled one coefficient at a time,
+    Q_k = (A_k - sum_{j>=1} B_j Q_{k-j}) / B_0, the Q_j held as integer
+    numerators over one running common denominator, rescaled only when a
+    new Q_k brings a new factor.  The quotient is Q times the ratio of the
+    two denominators: O(p*terms) integer multiply-adds at quotient
+    precision p.
+    """
+    ob = b.order()
+    if ob is None:
+        raise PrecisionError("divisor is zero up to its precision")
+    oa = a.order()
+    if oa is not None and oa < ob:
+        raise SeriesError(f"quotient not a power series (orders {oa} < {ob})")
+    prec = min(a.precision, b.precision + (a.precision if oa is None else oa) - ob) - ob
+    if prec <= 0:
+        raise PrecisionError("no precision left in quotient")
+    if oa is None:
+        return [], 1, prec
+    an = a.num[ob:prec + ob]
+    bn = b.num[ob:prec + ob]
+    b0 = bn[0]
+    rest = [(j, c) for j, c in enumerate(bn[1:], 1) if c]
+    if not rest:  # a / (b0/db t^ob) = A db / (da b0), shifted down by ob
+        scale = b.den if b0 > 0 else -b.den
+        return [x * scale for x in an], a.den * abs(b0), prec
+    # Q_k = num[k] / common = (A_k common - sum_j B_j num[k-j]) / (common b0)
+    num, common = [0] * prec, 1
+    for k in range(oa - ob, prec):
+        r = an[k] * common if k < len(an) else 0
+        for j, c in rest:
+            if j > k:
+                break
+            r -= c * num[k - j]
+        if r:
+            common = _store_reduced(num, k, r, common * b0, common)
+    return [x * b.den for x in num], common * a.den, prec
 
 
 @dataclass(frozen=True)
@@ -231,46 +283,8 @@ class TruncatedSeries:
         return TruncatedSeries.monomial(0, 1, self.precision) if out is None else out
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Quotient q with self = other * q.
-
-        Errors when the divisor has no visible terms, or when the visible
-        orders prove the quotient is not a power series.  The quotient's
-        precision is min(T_a, T_b + ord(a) - ord(b)) - ord(b).
-
-        Fraction-free long division.  Both numerator series A and B are
-        shifted down by ord(b), and Q = A/B is pulled one coefficient at a
-        time, Q_k = (A_k - sum_{j>=1} B_j Q_{k-j}) / B_0, the Q_j held as
-        integer numerators over one running common denominator, rescaled
-        only when a new Q_k brings a new factor.  The quotient is Q times
-        the ratio of the two denominators: O(p*terms) integer multiply-adds
-        at quotient precision p.
-        """
-        ob = other.order()
-        if ob is None:
-            raise PrecisionError("divisor is zero up to its precision")
-        oa = self.order()
-        if oa is not None and oa < ob:
-            raise SeriesError(f"quotient not a power series (orders {oa} < {ob})")
-        prec = min(self.precision, other.precision + self._order_floor() - ob) - ob
-        if prec <= 0:
-            raise PrecisionError("no precision left in quotient")
-        if oa is None:
-            return TruncatedSeries.zero(prec)
-        a = self.num[ob:prec + ob]
-        b = other.num[ob:prec + ob]
-        b0 = b[0]
-        rest = [(j, c) for j, c in enumerate(b[1:], 1) if c]
-        # Q_k = num[k] / common = (A_k common - sum_j B_j num[k-j]) / (common b0)
-        num, common = [0] * prec, 1
-        for k in range(oa - ob, prec):
-            r = a[k] * common if k < len(a) else 0
-            for j, c in rest:
-                if j > k:
-                    break
-                r -= c * num[k - j]
-            if r:
-                common = _store_reduced(num, k, r, common * b0, common)
-        return _series([x * other.den for x in num], common * self.den, prec)
+        """Quotient q with self = other * q (see ``_quotient``)."""
+        return _series(*_quotient(self, other))
 
     def in_terms_of(self, base: "TruncatedSeries") -> "TruncatedSeries":
         """Series g with g(base(t)) = self(t) mod t^min(T_self, T_base).

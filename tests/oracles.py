@@ -30,6 +30,13 @@ shift of t, and must give the same terms and precision.
 ``coefficient`` and ``shift`` read one coefficient of a series and multiply
 it by t^k; only the tests use them.
 
+``chart_step``, ``chart_slope`` and ``chart_blowup_step`` are the blowup step
+as the package once took it, in two steps: ``divide`` and then
+``add_const(-c)``, each reducing its result, with chart B as chart A of the
+``swapped`` state and the slope as the quotient of the two ``leading()``
+coefficients.  ``resolution.apply_step`` and ``blowup_step`` take the step
+in one integer pass and must give the same states, records and errors.
+
 ``glued_flow`` is the time-1 flow of a stage field glued by its cut-off
 ``bump_value``, integrated by fixed-step RK4 from the raw speed
 (``raw_speed``, with the multiplicative rate ``log_ratio``).  The package never
@@ -43,8 +50,8 @@ import math
 from fractions import Fraction
 
 from germflow import Branch, BivarPoly, BumpSpec, GraphMatch, Multiplicative, eval_branch
-from germflow.errors import PrecisionError, SeriesError
-from germflow.resolution import ResolutionData
+from germflow.errors import PrecisionError, ResolutionError, SeriesError
+from germflow.resolution import INF, ChartState, ResolutionData, StepRecord, reciprocal, swapped
 from germflow.series import TruncatedSeries
 
 
@@ -320,6 +327,53 @@ def coefficient(s: TruncatedSeries, exp: int) -> Fraction:
 def shift(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """s times t^k (k may be negative if every exponent allows it)."""
     return TruncatedSeries.from_terms({e + k: c for e, c in s.terms}, s.precision + k)
+
+
+# -- the blowup step in two passes ---------------------------------------------------
+
+def chart_multiplicity(state: ChartState) -> int:
+    ox, oy = state.xs.order(), state.ys.order()
+    if ox is None and oy is None:
+        raise ResolutionError("degenerate state: both coordinates vanish identically")
+    if ox is None:
+        return chart_multiplicity(swapped(state))
+    if oy is None and ox > state.ys.precision:
+        raise PrecisionError("cannot compare orders at this precision")
+    return ox if oy is None else min(ox, oy)
+
+
+def chart_slope(state: ChartState):
+    """The tangent slope: a Fraction, or INF along {u = 0}."""
+    ox, oy = state.xs.order(), state.ys.order()
+    if ox is None and oy is None:
+        raise ResolutionError("degenerate state")
+    if ox is None or (oy is not None and oy < ox):
+        return reciprocal(chart_slope(swapped(state)))
+    if oy is None and ox >= state.ys.precision:
+        raise PrecisionError("cannot decide the tangent direction at this precision")
+    if oy is None or oy > ox:
+        return Fraction(0)
+    return state.ys.leading() / state.xs.leading()
+
+
+def chart_step(state: ChartState, chart: str, c) -> ChartState:
+    """One blowup in the given chart, recentred by translation c."""
+    if chart == "B":
+        return swapped(chart_step(swapped(state), "A", c))
+    v = state.ys.divide(state.xs).add_const(-c)
+    if v.order() == 0:
+        raise ResolutionError("translation does not move the centre to the chart origin")
+    return ChartState(state.xs, v, state.level + 1, state.v_label if c == 0 else None,
+                      state.level + 1)
+
+
+def chart_blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
+    m = chart_multiplicity(state)
+    prox = state.labels()
+    slope = chart_slope(state)
+    chart, c = ("B", Fraction(0)) if slope is INF else ("A", Fraction(slope))
+    rec = StepRecord(state.level + 1, m, prox, len(prox) == 2, chart, c)
+    return chart_step(state, chart, c), rec
 
 
 # -- the glued stage field, integrated by RK4 ------------------------------------------

@@ -6,14 +6,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import proximity_matrix
+from oracles import chart_blowup_step, chart_step, proximity_matrix
 
 from germflow import (char_exponents, implicitize, mult_seq_from_char, newton_puiseux,
                       parse_branch, resolution, resolve)
 from germflow.branch import MAX_PRECISION, Branch
-from germflow.errors import PrecisionError, ResolutionError
+from germflow.errors import PrecisionError, ResolutionError, SeriesError
 from germflow.resolution import (INF, ChartState, apply_step, blowup_step, dual_graph,
                                  initial_state, is_terminal, state_slope, swapped)
 from germflow.series import TruncatedSeries
@@ -425,3 +425,86 @@ def test_an_exact_branch_resolves_as_its_walk_at_the_ceiling(b):
     if full[0] is not PrecisionError:  # the walk completed
         assert tuple(step.multiplicity for step in full) == \
             mult_seq_from_char(char_exponents(b))
+
+
+_CHART_COEFFICIENTS = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def chart_series(draw):
+    """A chart coordinate: zero, a monomial or a dense series of order 0-4,
+    with leads of either sign, to precision 1-14."""
+    precision = draw(st.integers(1, 14))
+    # weighted away from zero, which every chart step refuses as a divisor
+    kind = draw(st.sampled_from(["zero", "monomial", "monomial", "dense", "dense", "dense"]))
+    if kind == "zero":
+        return TruncatedSeries.zero(precision)
+    order = draw(st.integers(0, min(4, precision - 1)))
+    terms = {order: draw(_CHART_COEFFICIENTS)}
+    if kind == "dense":
+        for e in range(order + 1, precision + 2):  # a term past the precision is cut
+            terms[e] = draw(st.one_of(st.just(0), _CHART_COEFFICIENTS))
+    return S(terms, precision)
+
+
+@st.composite
+def chart_states(draw):
+    level = draw(st.integers(0, 3))
+    label = st.one_of(st.none(), st.integers(1, level)) if level else st.none()
+    return ChartState(draw(chart_series()), draw(chart_series()), draw(label), draw(label),
+                      level)
+
+
+def _step_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionError, ResolutionError, SeriesError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def translations(draw, state, chart):
+    """0, the translation that recentres the step (the quotient's constant
+    term, when there is one), or any other rational."""
+    kind = draw(st.sampled_from(["zero", "centre", "other"]))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "other":
+        return draw(_CHART_COEFFICIENTS)
+    fixed, moving = (state.ys, state.xs) if chart == "B" else (state.xs, state.ys)
+    try:
+        return moving.divide(fixed).as_dict().get(0, Fraction(0))
+    except (PrecisionError, SeriesError):
+        return Fraction(0)
+
+
+def _chart_case(xs, ys, chart, c, u_label=None, v_label=None):
+    return ChartState(S(xs, 8), S(ys, 8), u_label, v_label, 1), chart, Fraction(c)
+
+
+@settings(max_examples=200)
+@given(st.tuples(chart_states(), st.sampled_from("AB")).flatmap(
+    lambda sc: st.tuples(st.just(sc[0]), st.just(sc[1]), translations(*sc))))
+@example(_chart_case({2: 1}, {}, "B", 0))  # zero divisor
+@example(_chart_case({2: 1}, {3: 1}, "B", 0))  # orders
+@example((ChartState(S({1: 1}, 8), S({1: 1}, 1)), "A", Fraction(1)))  # no precision left
+@example(_chart_case({2: 1}, {3: 1}, "A", 5))  # translation
+@example(_chart_case({2: -3}, {}, "A", 0))  # zero moving coordinate
+@example(_chart_case({2: 4, 3: -1}, {2: -6, 5: 2}, "A", Fraction(-3, 2)))  # dense, recentred
+@example(_chart_case({2: 3, 3: 1}, {2: -2}, "B", Fraction(-3, 2), 1, 1))  # recentred
+def test_apply_step_matches_the_two_pass_chart_step(case):
+    # the same state, or the same error type and message
+    state, chart, c = case
+    assert _step_outcome(apply_step, state, chart, c) == _step_outcome(chart_step, state,
+                                                                       chart, c)
+
+
+@settings(max_examples=200)
+@given(chart_states())
+@example(ChartState(TruncatedSeries.zero(5), TruncatedSeries.zero(5)))  # degenerate
+@example(ChartState(S({2: 1}, 5), S({}, 1)))  # cannot compare orders
+@example(ChartState(S({2: 1}, 5), S({}, 3)))  # cannot decide the tangent
+@example(ChartState(S({}, 2), S({2: 1}, 5)))  # the same, along {u = 0}
+@example(ChartState(S({2: -4, 3: 1}, 9), S({2: 6, 4: -1}, 9), 1, None, 1))
+def test_blowup_step_matches_the_two_pass_chart_step(state):
+    assert _step_outcome(blowup_step, state) == _step_outcome(chart_blowup_step, state)

@@ -149,6 +149,26 @@ def test_divide_matches_inverse_then_multiply(a, b):
     assert _outcome(a.divide, b) == _outcome(_divide_by_inverse, a, b)
 
 
+@pytest.mark.parametrize("a, b", [
+    (S({2: Fraction(-7, 3), 5: 4}, 9), S({2: 5}, 9)),
+    (S({3: 2, 4: Fraction(-1, 6)}, 10), S({1: Fraction(-9, 4)}, 10)),
+    (S({}, 7), S({2: Fraction(3, 5)}, 7)),
+    (S({2: 3, 3: 1}, 3), S({2: -2}, 8)),
+    # a nonzero dividend leaves a quotient precision of at least 1, so only
+    # a dividend zero up to its precision <= ord b leaves none
+    (S({2: 1}, 2), S({2: 3}, 9)),
+    (S({}, 1), S({3: Fraction(-2, 7)}, 5)),
+], ids=["negative-coefficient", "non-unit-denominator", "zero-dividend", "precision-1",
+        "precision-0-refused", "negative-precision-refused"])
+def test_divide_by_a_monomial_matches_inverse_then_multiply(a, b):
+    q = _outcome(a.divide, b)
+    assert q == _outcome(_divide_by_inverse, a, b)
+    if isinstance(q, tuple):
+        assert q == (PrecisionError, "no precision left in quotient")
+    elif q.precision == 1:
+        assert q.as_dict() == {0: Fraction(-3, 2)}
+
+
 def _bench_scale_divisions():
     """Dividend and divisor pairs shaped like the blowup's chart divisions on
     the benchmark: precision up to 64, divisors of 10+ terms, coefficients

@@ -28,13 +28,18 @@
   with the convolution step ``out[i + j] += ...``; ``implicitize``,
   ``in_terms_of`` and ``TruncatedSeries.mul`` all call it, so no module
   keeps a second copy.
+- One long division: ``series._quotient`` is the only function with the
+  recurrence step ``r -= ... * num[k - j]``; ``TruncatedSeries.divide`` and
+  the blowup's chart step ``resolution.apply_step`` both call it, so the
+  chart step divides and translates in one integer pass.
 - One exact representation: ``TruncatedSeries`` has exactly the fields
   ``num``, ``den`` and ``precision`` (integer numerators over one
   denominator), and no module defines the retired conversions
   ``_integer_coefficients`` and ``_clean``.  The exact kernels build no
   ``Fraction`` at all: ``TruncatedSeries.mul``, ``add``, ``divide`` and
-  ``in_terms_of`` and ``puiseux._transform`` hold no true division ``/``
-  and no ``Fraction(...)`` call.  ``bivar.implicitize`` and
+  ``in_terms_of``, the quotient kernel ``series._quotient``, the chart step
+  ``resolution.apply_step`` and ``puiseux._transform`` hold no true
+  division ``/`` and no ``Fraction(...)`` call.  ``bivar.implicitize`` and
   ``branch.normalize_branch`` read no ``.terms``, the ``Fraction`` view of a
   series, but its numerators.
 - One resolution function, no repeated resolutions: ``resolution.resolve``
@@ -214,7 +219,8 @@ def test_one_dense_integer_product(path):
         assert _calls_of(_function(path, name), "int_poly_mul"), f"{path.name}: {name}"
 
 
-EXACT_KERNELS = {"series.py": ("mul", "add", "divide", "in_terms_of"),
+EXACT_KERNELS = {"series.py": ("mul", "add", "divide", "_quotient", "in_terms_of"),
+                 "resolution.py": ("apply_step",),
                  "puiseux.py": ("_transform",)}
 
 
@@ -235,6 +241,29 @@ def test_exact_kernels_keep_fractions_out_of_their_loops():
         for kernel in kernels:
             hits[f"{name}:{kernel}"] = sorted(set(_fraction_steps(_function(path, kernel))))
     assert hits == {key: [] for key in hits}, f"Fraction steps in kernels: {hits}"
+
+
+def _long_division_owners(tree):
+    """Names of the functions with a step ``r -= ... * x[k - j]``, the inner
+    step of the long-division recurrence."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub) \
+                        and any(isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.BinOp)
+                                and isinstance(sub.slice.op, ast.Sub)
+                                for sub in ast.walk(node.value)):
+                    yield func.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_long_division(path):
+    owners = set(_long_division_owners(_tree(path)))
+    assert owners == ({"_quotient"} if path.name == "series.py" else set()), \
+        f"{path.name}: long division in {sorted(owners)}"
+    callers = {"series.py": ("divide",), "resolution.py": ("apply_step",)}
+    for name in callers.get(path.name, ()):
+        assert _calls_of(_function(path, name), "_quotient"), f"{path.name}: {name}"
 
 
 def test_one_exact_series_representation():
