@@ -150,8 +150,12 @@ def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
 
 
 def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
+    return _blowup_step(state, state.xs.order(), state.ys.order())
+
+
+def _blowup_step(state: ChartState, ox, oy) -> tuple[ChartState, StepRecord]:
+    """``blowup_step`` of a state whose coordinates have orders ox, oy."""
     xs, ys = state.xs, state.ys
-    ox, oy = xs.order(), ys.order()
     m = _multiplicity(xs, ys, ox, oy)
     prox = state.labels()
     slope = _slope(xs, ys, ox, oy)  # chart B for a tangent along {u = 0}
@@ -170,9 +174,13 @@ def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
 def is_terminal(state: ChartState) -> bool:
     """Minimal embedded resolution reached: smooth branch, transverse to a
     single exceptional component at a free point."""
+    return _is_terminal(state, state.xs.order(), state.ys.order())
+
+
+def _is_terminal(state: ChartState, ox, oy) -> bool:
+    """``is_terminal`` of a state whose coordinates have orders ox, oy."""
     if (state.u_label is None) == (state.v_label is None):  # not a single label
         return False
-    ox, oy = state.xs.order(), state.ys.order()
     if _multiplicity(state.xs, state.ys, ox, oy) != 1:
         return False
     return (ox if state.u_label is not None else oy) == 1
@@ -202,14 +210,19 @@ def _blowup_bound(state: ChartState) -> int:
 
 def _walk(b: Branch) -> ResolutionData:
     """Blow up until the total transform has normal crossings and the strict
-    transform meets a single exceptional component transversally."""
+    transform meets a single exceptional component transversally; the
+    orders of each state's coordinates are read once, for both the
+    terminal test and the step."""
     state = initial_state(b)
     bound = _blowup_bound(state)
     steps: list[StepRecord] = []
-    while not (state.level > 0 and is_terminal(state)):
+    while True:
+        ox, oy = state.xs.order(), state.ys.order()
+        if state.level > 0 and _is_terminal(state, ox, oy):
+            break
         if len(steps) >= bound:
             raise ResolutionError(f"internal: no termination within {bound} blowups")
-        state, rec = blowup_step(state)
+        state, rec = _blowup_step(state, ox, oy)
         if steps and rec.multiplicity > steps[-1].multiplicity:
             raise ResolutionError("internal: multiplicity sequence increased")
         steps.append(rec)

@@ -12,19 +12,19 @@ that would need an unknown coefficient raises
 The kernels read and write this form directly and build no ``Fraction``:
 ``Fraction`` appears only at the edges, in ``from_terms`` (the parsers'
 constructor), the read-only view ``terms``, ``leading``, ``__str__`` and the
-reference ``compose`` and ``invert_parameter`` (Newton reversion).  The tests
-check ``in_terms_of`` against that reference, which the package does not
-call, and ``divide`` against inverting the divisor and multiplying
-(``_divide_by_inverse`` in the tests).  Both kernels pull their output one
-coefficient at a time as integer numerators over one running common
-denominator (``_store_reduced``): ``in_terms_of`` is fraction-free triangular
-elimination, with O(p^3/6) integer multiply-adds at precision p, and
-``_quotient`` is fraction-free long division, with O(p*terms) integer
+reference ``compose`` and ``invert_parameter`` (Newton reversion).  The
+tests check ``in_terms_of`` against that reference, which the package does
+not call, and ``divide`` against inverting the divisor and multiplying
+(``divide_by_inverse`` in the tests' oracles).  Both kernels pull their
+output one coefficient at a time as integer numerators over one running
+common denominator (``_store_reduced``): ``in_terms_of`` is fraction-free
+triangular elimination, with O(p^3/6) integer multiply-adds at precision p,
+and ``_quotient`` is fraction-free long division, with O(p*terms) integer
 multiply-adds, or a shift when the divisor is a monomial.  ``_quotient``
 returns the unreduced numerators, so ``divide`` and the blowup's chart step
 (``resolution.apply_step``, which also translates the constant numerator)
-each reduce once with ``_series``.  ``int_poly_mul`` is the one dense integer
-polynomial product, shared with ``mul`` and implicitization.
+each reduce once with ``_series``.  ``int_poly_mul`` is the one dense
+integer polynomial product, shared with ``mul`` and implicitization.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
@@ -119,9 +119,11 @@ def _quotient(a: "TruncatedSeries", b: "TruncatedSeries") -> tuple[list[int], in
     precision is min(T_a, T_b + ord(a) - ord(b)) - ord(b).
 
     A divisor with one term that the quotient reads is a shift and a sign
-    fix, reduced once by the caller.  Any other divisor takes
-    fraction-free long division: both numerator series A and B are shifted
-    down by ord(b), and Q = A/B is pulled one coefficient at a time,
+    fix, reduced once by the caller; the blowup meets it often, since
+    x = t^n divides every chart A step before the first chart B step.  Any
+    other divisor takes fraction-free long division: both numerator series
+    A and B are shifted down by ord(b), and Q = A/B is pulled one
+    coefficient at a time,
     Q_k = (A_k - sum_{j>=1} B_j Q_{k-j}) / B_0, the Q_j held as integer
     numerators over one running common denominator, rescaled only when a
     new Q_k brings a new factor.  The quotient is Q times the ratio of the

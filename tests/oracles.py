@@ -30,12 +30,18 @@ shift of t, and must give the same terms and precision.
 ``coefficient`` and ``shift`` read one coefficient of a series and multiply
 it by t^k; only the tests use them.
 
+``divide_by_inverse`` divides two series by inverting the shifted divisor
+term by term in ``Fraction`` arithmetic and multiplying; it shares no code
+with the package's long division ``series._quotient``, and ``divide`` must
+give the same quotient, precision and errors.
+
 ``chart_step``, ``chart_slope`` and ``chart_blowup_step`` are the blowup step
-as the package once took it, in two steps: ``divide`` and then
-``add_const(-c)``, each reducing its result, with chart B as chart A of the
-``swapped`` state and the slope as the quotient of the two ``leading()``
-coefficients.  ``resolution.apply_step`` and ``blowup_step`` take the step
-in one integer pass and must give the same states, records and errors.
+as the package once took it, in two steps: a division (here
+``divide_by_inverse``) and then ``add_const(-c)``, each reducing its result,
+with chart B as chart A of the ``swapped`` state and the slope as the
+quotient of the two ``leading()`` coefficients.  ``resolution.apply_step``
+and ``blowup_step`` take the step in one integer pass and must give the same
+states, records and errors.
 
 ``glued_flow`` is the time-1 flow of a stage field glued by its cut-off
 ``bump_value``, integrated by fixed-step RK4 from the raw speed
@@ -329,6 +335,30 @@ def shift(s: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries.from_terms({e + k: c for e, c in s.terms}, s.precision + k)
 
 
+def divide_by_inverse(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a / b: invert the divisor shifted down by its order, then multiply."""
+    ob = b.order()
+    if ob is None:
+        raise PrecisionError("divisor is zero up to its precision")
+    oa = a.order()
+    if oa is not None and oa < ob:
+        raise SeriesError(f"quotient not a power series (orders {oa} < {ob})")
+    prec = min(a.precision, b.precision + (a.precision if oa is None else oa) - ob) - ob
+    if prec <= 0:
+        raise PrecisionError("no precision left in quotient")
+    if oa is None:
+        return TruncatedSeries.zero(prec)
+    unit = shift(b, -ob)
+    p = min(prec, unit.precision)
+    c0 = unit.leading()
+    inv = {0: 1 / c0}
+    for k in range(1, p):
+        s = sum((c * inv.get(k - e, 0) for e, c in unit.terms if 0 < e <= k), Fraction(0))
+        if s:
+            inv[k] = -s / c0
+    return shift(a, -ob).mul(TruncatedSeries.from_terms(inv, p)).truncate(prec)
+
+
 # -- the blowup step in two passes ---------------------------------------------------
 
 def chart_multiplicity(state: ChartState) -> int:
@@ -360,7 +390,7 @@ def chart_step(state: ChartState, chart: str, c) -> ChartState:
     """One blowup in the given chart, recentred by translation c."""
     if chart == "B":
         return swapped(chart_step(swapped(state), "A", c))
-    v = state.ys.divide(state.xs).add_const(-c)
+    v = divide_by_inverse(state.ys, state.xs).add_const(-c)
     if v.order() == 0:
         raise ResolutionError("translation does not move the centre to the chart origin")
     return ChartState(state.xs, v, state.level + 1, state.v_label if c == 0 else None,
