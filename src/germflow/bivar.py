@@ -6,7 +6,17 @@ O'Shea, *Ideals, Varieties, and Algorithms*, section 3.6), so it is built from
 the power sums of the n conjugates y(tau) and Newton's identities, in integer
 polynomial arithmetic, with no determinant.
 
-``poly_on_branch`` evaluates f on a branch x = t^n by Horner in y.
+A ``BivarPoly`` is one exact representation, as a series is: the integer
+numerators of its terms, keyed by exponent pair and sorted in lex order
+(y > x), over one positive denominator, reduced by the one helper ``_poly``
+(no zero numerator, gcd(den, *num) = 1), so equal polynomials compare
+equal.  ``terms`` is a cached ``Fraction`` view, and ``from_terms`` the
+constructor from rational coefficients; ``parse_poly``, ``implicitize``
+(through ``normalized``), ``poly_to_text``, ``implicit_distance`` and
+``newton_puiseux`` read and write the integer form.
+
+``poly_on_branch`` evaluates f on a branch x = t^n by Horner in y, on
+integer lists: see its docstring.
 
 Polynomial text `f = ...` follows the branch-file grammar of branch.py over
 the variables x, y (in that order within a term); `parse_poly` reads it.
@@ -16,45 +26,62 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .branch import Branch, _parse_lines
 from .errors import SeriesError
-from .series import TruncatedSeries, int_poly_mul
+from .series import TruncatedSeries, _series, int_poly_mul
 
 
-def _lex_key(key):
-    a, b = key
+def _lex_key(item):
+    (a, b), _ = item
     return (b, a)  # lexicographic with y > x
+
+
+def _poly(num, den: int) -> "BivarPoly":
+    """The polynomial sum c/den x^a y^b over the pairs ((a, b), c) of `num`,
+    distinct keys and den > 0, in the stored form: sorted, no zero
+    numerator, gcd(den, *numerators) = 1."""
+    num = sorted([item for item in num if item[1]], key=_lex_key)
+    g = math.gcd(den, *[c for _, c in num])
+    if g != 1:
+        num, den = [(key, c // g) for key, c in num], den // g
+    return BivarPoly(tuple(num), den)
 
 
 @dataclass(frozen=True)
 class BivarPoly:
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    """Integer numerators over one positive denominator: `num` holds the pairs
+    ((a, b), c) of the terms c/den x^a y^b, in lex order (y > x)."""
+    num: tuple[tuple[tuple[int, int], int], ...]
+    den: int
 
     @staticmethod
     def from_terms(terms: dict[tuple[int, int], Fraction]) -> "BivarPoly":
-        cleaned = tuple(sorted(
-            ((k, Fraction(c)) for k, c in terms.items() if c != 0),
-            key=lambda item: _lex_key(item[0])))
-        return BivarPoly(cleaned)
+        coefs = [(key, Fraction(c)) for key, c in terms.items() if c != 0]
+        den = math.lcm(*[c.denominator for _, c in coefs])
+        return _poly([(key, c.numerator * (den // c.denominator)) for key, c in coefs], den)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        """The terms ((a, b), coefficient) in lex order (y > x)."""
+        return tuple([(key, Fraction(c, self.den)) for key, c in self.num])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
 
     def leading(self) -> tuple[tuple[int, int], Fraction]:
         """Leading term in lexicographic order with y > x."""
-        if not self.terms:
+        if not self.num:
             raise SeriesError("zero polynomial has no leading term")
         return self.terms[-1]
 
     def scale(self, c) -> "BivarPoly":
         c = Fraction(c)
-        if c == 0:
-            return BivarPoly(())
-        return BivarPoly(tuple((k, v * c) for k, v in self.terms))
+        return _poly([(key, v * c.numerator) for key, v in self.num], self.den * c.denominator)
 
     def implicit_distance(self, x: complex, y: complex) -> float:
         """|f| / |grad f| at the float point (x, y): the first-order distance
@@ -71,14 +98,14 @@ class BivarPoly:
             return math.inf
         s = max(d for _, d in parts).bit_length() - 1
         xr, xi, yr, yi = (m << (s - d.bit_length() + 1) for m, d in parts)
-        den = math.lcm(*[c.denominator for _, c in self.terms])
-        deg = max((a + b for (a, b), _ in self.terms), default=0)
-        xp = _gauss_powers(xr, xi, max((a for (a, _), _ in self.terms), default=0))
-        yp = _gauss_powers(yr, yi, max((b for (_, b), _ in self.terms), default=0))
+        den = self.den
+        deg = max((a + b for (a, b), _ in self.num), default=0)
+        xp = _gauss_powers(xr, xi, max((a for (a, _), _ in self.num), default=0))
+        yp = _gauss_powers(yr, yi, max((b for (_, b), _ in self.num), default=0))
         # 2^(s*deg) * den * (f, df/dx * 2^-s, df/dy * 2^-s) as Gaussian integers
         val, gx, gy = [0, 0], [0, 0], [0, 0]
-        for (a, b), c in self.terms:
-            c = (c.numerator * (den // c.denominator)) << (s * (deg - a - b))
+        for (a, b), c in self.num:
+            c <<= s * (deg - a - b)
             _gauss_add(val, c, xp[a], yp[b])
             if a:
                 _gauss_add(gx, a * c, xp[a - 1], yp[b])
@@ -97,12 +124,10 @@ class BivarPoly:
         """Content 1, positive leading coefficient (lex order, y > x)."""
         if self.is_zero():
             return self
-        den = math.lcm(*[c.denominator for _, c in self.terms])
-        num = math.gcd(*(abs(c.numerator * den // c.denominator) for _, c in self.terms))
-        scale = Fraction(den, num)
-        if self.leading()[1] < 0:
-            scale = -scale
-        return self.scale(scale)
+        g = math.gcd(*[c for _, c in self.num])
+        if self.num[-1][1] < 0:
+            g = -g
+        return BivarPoly(tuple([(key, c // g) for key, c in self.num]), 1)
 
 
 def _gauss_powers(re: int, im: int, top: int) -> list[tuple[int, int]]:
@@ -135,17 +160,32 @@ def _sqrt_quotient(num: int, den: int) -> float:
 def poly_on_branch(f: BivarPoly, b: Branch) -> TruncatedSeries:
     """The series f(x(t), y(t)) to precision min(T_x, T_y), for x = t^n; its
     order is the valuation of f.  Horner in y, r <- r y(t) + row_k, where the
-    row row_k = sum_a c_ak t^(n a) of y^k writes each x^a as a shift of t."""
+    row row_k = sum_a c_ak t^(n a) of y^k writes each x^a as a shift of t.
+
+    In integers: with f = sum_(a,k) C_ak/F x^a y^k and y = Y/d, the Horner
+    value after row k, scaled by F d^(K-k) for K = deg_y f, is R <- R Y +
+    d^(K-k) sum_a C_ak t^(n a), and the result, R / (F d^K), is reduced
+    once.  Every step has precision p = min(T_x, T_y), as with series: a
+    product keeps at least the smaller precision of its factors, p or T_y,
+    and the sum with a row (precision p) cuts it back to p."""
     if not b.monomial_x():
         raise SeriesError("poly_on_branch requires x to be the monomial t^n")
-    n, prec = b.n, min(b.xs.precision, b.ys.precision)
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (a, k), c in f.terms:
-        rows.setdefault(k, {})[n * a] = c
-    out = TruncatedSeries.zero(prec)
-    for k in range(max(rows, default=0), -1, -1):
-        out = out.mul(b.ys).add(TruncatedSeries.from_terms(rows.get(k, {}), prec))
-    return out
+    n, p = b.n, min(b.xs.precision, b.ys.precision)
+    ys, d = b.ys.num, b.ys.den
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (a, k), c in f.num:
+        if n * a < p:
+            rows.setdefault(k, []).append((n * a, c))
+    top = max((k for (_, k), _ in f.num), default=0)
+    acc: list[int] = []
+    scale = 1
+    for k in range(top, -1, -1):
+        acc = int_poly_mul(acc, ys, p)
+        acc += [0] * (p - len(acc))
+        for e, c in rows.get(k, ()):
+            acc[e] += c * scale
+        scale *= d
+    return _series(acc, f.den * d ** top, p)
 
 
 # -- implicit equation as a norm ---------------------------------------------
@@ -178,9 +218,8 @@ def implicitize(b: Branch) -> BivarPoly:
                 acc[m] += c if i % 2 else -c
         # e_k is a coefficient of the norm of an integral polynomial: exact
         elem.append([c // k for c in acc])
-    return BivarPoly.from_terms({
-        (m, n - k): (-1) ** k * c * den ** (n - k)
-        for k, e_k in enumerate(elem) for m, c in enumerate(e_k)}).normalized()
+    return _poly([((m, n - k), (-1) ** k * c * den ** (n - k))
+                  for k, e_k in enumerate(elem) for m, c in enumerate(e_k)], 1).normalized()
 
 # -- text form ----------------------------------------------------------------
 
@@ -188,19 +227,21 @@ def poly_to_text(f: BivarPoly) -> str:
     if f.is_zero():
         return "f = 0"
     parts = []
-    for (a, b), c in sorted(f.terms, key=lambda item: _lex_key(item[0]), reverse=True):
-        mag = abs(c)
+    for (a, b), c in reversed(f.num):
+        g = math.gcd(c, f.den)
+        mag, den = abs(c) // g, f.den // g
         var = ""
         if a:
             var += "x" if a == 1 else f"x^{a}"
         if b:
             var += "y" if b == 1 else f"y^{b}"
+        coef = str(mag) if den == 1 else f"{mag}/{den}"
         if not var:
-            body = str(mag)
-        elif mag == 1:
+            body = coef
+        elif mag == den == 1:
             body = var
         else:
-            body = f"{mag}*{var}"
+            body = f"{coef}*{var}"
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
     # the grammar has no unary minus: a negative leading term needs its coefficient
@@ -212,4 +253,6 @@ def poly_to_text(f: BivarPoly) -> str:
 
 def parse_poly(text: str) -> BivarPoly:
     """Parse an `f = ...` document: the branch-file grammar over x and y."""
-    return BivarPoly.from_terms(_parse_lines(text, "f", "xy", bare=True)["f"][0])
+    terms = _parse_lines(text, "f", "xy", bare=True)["f"][0]
+    den = math.lcm(*[d for _, d in terms.values()])
+    return _poly([(key, c * (den // d)) for key, (c, d) in terms.items()], den)

@@ -17,17 +17,26 @@ exponent 1 (`x` is `x^1`), while `t` always needs its "^".
 Exactly one x-line and one y-line are required; x must be the pure monomial
 t^n.  Branches are canonicalized at parse time: when n is even, the
 reparametrization t -> -t is applied so that the lowest odd-exponent
-y-coefficient (if any) is positive.
+y-coefficient (if any) is positive.  A file may start with a UTF-8
+byte-order mark.
+
+Each line body is read in one scan: ``_tokenize`` is one compiled
+``finditer`` over the line (a character outside the grammar has its own
+group, so it ends the scan with an error), and ``_parse_terms`` is one
+index loop over the tokens.  Coefficients stay integer numerators and
+denominators; the parser builds no ``Fraction``, and a branch's series is
+built from them by ``series._series``.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SeriesError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _series
 
 MAX_PRECISION = 256  # truncation-order ceiling: the exact layer's cost grows steeply in it
 DEFAULT_PRECISION = 64  # truncation order of every command, plan and expansion by default
@@ -49,7 +58,8 @@ class Branch:
         return o
 
     def monomial_x(self) -> bool:
-        return len(self.xs.support()) == 1 and self.xs.leading() == 1
+        # one stored term, the last, of coefficient num/den = 1
+        return len(self.xs.support()) == 1 and self.xs.num[-1] == self.xs.den
 
     def with_precision(self, precision: int) -> "Branch":
         """Extend the truncation order; valid only for exact polynomial data.
@@ -81,104 +91,109 @@ def normalize_branch(b: Branch) -> Branch:
     return b
 
 
-def _tokenize(text: str, line_no: int, offset: int, variables: str):
-    token = re.compile(rf"\s*(?:(?P<int>-?[0-9]+)|(?P<sym>[{variables}^*/+-]))")
+_END = (None, None, None)  # the token after a line's last one
+
+
+@functools.cache
+def _patterns(names: str, variables: str) -> tuple[re.Pattern, re.Pattern]:
+    """The line head `name =` and the body's token pattern: an integer, a
+    symbol or, in its own group, any other character not whitespace."""
+    return (re.compile(rf"\s*([{names}])\s*="),
+            re.compile(rf"\s*(?:(-?[0-9]+)|([{variables}^*/+-])|(\S))"))
+
+
+def _tokenize(pattern: re.Pattern, text: str, line_no: int, offset: int):
+    """(kind, integer value or None, column) of each token of a line body, in
+    one scan; an unexpected character points at the whitespace before it."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", line_no, offset + pos + 1)
-        kind = m.lastgroup
-        tok, col = m.group(kind), offset + m.start(kind) + 1
-        if kind == "int":
+    for m in pattern.finditer(text):
+        num, sym, bad = m.groups()
+        if sym is not None:
+            tokens.append((sym, None, offset + m.end()))
+        elif num is not None:
+            col = offset + m.end() - len(num) + 1
             try:
-                tokens.append(("int", int(tok), col))
+                tokens.append(("int", int(num), col))
             except ValueError:  # longer than the interpreter's int-from-text digit limit
                 raise ParseError("integer too long", line_no, col) from None
         else:
-            tokens.append((tok, None, col))
-        pos = m.end()
+            raise ParseError(f"unexpected character {bad!r}", line_no, offset + m.start() + 1)
     return tokens
 
 
-class _TermParser:
-    """Sum of terms over `variables`; with `bare`, a variable without "^" has exponent 1."""
-
-    def __init__(self, tokens, line_no: int, variables: str, bare: bool):
-        self.tokens, self.i, self.line = tokens, 0, line_no
-        self.variables, self.bare = tuple(variables), bare
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def error(self, msg, col=None):
-        raise ParseError(msg, self.line, col or self.peek()[2] or 1)
-
-    def parse_term(self) -> tuple[tuple[int, ...], Fraction]:
-        start, coef = self.i, Fraction(1)
-        if self.peek()[0] == "int":
-            coef = Fraction(self.take()[1])
-            if self.peek()[0] == "/":
-                self.take()
-                kind, den, col = self.take()
+def _parse_terms(tokens, line_no: int, variables: tuple[str, ...], bare: bool):
+    """{exponents: (num, den)} of a sum of terms over `variables`, den > 0 and
+    num != 0, in one pass over the tokens (which end with _END); with `bare`,
+    a variable without "^" has exponent 1.  An error at the end of the line
+    reports col 1."""
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    i, sign = 0, 1
+    while True:
+        start = i
+        kind, num, col = tokens[i]
+        den = 1
+        if kind == "int":
+            i += 1
+            kind, _, col = tokens[i]
+            if kind == "/":
+                kind, den, col = tokens[i + 1]
                 if kind != "int" or den <= 0:
-                    self.error("expected a positive denominator", col)
-                coef /= den
-            if self.peek()[0] == "*":
-                self.take()
-                if self.peek()[0] not in self.variables:
-                    self.error(f"expected {' or '.join(self.variables)} after '*'")
-        exps = [0] * len(self.variables)
-        for k, var in enumerate(self.variables):
-            if self.peek()[0] != var:
+                    raise ParseError("expected a positive denominator", line_no, col or 1)
+                i += 2
+                kind, _, col = tokens[i]
+            if kind == "*":
+                i += 1
+                kind, _, col = tokens[i]
+                if kind not in variables:
+                    raise ParseError(f"expected {' or '.join(variables)} after '*'",
+                                     line_no, col or 1)
+        else:
+            num = 1
+        exps = [0] * len(variables)
+        for k, var in enumerate(variables):
+            if kind != var:
                 continue
-            self.take()
-            if self.peek()[0] == "^":
-                self.take()
-                kind, e, col = self.take()
+            kind, _, col = tokens[i + 1]
+            if kind == "^":
+                kind, e, col = tokens[i + 2]
                 if kind != "int" or e < 0:
-                    self.error("expected a non-negative exponent", col)
+                    raise ParseError("expected a non-negative exponent", line_no, col or 1)
                 exps[k] = e
-            elif self.bare:
+                i += 3
+                kind, _, col = tokens[i]
+            elif bare:
                 exps[k] = 1
+                i += 1
             else:
-                self.error(f"expected '^' after {var}")
-        if self.i == start:
-            self.error("expected a term")
-        return tuple(exps), coef
-
-    def parse_terms(self) -> dict[tuple[int, ...], Fraction]:
-        acc: dict[tuple[int, ...], Fraction] = {}
-        sign = 1
-        while True:
-            key, coef = self.parse_term()
-            acc[key] = acc.get(key, Fraction(0)) + sign * coef
-            kind, _, col = self.take()
-            if kind is None:
-                break
-            if kind not in ("+", "-"):
-                self.error("expected '+' or '-' between terms", col)
-            sign = 1 if kind == "+" else -1
-        return {k: c for k, c in acc.items() if c != 0}
+                raise ParseError(f"expected '^' after {var}", line_no, col or 1)
+        if i == start:
+            raise ParseError("expected a term", line_no, col or 1)
+        key = tuple(exps)
+        if key in acc:  # over the lcm of the two denominators
+            n, d = acc[key]
+            g = math.gcd(d, den)
+            acc[key] = (n * (den // g) + sign * num * (d // g), d // g * den)
+        else:
+            acc[key] = (sign * num, den)
+        if kind is None:
+            break
+        if kind not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", line_no, col)
+        sign = 1 if kind == "+" else -1
+        i += 1
+    return {key: c for key, c in acc.items() if c[0]}
 
 
 def _parse_lines(text: str, names: str, variables: str, bare: bool):
     """{name: (terms, (line, col))} for a document of `name = body` lines,
-    one per name; (line, col) is where the body starts.
+    one per name; (line, col) is where the body starts, and terms maps each
+    exponent tuple to its coefficient as (num, den), den > 0 and num != 0.
 
     Each body is parsed as its line is read, so errors come in text order.
     """
-    head = re.compile(rf"\s*([{names}])\s*=")
-    bodies: dict[str, dict[tuple[int, ...], Fraction]] = {}
+    head, token = _patterns(names, variables)
+    variables = tuple(variables)
+    bodies: dict[str, tuple[dict[tuple[int, ...], tuple[int, int]], tuple[int, int]]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -190,11 +205,12 @@ def _parse_lines(text: str, names: str, variables: str, bare: bool):
         name = m.group(1)
         if name in bodies:
             raise ParseError(f"duplicate {name}-line", line_no, m.start(1) + 1)
-        tokens = _tokenize(line[m.end():], line_no, m.end(), variables)
+        tokens = _tokenize(token, line[m.end():], line_no, m.end())
         if not tokens:
             raise ParseError("empty polynomial", line_no, m.end() + 1)
-        terms = _TermParser(tokens, line_no, variables, bare).parse_terms()
-        bodies[name] = terms, (line_no, tokens[0][2])
+        at = (line_no, tokens[0][2])
+        tokens.append(_END)
+        bodies[name] = _parse_terms(tokens, line_no, variables, bare), at
     for name in names:
         if name not in bodies:
             raise ParseError(f"missing {name}-line", 1, 1)
@@ -206,7 +222,8 @@ def parse_branch(text: str, label: str = "") -> Branch:
     polys = _parse_lines(text, "xy", "t", bare=False)
     (x_body, x_at), (y_body, y_at) = polys["x"], polys["y"]
     x_terms, y_terms = ({e: c for (e,), c in body.items()} for body in (x_body, y_body))
-    if len(x_terms) != 1 or next(iter(x_terms.values())) != 1:
+    x_coefs = list(x_terms.values())
+    if len(x_coefs) != 1 or x_coefs[0][0] != x_coefs[0][1]:  # (num, den) of 1
         raise ParseError("x must be the pure monomial t^n", *x_at)
     n = next(iter(x_terms))
     if n < 1:
@@ -224,18 +241,20 @@ def parse_branch(text: str, label: str = "") -> Branch:
         raise ParseError(f"exponent {max(exponents)} is not below the precision ceiling "
                          f"{MAX_PRECISION}")
     precision = 1 + max(exponents)
-    xs = TruncatedSeries.monomial(n, 1, precision)
-    ys = TruncatedSeries.from_terms(y_terms, precision)
-    return normalize_branch(Branch(xs, ys, label, True))
+    den = math.lcm(*[d for _, d in y_terms.values()])
+    num = [0] * precision
+    for e, (c, d) in y_terms.items():
+        num[e] = c * (den // d)
+    xs = _series([0] * n + [1], 1, precision)
+    return normalize_branch(Branch(xs, _series(num, den, precision), label, True))
 
 
 def parse_branch_file(path, label: str | None = None) -> Branch:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if label is None:
-        import os
         label = os.path.splitext(os.path.basename(path))[0]
     return parse_branch(text, label)

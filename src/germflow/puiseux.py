@@ -16,9 +16,13 @@ sign chosen for earlier roots: the gauge x_k -> -x_k of the current
 parameter leaves x = x_k^denom fixed and turns C into -C.
 
 The loop works on one term dict {(a, b): coefficient of x^a y^b}, a primitive
-integer polynomial: f's denominators are cleared once, and each edge is one
-integer substitution pass over it (``_transform``).  Scaling f by a nonzero
-constant changes neither its Newton polygon nor its edge roots.
+integer polynomial: it starts from f's integer numerators (``BivarPoly.num``,
+so f's denominator is cleared for free), and each edge is one integer
+substitution pass over it (``_transform``).  Scaling f by a nonzero
+constant changes neither its Newton polygon nor its edge roots.  The edge
+polynomial psi keeps integer coefficients too: ``_edge_root`` checks the
+perfect power by cross-multiplication and builds one ``Fraction``, the
+root.
 """
 from __future__ import annotations
 
@@ -41,13 +45,17 @@ def _iroot(n: int, q: int) -> int | None:
         x = y
 
 
-def _edge_root(psi: list[Fraction]) -> tuple[Fraction, int]:
-    """(r, d) with psi = psi[d] * (C - r)^d; ReducibleError if psi is no such power."""
+def _edge_root(psi: list[int]) -> tuple[Fraction, int]:
+    """(r, d) with psi = psi[d] * (C - r)^d; ReducibleError if psi is no such power.
+
+    r = -psi[d-1] / (d psi[d]), and psi[k] = psi[d] C(d, k) (-r)^(d-k) is
+    checked in integers, both sides multiplied by (d psi[d])^(d-k)."""
     d = len(psi) - 1
-    r = -psi[d - 1] / (d * psi[d])
-    if any(psi[k] != psi[d] * math.comb(d, k) * (-r) ** (d - k) for k in range(d)):
+    lead, below = psi[d], psi[d - 1]
+    if any(psi[k] * (d * lead) ** (d - k) != lead * math.comb(d, k) * below ** (d - k)
+           for k in range(d)):
         raise ReducibleError("edge equation splits into several branches")
-    return r, d
+    return Fraction(-below, d * lead), d
 
 
 def _branch_edges(coeffs: dict[tuple[int, int], int]):
@@ -80,7 +88,7 @@ def _branch_edges(coeffs: dict[tuple[int, int], int]):
                    if (a - a1) * (b2 - b1) == (b - b1) * (a2 - a1) and a1 <= a <= a2]
         b_low = min(b for _, b in on_edge)
         deg = max((b - b_low) // q for _, b in on_edge)
-        psi = [Fraction(0)] * (deg + 1)
+        psi = [0] * (deg + 1)
         for a, b in on_edge:
             psi[(b - b_low) // q] += coeffs[(a, b)]
         edges.append((q, m, psi))
@@ -115,8 +123,7 @@ def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
     needs precision > n >= 1, so a precision outside 2..MAX_PRECISION is refused."""
     if not 2 <= precision <= MAX_PRECISION:
         raise PrecisionError(f"precision {precision!r} is not between 2 and {MAX_PRECISION}")
-    den = math.lcm(*[c.denominator for _, c in f.terms])
-    cur = {key: c.numerator * (den // c.denominator) for key, c in f.terms}
+    cur = dict(f.num)  # f cleared of its denominator
     if not cur:
         raise PuiseuxError("zero polynomial")
     if all(a > 0 for a, _ in cur):

@@ -43,6 +43,19 @@ quotient of the two ``leading()`` coefficients.  ``resolution.apply_step``
 and ``blowup_step`` take the step in one integer pass and must give the same
 states, records and errors.
 
+``parse_lines_by_tokens`` is the text grammar's reader as the package once
+had it: a tokenizer that matches one token at a time and a recursive-descent
+term parser with ``peek``/``take``, summing ``Fraction`` coefficients.
+``branch._parse_lines`` reads each line in one token scan and one index
+loop over integer numerators and denominators, and must give the same terms
+and the same ``ParseError`` (message, line and column).
+
+``edge_root_by_fractions`` is the Newton-polygon edge check in ``Fraction``
+arithmetic: the root r = -psi[d-1] / (d psi[d]) and the comparison of each
+psi[k] with psi[d] C(d, k) (-r)^(d-k).  ``puiseux._edge_root`` checks the same
+identities cross-multiplied in integers, and must give the same root and
+raise ``ReducibleError`` in the same cases.
+
 ``glued_flow`` is the time-1 flow of a stage field glued by its cut-off
 ``bump_value``, integrated by fixed-step RK4 from the raw speed
 (``raw_speed``, with the multiplicative rate ``log_ratio``).  The package never
@@ -53,10 +66,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 from germflow import Branch, BivarPoly, BumpSpec, GraphMatch, Multiplicative, eval_branch
-from germflow.errors import PrecisionError, ResolutionError, SeriesError
+from germflow.errors import (ParseError, PrecisionError, ReducibleError, ResolutionError,
+                             SeriesError)
 from germflow.resolution import INF, ChartState, ResolutionData, StepRecord, reciprocal, swapped
 from germflow.series import TruncatedSeries
 
@@ -64,7 +79,7 @@ from germflow.series import TruncatedSeries
 # -- polynomial arithmetic ------------------------------------------------------
 
 def zero() -> BivarPoly:
-    return BivarPoly(())
+    return BivarPoly.from_terms({})
 
 
 def const(c) -> BivarPoly:
@@ -319,6 +334,137 @@ def poly_on_branch_by_terms(f: BivarPoly, b: Branch) -> TruncatedSeries:
     for (a, bb), c in f.terms:
         out = out.add(power(xpow, b.xs, a).mul(power(ypow, b.ys, bb)).scale(c))
     return out
+
+
+# -- the text grammar, one token at a time ---------------------------------------------
+
+def _tokenize(text: str, line_no: int, offset: int, variables: str):
+    token = re.compile(rf"\s*(?:(?P<int>-?[0-9]+)|(?P<sym>[{variables}^*/+-]))")
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = token.match(text, pos)
+        if not m:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r}", line_no, offset + pos + 1)
+        kind = m.lastgroup
+        tok, col = m.group(kind), offset + m.start(kind) + 1
+        if kind == "int":
+            try:
+                tokens.append(("int", int(tok), col))
+            except ValueError:  # longer than the interpreter's int-from-text digit limit
+                raise ParseError("integer too long", line_no, col) from None
+        else:
+            tokens.append((tok, None, col))
+        pos = m.end()
+    return tokens
+
+
+class _TermParser:
+    """Sum of terms over `variables`; with `bare`, a variable without "^" has exponent 1."""
+
+    def __init__(self, tokens, line_no: int, variables: str, bare: bool):
+        self.tokens, self.i, self.line = tokens, 0, line_no
+        self.variables, self.bare = tuple(variables), bare
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def error(self, msg, col=None):
+        raise ParseError(msg, self.line, col or self.peek()[2] or 1)
+
+    def parse_term(self) -> tuple[tuple[int, ...], Fraction]:
+        start, coef = self.i, Fraction(1)
+        if self.peek()[0] == "int":
+            coef = Fraction(self.take()[1])
+            if self.peek()[0] == "/":
+                self.take()
+                kind, den, col = self.take()
+                if kind != "int" or den <= 0:
+                    self.error("expected a positive denominator", col)
+                coef /= den
+            if self.peek()[0] == "*":
+                self.take()
+                if self.peek()[0] not in self.variables:
+                    self.error(f"expected {' or '.join(self.variables)} after '*'")
+        exps = [0] * len(self.variables)
+        for k, var in enumerate(self.variables):
+            if self.peek()[0] != var:
+                continue
+            self.take()
+            if self.peek()[0] == "^":
+                self.take()
+                kind, e, col = self.take()
+                if kind != "int" or e < 0:
+                    self.error("expected a non-negative exponent", col)
+                exps[k] = e
+            elif self.bare:
+                exps[k] = 1
+            else:
+                self.error(f"expected '^' after {var}")
+        if self.i == start:
+            self.error("expected a term")
+        return tuple(exps), coef
+
+    def parse_terms(self) -> dict[tuple[int, ...], Fraction]:
+        acc: dict[tuple[int, ...], Fraction] = {}
+        sign = 1
+        while True:
+            key, coef = self.parse_term()
+            acc[key] = acc.get(key, Fraction(0)) + sign * coef
+            kind, _, col = self.take()
+            if kind is None:
+                break
+            if kind not in ("+", "-"):
+                self.error("expected '+' or '-' between terms", col)
+            sign = 1 if kind == "+" else -1
+        return {k: c for k, c in acc.items() if c != 0}
+
+
+def parse_lines_by_tokens(text: str, names: str, variables: str, bare: bool):
+    """{name: ({exponents: Fraction}, (line, col))} of a `name = body`
+    document, one line per name; (line, col) is where the body starts."""
+    head = re.compile(rf"\s*([{names}])\s*=")
+    bodies: dict[str, tuple[dict[tuple[int, ...], Fraction], tuple[int, int]]] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        m = head.match(line)
+        if not m:
+            expected = " or ".join(f"'{name} = ...'" for name in names)
+            raise ParseError(f"expected {expected}", line_no, len(line) - len(line.lstrip()) + 1)
+        name = m.group(1)
+        if name in bodies:
+            raise ParseError(f"duplicate {name}-line", line_no, m.start(1) + 1)
+        tokens = _tokenize(line[m.end():], line_no, m.end(), variables)
+        if not tokens:
+            raise ParseError("empty polynomial", line_no, m.end() + 1)
+        terms = _TermParser(tokens, line_no, variables, bare).parse_terms()
+        bodies[name] = terms, (line_no, tokens[0][2])
+    for name in names:
+        if name not in bodies:
+            raise ParseError(f"missing {name}-line", 1, 1)
+    return bodies
+
+
+# -- the Newton-polygon edge check in Fraction arithmetic --------------------------------
+
+def edge_root_by_fractions(psi) -> tuple[Fraction, int]:
+    """(r, d) with psi = psi[d] * (C - r)^d; ReducibleError if psi is no such power."""
+    psi = [Fraction(c) for c in psi]
+    d = len(psi) - 1
+    r = -psi[d - 1] / (d * psi[d])
+    if any(psi[k] != psi[d] * math.comb(d, k) * (-r) ** (d - k) for k in range(d)):
+        raise ReducibleError("edge equation splits into several branches")
+    return r, d
 
 
 # -- series helpers the tests use ---------------------------------------------------

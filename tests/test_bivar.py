@@ -153,6 +153,40 @@ def test_zero_polynomial_has_no_leading_term():
         parse_poly("f = x - x").leading()
 
 
+def _lex(item):
+    (a, b), _ = item
+    return (b, a)
+
+
+def _assert_canonical(f):
+    """den > 0, no zero numerator, gcd(den, *numerators) = 1, keys distinct
+    and in lex order (y > x)."""
+    keys, nums = [k for k, _ in f.num], [c for _, c in f.num]
+    assert f.den > 0 and all(nums) and math.gcd(f.den, *nums) == 1
+    assert keys == sorted(set(keys), key=lambda k: (k[1], k[0]))
+
+
+NONZERO = small.filter(lambda c: c != 0)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), small, max_size=8),
+       NONZERO, st.lists(NONZERO, min_size=8, max_size=8))
+def test_from_terms_is_canonical(terms, c, parts):
+    f = BivarPoly.from_terms(terms)
+    _assert_canonical(f)
+    assert f.terms == tuple(sorted(((k, Fraction(v)) for k, v in terms.items() if v), key=_lex))
+    # the same polynomial over another denominator, rescaled back, and with zero terms
+    g = BivarPoly.from_terms({k: v * c for k, v in terms.items()})
+    _assert_canonical(g)
+    assert g.scale(1 / c) == f and f.scale(c) == g and hash(g.scale(1 / c)) == hash(f)
+    assert BivarPoly.from_terms({**terms, (7, 7): 0}) == f
+    # duplicate keys: each coefficient written as two terms that the parser sums
+    summands = [(k, q) for (k, v), part in zip(terms.items(), parts) for q in (part, v - part)]
+    text = " + ".join(f"{q.numerator}/{q.denominator}*x^{a}y^{b}" for (a, b), q in summands)
+    assert parse_poly(f"f = {text or 0}") == f
+
+
 def test_poly_text_roundtrip():
     f = implicitize(parse_branch("x = t^2\ny = t^3 + t^4"))
     assert parse_poly(poly_to_text(f)) == f
@@ -162,6 +196,13 @@ def test_negative_leading_unit_term_roundtrip():
     f = BivarPoly.from_terms({(3, 2): Fraction(-1), (0, 1): Fraction(2)})
     assert poly_to_text(f) == "f = -1*x^3y^2 + 2*y"
     assert parse_poly(poly_to_text(f)) == f
+
+
+def test_poly_text_prints_each_coefficient_in_lowest_terms():
+    f = BivarPoly.from_terms({(1, 0): Fraction(2, 4), (0, 1): Fraction(-3, 6),
+                              (0, 0): Fraction(1, 3)})
+    assert (f.num, f.den) == ((((0, 0), 2), ((1, 0), 3), ((0, 1), -3)), 6)
+    assert poly_to_text(f) == "f = -1/2*y + 1/2*x + 1/3"
 
 
 def test_poly_text_roundtrip_random():

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import parse_lines_by_tokens
 
 from germflow import Branch, eval_branch, normalize_branch, parse_branch
-from germflow.branch import MAX_PRECISION
+from germflow.branch import MAX_PRECISION, _parse_lines
 from germflow.errors import ParseError, PrecisionError, SeriesError
 from germflow.series import TruncatedSeries
 
@@ -201,3 +204,82 @@ def test_non_ascii_digit_is_an_unexpected_character():
         parse_branch("x = t^2\ny = ٣ t^3")
     assert (str(exc.value), exc.value.line, exc.value.col) == (
         "line 2 col 4: unexpected character '٣'", 2, 4)
+
+
+# -- the one-scan parser against the token-by-token reference ---------------------
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _term(draw, variables, bare):
+    powers = ""
+    for var in variables:
+        if draw(st.booleans()):
+            e = draw(st.integers(0, 9))
+            powers += var if bare and e == 1 and draw(st.booleans()) else f"{var}^{e}"
+    if powers and draw(st.booleans()):
+        return powers
+    coef = str(draw(st.integers(-12, 12)))
+    den = draw(st.sampled_from([None, None, None, None, 1, 2, 3, 6, 0]))
+    if den is not None:
+        coef += f"{draw(_SPACE)}/{draw(_SPACE)}{den}"
+    return coef + (draw(st.sampled_from(["", " ", "*", " * "])) + powers if powers else "")
+
+
+@st.composite
+def _body(draw, variables, bare):
+    terms = draw(st.lists(_term(variables, bare), min_size=1, max_size=5))
+    text = terms[0]
+    for term in terms[1:]:
+        text += f"{draw(_SPACE)}{draw(st.sampled_from('+-'))}{draw(_SPACE)}{term}"
+    return text
+
+
+@st.composite
+def _document(draw):
+    """A branch document or an `f = ...` document, as (text, names,
+    variables, bare), its lines in any order, with comments and at times a
+    duplicate line."""
+    names, variables, bare = draw(st.sampled_from([("xy", "t", False), ("f", "xy", True)]))
+    heads = draw(st.permutations(names))
+    if draw(st.sampled_from([False, False, False, True])):
+        heads.append(draw(st.sampled_from(names)))
+    lines = [f"{draw(_SPACE)}{name}{draw(_SPACE)}={draw(_SPACE)}{draw(_body(variables, bare))}"
+             for name in heads]
+    lines += draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=2))
+    lines = draw(st.permutations(lines))
+    if draw(st.booleans()):
+        lines[0] += " # trailing"
+    return "\n".join(lines), names, variables, bare
+
+
+# the grammar's characters, then a Unicode space, line break, digit and letter
+_EDIT_CHARS = "0123456789txyf^*/+-= #\n\t$\u00a0\u2028\u0663\u00e9"
+
+
+@st.composite
+def _edited(draw, doc):
+    """The document with one character inserted, deleted or replaced."""
+    text, *grammar = doc
+    i = draw(st.sampled_from(range(len(text) + 1)))
+    c = draw(st.sampled_from(_EDIT_CHARS))
+    text = draw(st.sampled_from([text[:i] + c + text[i:], text[:i] + text[i + 1:],
+                                 text[:i] + c + text[i + 1:]]))
+    return (text, *grammar)
+
+
+def _read(parse, text, names, variables, bare):
+    try:
+        bodies = parse(text, names, variables, bare)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    return {name: ({key: Fraction(*c) if isinstance(c, tuple) else c
+                    for key, c in terms.items()}, at)
+            for name, (terms, at) in bodies.items()}
+
+
+@settings(max_examples=400)
+@given(st.one_of(_document(), _document().flatmap(_edited), _document().flatmap(_edited)))
+def test_parser_matches_the_token_by_token_reference(doc):
+    assert _read(_parse_lines, *doc) == _read(parse_lines_by_tokens, *doc)

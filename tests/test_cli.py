@@ -246,6 +246,17 @@ def test_non_utf8_file_reports_error(capsys, corpus_dir, tmp_path):
     assert err.startswith("error: cannot read") and "utf-8" in err
 
 
+def test_byte_order_mark_is_read_as_utf8(capsys, tmp_path):
+    # editors on some systems start a UTF-8 file with the mark EF BB BF
+    plain, marked = tmp_path / "plain.branch", tmp_path / "marked.branch"
+    plain.write_bytes(b"x = t^2\ny = t^3\n")
+    marked.write_bytes(b"\xef\xbb\xbfx = t^2\ny = t^3\n")
+    want = run_cli(capsys, "invariants", str(plain), "--no-timing")
+    code, out, err = run_cli(capsys, "invariants", str(marked), "--no-timing")
+    assert (code, err) == (0, "")
+    assert out == want[1].replace("plain", "marked")
+
+
 def test_unwritable_dot_path_reports_error(capsys, corpus_dir, tmp_path):
     dot = tmp_path / "missing" / "cusp.dot"
     code, out, err = run_cli(capsys, "resolve", path(corpus_dir, "cusp"), "--no-timing",

@@ -1,13 +1,16 @@
 import contextlib
+import math
 import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import edge_root_by_fractions
 
 from germflow import implicitize, newton_puiseux, parse_branch, parse_poly, poly_on_branch
 from germflow.branch import MAX_PRECISION, normalize_branch
 from germflow.errors import IrrationalRootError, PrecisionError, ReducibleError
+from germflow.puiseux import _edge_root
 
 
 def same_up_to_t_sign(a, b) -> bool:
@@ -185,3 +188,31 @@ def signed_branches(draw):
 @given(signed_branches())
 def test_roundtrip_property(text):
     roundtrip(text)
+
+
+@st.composite
+def edge_polynomials(draw):
+    """psi[0..d] with psi[d] != 0: lead * (q C - p)^d, at times with one
+    coefficient moved off the power, or arbitrary integers."""
+    d = draw(st.integers(1, 5))
+    lead = draw(st.integers(-6, 6).filter(bool))
+    p, q = draw(st.integers(-6, 6)), draw(st.integers(1, 4))
+    psi = [lead * math.comb(d, k) * q ** k * (-p) ** (d - k) for k in range(d + 1)]
+    if draw(st.booleans()):
+        psi[draw(st.integers(0, d - 1))] += draw(st.integers(-3, 3))
+    if draw(st.integers(0, 3)) == 0:
+        psi = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d)) + [lead]
+    return psi
+
+
+def _edge_outcome(edge_root, psi):
+    try:
+        return edge_root(psi)
+    except ReducibleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(edge_polynomials())
+def test_edge_root_matches_the_fraction_reference(psi):
+    assert _edge_outcome(_edge_root, psi) == _edge_outcome(edge_root_by_fractions, psi)

@@ -38,10 +38,19 @@
   ``_integer_coefficients`` and ``_clean``.  The exact kernels build no
   ``Fraction`` at all: ``TruncatedSeries.mul``, ``add``, ``divide`` and
   ``in_terms_of``, the quotient kernel ``series._quotient``, the chart step
-  ``resolution.apply_step`` and ``puiseux._transform`` hold no true
-  division ``/`` and no ``Fraction(...)`` call.  ``bivar.implicitize`` and
+  ``resolution.apply_step``, ``puiseux._transform``, the residual
+  ``bivar.poly_on_branch`` and the parser's tokenizer and term loop
+  (``branch._tokenize``, ``_parse_terms``) hold no true division ``/`` and no
+  ``Fraction(...)`` call.  ``bivar.implicitize`` and
   ``branch.normalize_branch`` read no ``.terms``, the ``Fraction`` view of a
   series, but its numerators.
+- One exact polynomial representation: ``BivarPoly`` has exactly the fields
+  ``num`` and ``den`` (integer numerators of its terms over one
+  denominator).  ``implicit_distance``, ``normalized``, ``poly_on_branch``,
+  ``poly_to_text``, ``parse_poly`` and ``newton_puiseux`` read no
+  ``.terms``, the ``Fraction`` view of a polynomial, and ``branch.py`` names
+  no ``Fraction``: the parser reads each coefficient as an integer
+  numerator and denominator.
 - One resolution function, no repeated resolutions: ``resolution.resolve``
   reads a branch only as deep as its blowups need, and only
   ``resolution.py`` calls the single-attempt blowup walk ``_walk``.
@@ -221,7 +230,9 @@ def test_one_dense_integer_product(path):
 
 EXACT_KERNELS = {"series.py": ("mul", "add", "divide", "_quotient", "in_terms_of"),
                  "resolution.py": ("apply_step",),
-                 "puiseux.py": ("_transform",)}
+                 "puiseux.py": ("_transform",),
+                 "bivar.py": ("poly_on_branch",),
+                 "branch.py": ("_tokenize", "_parse_terms")}
 
 
 def _fraction_steps(func):
@@ -266,14 +277,36 @@ def test_one_long_division(path):
         assert _calls_of(_function(path, name), "_quotient"), f"{path.name}: {name}"
 
 
+def _terms_reads(path, func):
+    return [node.lineno for node in ast.walk(_function(path, func))
+            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+
+
 def test_one_exact_series_representation():
     series = next(p for p in SOURCES if p.name == "series.py")
     assert _class_fields(series, "TruncatedSeries") == ["num", "den", "precision"]
     for name, func in (("bivar.py", "implicitize"), ("branch.py", "normalize_branch")):
         path = next(p for p in SOURCES if p.name == name)
-        reads = [node.lineno for node in ast.walk(_function(path, func))
-                 if isinstance(node, ast.Attribute) and node.attr == "terms"]
+        reads = _terms_reads(path, func)
         assert reads == [], f"{name}: {func} reads .terms at lines {reads}"
+
+
+def test_one_exact_polynomial_representation():
+    bivar = next(p for p in SOURCES if p.name == "bivar.py")
+    assert _class_fields(bivar, "BivarPoly") == ["num", "den"]
+    for name, funcs in {"bivar.py": ("implicit_distance", "normalized", "poly_on_branch",
+                                     "poly_to_text", "parse_poly"),
+                        "puiseux.py": ("newton_puiseux",)}.items():
+        path = next(p for p in SOURCES if p.name == name)
+        for func in funcs:
+            reads = _terms_reads(path, func)
+            assert reads == [], f"{name}: {func} reads .terms at lines {reads}"
+    # the parser reads coefficients as integer numerators and denominators
+    branch = next(p for p in SOURCES if p.name == "branch.py")
+    names = [node.lineno for node in ast.walk(_tree(branch))
+             if isinstance(node, ast.Name) and node.id == "Fraction"
+             or isinstance(node, ast.alias) and node.name == "Fraction"]
+    assert names == [], f"branch.py: Fraction at lines {names}"
 
 
 def _calls_of(tree, name):
