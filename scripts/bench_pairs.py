@@ -2,11 +2,12 @@
 """Alternating paired runs of the benchmark on two trees, summarized as JSON.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs N --seconds S
-           [--workloads W ...] [--out BENCH_n.json]
+           [--out BENCH_n.json]
 
-Pair i (from 0) runs ``germbench/run.py --workload W --seed 101+i --seconds S
---trace 0`` once from each tree's root, one after the other, the side that
-runs first alternating from pair to pair.  For every end-to-end metric that
+For each workload W of CHANGE_DIR's ``BENCHMARK.json``, pair i (from 0) runs
+``germbench/run.py --workload W --seed 101+i --seconds S --trace 0`` once from
+each tree's root, one after the other, the side that runs first alternating
+from pair to pair.  For every end-to-end metric that
 CHANGE_DIR's ``BENCHMARK.json`` declares, the summary gives each side's runs,
 median and quartiles (``statistics.quantiles(n=4, method='inclusive')``), the
 parent's interquartile range, the relative change of the median and how
@@ -58,6 +59,28 @@ def summarize(better: str, parent: list[float], change: list[float]) -> dict:
             "parent_runs": parent, "change_runs": change}
 
 
+def run_workload(trees: dict[str, str], workload: str, pairs: int, seconds: float,
+                 better: dict[str, str]) -> dict:
+    """The pairs of one workload, summarized for each metric named in `better`."""
+    seeds = [FIRST_SEED + i for i in range(pairs)]
+    first = [SIDES[i % 2] for i in range(pairs)]
+    runs = {side: [] for side in SIDES}
+    for seed, lead in zip(seeds, first):
+        for side in (lead, "change" if lead == "parent" else "parent"):
+            runs[side].append(run_once(trees[side], workload, seed, seconds))
+            print(f"{workload} seed={seed} {side}: op_p50_s="
+                  f"{runs[side][-1]['metrics'].get('op_p50_s')}", file=sys.stderr)
+    return {
+        "seeds": seeds, "first": first,
+        "digests_equal": all(p["digest"] == c["digest"]
+                             for p, c in zip(runs["parent"], runs["change"])),
+        "failed_prefix": {side: [r["failed"] for r in runs[side]] for side in SIDES},
+        "metrics": {name: summarize(better[name],
+                                    *([r["metrics"][name] for r in runs[side]]
+                                      for side in SIDES))
+                    for name in better}}
+
+
 def revision(tree: str) -> str:
     """The short commit of a git checkout, or else the tree's directory name."""
     try:
@@ -73,7 +96,6 @@ def main(argv=None) -> int:
     ap.add_argument("change_dir")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--workloads", nargs="+")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -83,25 +105,8 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = {"parent": args.parent_dir, "change": args.change_dir}
 
-    workloads = {}
-    for workload in args.workloads or [w["name"] for w in bench["workloads"]]:
-        seeds = [FIRST_SEED + i for i in range(args.pairs)]
-        first = [SIDES[i % 2] for i in range(args.pairs)]
-        runs = {side: [] for side in SIDES}
-        for seed, lead in zip(seeds, first):
-            for side in (lead, "change" if lead == "parent" else "parent"):
-                runs[side].append(run_once(trees[side], workload, seed, args.seconds))
-                print(f"{workload} seed={seed} {side}: op_p50_s="
-                      f"{runs[side][-1]['metrics'].get('op_p50_s')}", file=sys.stderr)
-        workloads[workload] = {
-            "seeds": seeds, "first": first,
-            "digests_equal": all(p["digest"] == c["digest"]
-                                 for p, c in zip(runs["parent"], runs["change"])),
-            "failed_prefix": {side: [r["failed"] for r in runs[side]] for side in SIDES},
-            "metrics": {name: summarize(better[name],
-                                        *([r["metrics"][name] for r in runs[side]]
-                                          for side in SIDES))
-                        for name in better}}
+    workloads = {w["name"]: run_workload(trees, w["name"], args.pairs, args.seconds, better)
+                 for w in bench["workloads"]}
 
     summary = {
         "what": "Alternating pairs of germbench/run.py at the parent commit and at this change; "

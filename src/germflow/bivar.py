@@ -253,6 +253,5 @@ def poly_to_text(f: BivarPoly) -> str:
 
 def parse_poly(text: str) -> BivarPoly:
     """Parse an `f = ...` document: the branch-file grammar over x and y."""
-    terms = _parse_lines(text, "f", "xy", bare=True)["f"][0]
-    den = math.lcm(*[d for _, d in terms.values()])
-    return _poly([(key, c * (den // d)) for key, (c, d) in terms.items()], den)
+    terms, den = _parse_lines(text, "f", "xy", bare=True)["f"][0]
+    return _poly(terms.items(), den)

@@ -23,9 +23,10 @@ byte-order mark.
 Each line body is read in one scan: ``_tokenize`` is one compiled
 ``finditer`` over the line (a character outside the grammar has its own
 group, so it ends the scan with an error), and ``_parse_terms`` is one
-index loop over the tokens.  Coefficients stay integer numerators and
-denominators; the parser builds no ``Fraction``, and a branch's series is
-built from them by ``series._series``.
+index loop over the tokens.  A body comes out as integer numerators over
+one common denominator, the lcm of its terms' denominators; the parser
+builds no ``Fraction``, and ``parse_branch`` and ``bivar.parse_poly`` use
+that form as it is.
 """
 from __future__ import annotations
 
@@ -122,9 +123,10 @@ def _tokenize(pattern: re.Pattern, text: str, line_no: int, offset: int):
 
 
 def _parse_terms(tokens, line_no: int, variables: tuple[str, ...], bare: bool):
-    """{exponents: (num, den)} of a sum of terms over `variables`, den > 0 and
-    num != 0, in one pass over the tokens (which end with _END); with `bare`,
-    a variable without "^" has exponent 1.  An error at the end of the line
+    """({exponents: num}, den): a sum of terms over `variables`, each
+    coefficient num/den over the lcm den > 0 of their denominators, num != 0,
+    read in one pass over the tokens (which end with _END); with `bare`, a
+    variable without "^" has exponent 1.  An error at the end of the line
     reports col 1."""
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
     i, sign = 0, 1
@@ -181,19 +183,22 @@ def _parse_terms(tokens, line_no: int, variables: tuple[str, ...], bare: bool):
             raise ParseError("expected '+' or '-' between terms", line_no, col)
         sign = 1 if kind == "+" else -1
         i += 1
-    return {key: c for key, c in acc.items() if c[0]}
+    acc = {key: c for key, c in acc.items() if c[0]}
+    den = math.lcm(*[d for _, d in acc.values()])
+    return {key: n * (den // d) for key, (n, d) in acc.items()}, den
 
 
 def _parse_lines(text: str, names: str, variables: str, bare: bool):
-    """{name: (terms, (line, col))} for a document of `name = body` lines,
-    one per name; (line, col) is where the body starts, and terms maps each
-    exponent tuple to its coefficient as (num, den), den > 0 and num != 0.
+    """{name: ((terms, den), (line, col))} for a document of `name = body`
+    lines, one per name; (line, col) is where the body starts, and terms maps
+    each exponent tuple to its coefficient's numerator over den > 0, as
+    `_parse_terms` gives them.
 
     Each body is parsed as its line is read, so errors come in text order.
     """
     head, token = _patterns(names, variables)
     variables = tuple(variables)
-    bodies: dict[str, tuple[dict[tuple[int, ...], tuple[int, int]], tuple[int, int]]] = {}
+    bodies: dict[str, tuple[tuple[dict[tuple[int, ...], int], int], tuple[int, int]]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -220,10 +225,9 @@ def _parse_lines(text: str, names: str, variables: str, bare: bool):
 def parse_branch(text: str, label: str = "") -> Branch:
     """Parse a branch document into an exact, canonicalized Branch."""
     polys = _parse_lines(text, "xy", "t", bare=False)
-    (x_body, x_at), (y_body, y_at) = polys["x"], polys["y"]
+    ((x_body, x_den), x_at), ((y_body, y_den), y_at) = polys["x"], polys["y"]
     x_terms, y_terms = ({e: c for (e,), c in body.items()} for body in (x_body, y_body))
-    x_coefs = list(x_terms.values())
-    if len(x_coefs) != 1 or x_coefs[0][0] != x_coefs[0][1]:  # (num, den) of 1
+    if list(x_terms.values()) != [x_den]:  # one term, of coefficient 1
         raise ParseError("x must be the pure monomial t^n", *x_at)
     n = next(iter(x_terms))
     if n < 1:
@@ -241,12 +245,11 @@ def parse_branch(text: str, label: str = "") -> Branch:
         raise ParseError(f"exponent {max(exponents)} is not below the precision ceiling "
                          f"{MAX_PRECISION}")
     precision = 1 + max(exponents)
-    den = math.lcm(*[d for _, d in y_terms.values()])
     num = [0] * precision
-    for e, (c, d) in y_terms.items():
-        num[e] = c * (den // d)
+    for e, c in y_terms.items():
+        num[e] = c
     xs = _series([0] * n + [1], 1, precision)
-    return normalize_branch(Branch(xs, _series(num, den, precision), label, True))
+    return normalize_branch(Branch(xs, _series(num, y_den, precision), label, True))
 
 
 def parse_branch_file(path, label: str | None = None) -> Branch:

@@ -18,15 +18,13 @@ def test_summary_counts_wins_ties_and_the_parent_spread():
     assert bench_pairs.summarize("higher", [1.0, 2.0], [2.0, 1.0])["change_wins"] == 1
 
 
-def test_a_tree_against_itself_gives_equal_digests(tmp_path):
-    out = tmp_path / "pairs.json"
-    assert bench_pairs.main([str(ROOT), str(ROOT), "--pairs", "2", "--seconds", "0.01",
-                             "--workloads", "exact_roundtrip", "--out", str(out)]) == 0
-    summary = json.loads(out.read_text())
-    run = summary["workloads"]["exact_roundtrip"]
+def test_a_tree_against_itself_gives_equal_digests():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    trees = {"parent": str(ROOT), "change": str(ROOT)}
+    run = bench_pairs.run_workload(trees, "exact_roundtrip", 2, 0.01, better)
     assert (run["seeds"], run["first"], run["digests_equal"]) == \
         ([101, 102], ["parent", "change"], True)
     assert run["failed_prefix"]["parent"] == run["failed_prefix"]["change"]
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    assert sorted(run["metrics"]) == sorted(names)
+    assert sorted(run["metrics"]) == sorted(better)
     assert run["metrics"]["ok_share"]["parent_runs"] == run["metrics"]["ok_share"]["change_runs"]

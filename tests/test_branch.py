@@ -269,14 +269,20 @@ def _edited(draw, doc):
     return (text, *grammar)
 
 
+def _fractions(body):
+    """{exponents: Fraction} of a body read as (numerators, den) or as Fractions."""
+    if isinstance(body, tuple):
+        terms, den = body
+        return {key: Fraction(c, den) for key, c in terms.items()}
+    return body
+
+
 def _read(parse, text, names, variables, bare):
     try:
         bodies = parse(text, names, variables, bare)
     except ParseError as exc:
         return "error", str(exc), exc.line, exc.col
-    return {name: ({key: Fraction(*c) if isinstance(c, tuple) else c
-                    for key, c in terms.items()}, at)
-            for name, (terms, at) in bodies.items()}
+    return {name: (_fractions(body), at) for name, (body, at) in bodies.items()}
 
 
 @settings(max_examples=400)
