@@ -244,7 +244,7 @@ def poly_to_text(f: BivarPoly) -> str:
             body = f"{coef}*{var}"
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
-    # the grammar has no unary minus: a negative leading term needs its coefficient
+    # a negative leading term keeps its coefficient (-1*x), the text the goldens pin
     text = body if sign == "+" else f"-{body}" if body[0].isdigit() else f"-1*{body}"
     for sign, body in parts[1:]:
         text += f" {sign} {body}"

@@ -5,14 +5,15 @@ Grammar (UTF-8, line oriented, '#' starts a comment) over names N and an
 ordered variable set V:
 
     line := name "=" poly                 name in N, one line per name
-    poly := term (("+"|"-") term)*
+    poly := ["-"] term (("+"|"-") term)*
     term := [coef ["*"]] power+ | coef    "*" must be followed by a power
     power := v "^" uint                   v in V, each at most once, in V order
-    coef := int | int "/" uint            denominator > 0
+    coef := uint | uint "/" uint          denominator > 0
 
 Branch files have N = {x, y} and V = (t).  Polynomial text (`bivar.parse_poly`)
 has N = {f} and V = (x, y); there, and only there, a bare variable means
-exponent 1 (`x` is `x^1`), while `t` always needs its "^".
+exponent 1 (`x` is `x^1`), while `t` always needs its "^".  Integers are
+unsigned and "-" is always an operator: `t^3 -5 t^5` is t^3 - 5 t^5.
 
 Exactly one x-line and one y-line are required; x must be the pure monomial
 t^n.  Branches are canonicalized at parse time: when n is even, the
@@ -100,7 +101,7 @@ def _patterns(names: str, variables: str) -> tuple[re.Pattern, re.Pattern]:
     """The line head `name =` and the body's token pattern: an integer, a
     symbol or, in its own group, any other character not whitespace."""
     return (re.compile(rf"\s*([{names}])\s*="),
-            re.compile(rf"\s*(?:(-?[0-9]+)|([{variables}^*/+-])|(\S))"))
+            re.compile(rf"\s*(?:([0-9]+)|([{variables}^*/+-])|(\S))"))
 
 
 def _tokenize(pattern: re.Pattern, text: str, line_no: int, offset: int):
@@ -125,11 +126,11 @@ def _tokenize(pattern: re.Pattern, text: str, line_no: int, offset: int):
 def _parse_terms(tokens, line_no: int, variables: tuple[str, ...], bare: bool):
     """({exponents: num}, den): a sum of terms over `variables`, each
     coefficient num/den over the lcm den > 0 of their denominators, num != 0,
-    read in one pass over the tokens (which end with _END); with `bare`, a
-    variable without "^" has exponent 1.  An error at the end of the line
-    reports col 1."""
+    read in one pass over the tokens (which end with _END); the first term
+    may follow one "-", and with `bare`, a variable without "^" has exponent
+    1.  An error at the end of the line reports col 1."""
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
-    i, sign = 0, 1
+    i, sign = (1, -1) if tokens[0][0] == "-" else (0, 1)
     while True:
         start = i
         kind, num, col = tokens[i]
@@ -139,7 +140,7 @@ def _parse_terms(tokens, line_no: int, variables: tuple[str, ...], bare: bool):
             kind, _, col = tokens[i]
             if kind == "/":
                 kind, den, col = tokens[i + 1]
-                if kind != "int" or den <= 0:
+                if kind != "int" or not den:
                     raise ParseError("expected a positive denominator", line_no, col or 1)
                 i += 2
                 kind, _, col = tokens[i]
@@ -158,7 +159,7 @@ def _parse_terms(tokens, line_no: int, variables: tuple[str, ...], bare: bool):
             kind, _, col = tokens[i + 1]
             if kind == "^":
                 kind, e, col = tokens[i + 2]
-                if kind != "int" or e < 0:
+                if kind != "int":
                     raise ParseError("expected a non-negative exponent", line_no, col or 1)
                 exps[k] = e
                 i += 3

@@ -15,24 +15,24 @@ An edge with even q and r < 0 after an even denominator only reflects the
 sign chosen for earlier roots: the gauge x_k -> -x_k of the current
 parameter leaves x = x_k^denom fixed and turns C into -C.
 
-The loop works on one term dict {(a, b): coefficient of x^a y^b}, a primitive
-integer polynomial: it starts from f's integer numerators (``BivarPoly.num``,
-so f's denominator is cleared for free), and each edge is one integer
-substitution pass over it (``_transform``).  Scaling f by a nonzero
-constant changes neither its Newton polygon nor its edge roots.  The edge
-polynomial psi keeps integer coefficients too: ``_edge_root`` checks the
-perfect power by cross-multiplication and builds one ``Fraction``, the
-root.
+The expansion is in integers from f to the output branch.  The loop works
+on one primitive integer term dict {(a, b): coefficient of x^a y^b}, taken
+from f's numerators (``BivarPoly.num``; scaling f changes neither its Newton
+polygon nor its edge roots), and each edge is one integer substitution pass
+over it (``_transform``).  ``_edge_root`` checks the perfect power by
+cross-multiplication and returns r as a numerator and denominator, and so
+is each coefficient c kept.  Each t-exponent is an integer over the running
+denominator denom, the product of the edge heights q so far, and the output
+series is built once with ``series._series``.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .bivar import BivarPoly, poly_on_branch
 from .branch import DEFAULT_PRECISION, MAX_PRECISION, Branch, normalize_branch
 from .errors import IrrationalRootError, PrecisionError, PuiseuxError, ReducibleError
-from .series import TruncatedSeries
+from .series import _series
 
 
 def _iroot(n: int, q: int) -> int | None:
@@ -45,24 +45,29 @@ def _iroot(n: int, q: int) -> int | None:
         x = y
 
 
-def _edge_root(psi: list[int]) -> tuple[Fraction, int]:
-    """(r, d) with psi = psi[d] * (C - r)^d; ReducibleError if psi is no such power.
+def _edge_root(psi: list[int]) -> tuple[int, int, int]:
+    """(num, den, d) with psi = psi[d] * (C - num/den)^d, num/den in lowest
+    terms and den > 0; ReducibleError if psi is no such power.
 
-    r = -psi[d-1] / (d psi[d]), and psi[k] = psi[d] C(d, k) (-r)^(d-k) is
-    checked in integers, both sides multiplied by (d psi[d])^(d-k)."""
+    The root is r = -psi[d-1] / (d psi[d]), and psi[k] = psi[d] C(d, k)
+    (-r)^(d-k) is checked in integers, both sides multiplied by
+    (d psi[d])^(d-k)."""
     d = len(psi) - 1
     lead, below = psi[d], psi[d - 1]
     if any(psi[k] * (d * lead) ** (d - k) != lead * math.comb(d, k) * below ** (d - k)
            for k in range(d)):
         raise ReducibleError("edge equation splits into several branches")
-    return Fraction(-below, d * lead), d
+    g = math.gcd(below, d * lead) if lead > 0 else -math.gcd(below, d * lead)
+    return -below // g, d * lead // g, d
 
 
 def _branch_edges(coeffs: dict[tuple[int, int], int]):
     """Negative-slope edges of the Newton polygon at the origin.
 
-    Each edge is (q, m, psi): the edge exponent is m/q in lowest terms and
-    psi is the compressed edge polynomial in C = c^q.
+    Each edge is (q, m, weight, psi): the edge exponent is m/q in lowest
+    terms, psi is the compressed edge polynomial in C = c^q, and the edge is
+    a supporting line, so weight = a q + b m on it is the least over f's
+    terms, and the terms that reach it are the edge's.
     """
     minb: dict[int, int] = {}
     for a, b in coeffs:
@@ -84,29 +89,27 @@ def _branch_edges(coeffs: dict[tuple[int, int], int]):
             continue
         g = math.gcd(a2 - a1, b1 - b2)
         q, m = (b1 - b2) // g, (a2 - a1) // g
-        on_edge = [(a, b) for (a, b) in coeffs
-                   if (a - a1) * (b2 - b1) == (b - b1) * (a2 - a1) and a1 <= a <= a2]
-        b_low = min(b for _, b in on_edge)
-        deg = max((b - b_low) // q for _, b in on_edge)
-        psi = [0] * (deg + 1)
-        for a, b in on_edge:
-            psi[(b - b_low) // q] += coeffs[(a, b)]
-        edges.append((q, m, psi))
+        weight = a1 * q + b1 * m
+        psi = [0] * (g + 1)
+        for (a, b), v in coeffs.items():
+            if a * q + b * m == weight:
+                psi[(b - b2) // q] += v
+        edges.append((q, m, weight, psi))
     return edges
 
 
-def _transform(f: dict, q: int, m: int, c: Fraction) -> dict:
-    """Substitute x -> x^q, y -> x^m (c + y) and divide by x^L, L = min(a q + b m):
-    the edge terms become x^L P(c + y) for the edge polynomial P != 0.  In
-    integers: with c = num/den and B = deg_y f, the result is scaled by den^B,
-    each term coef C(b, k) num^(b-k) den^(B-b+k), and its content divided out."""
-    shift = min(a * q + b * m for a, b in f)
+def _transform(f: dict, q: int, m: int, weight: int, num: int, den: int) -> dict:
+    """Substitute x -> x^q, y -> x^m (c + y) for c = num/den and divide by
+    x^weight, the edge's weight: the edge terms become x^weight P(c + y) for
+    the edge polynomial P != 0.  In integers: with B = deg_y f, the result is
+    scaled by den^B, each term coef C(b, k) num^(b-k) den^(B-b+k), and its
+    content divided out."""
     top = max(b for _, b in f)
-    scale = [c.numerator ** i * c.denominator ** (top - i) for i in range(top + 1)]
+    scale = [num ** i * den ** (top - i) for i in range(top + 1)]
     acc: dict[tuple[int, int], int] = {}
     for (a, b), coef in f.items():
         for k in range(b + 1):
-            key = (a * q + b * m - shift, k)
+            key = (a * q + b * m - weight, k)
             acc[key] = acc.get(key, 0) + coef * math.comb(b, k) * scale[b - k]
     g = math.gcd(*acc.values())
     return {key: v // g for key, v in acc.items() if v}
@@ -115,12 +118,16 @@ def _transform(f: dict, q: int, m: int, c: Fraction) -> dict:
 def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
     """One rational branch (t^n, y(t)) of f with f(x(t), y(t)) = 0 mod t^precision.
 
-    The product of the edge denominators is the branch's multiplicity: an
-    edge of height q*d leaves a polynomial of height d, the multiplicity of
-    its root, so the product never exceeds the first height, at most deg_y f.
-    Each edge raises gamma * denom by at least 1, so after `precision` edges
-    the expansion stops: the loop runs at most precision + 1 times.  x = t^n
-    needs precision > n >= 1, so a precision outside 2..MAX_PRECISION is refused."""
+    The product denom of the edge heights q is the multiplicity n: an edge of
+    height q*d leaves a polynomial of height d, the multiplicity of its root,
+    so denom never exceeds the first height, at most deg_y f.  An edge of
+    exponent m/q multiplies the t-exponents by q and appends e q + m after
+    the last one e.  So they increase, by at least 1 per edge, and the loop
+    runs at most precision + 1 times; and for each prime p of n, the last
+    edge whose q it divides appends an exponent prime to p (m is prime to q,
+    and later heights to p), so only the truncation can leave n and the
+    exponents a common factor.  x = t^n needs precision > n >= 1, so a
+    precision outside 2..MAX_PRECISION is refused."""
     if not 2 <= precision <= MAX_PRECISION:
         raise PrecisionError(f"precision {precision!r} is not between 2 and {MAX_PRECISION}")
     cur = dict(f.num)  # f cleared of its denominator
@@ -131,8 +138,9 @@ def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
     if (0, 0) in cur:
         raise PuiseuxError("f does not vanish at the origin")
 
-    out_terms: list[tuple[Fraction, Fraction]] = []  # (x-exponent, coefficient)
-    gamma = Fraction(0)
+    exps: list[int] = []  # t-exponents over denom, increasing
+    coefs: list[tuple[int, int]] = []  # their coefficients (num, den), den > 0
+    e = 0  # the last t-exponent
     denom = 1
     exact = False
     last_mult = 1
@@ -144,32 +152,31 @@ def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
                 raise ReducibleError("f has a multiple branch (square factor)")
             exact = True
             break
-        if out_terms and out_terms[-1][0] * denom >= precision:
+        if e >= precision:
             break
         edges = _branch_edges(cur)
         if not edges:
             raise PuiseuxError("no branch continuation at the origin")
         if len(edges) > 1:
             raise ReducibleError("Newton polygon has several edges (several branches)")
-        q, m, psi = edges[0]
-        r, last_mult = _edge_root(psi)
-        if q % 2 == 0 and r < 0 and denom % 2 == 0:
+        q, m, weight, psi = edges[0]
+        num, den, last_mult = _edge_root(psi)
+        if q % 2 == 0 and num < 0 and denom % 2 == 0:
             # gauge x_k -> -x_k; m is odd, so C -> -C
-            e = int(gamma * denom)
             cur = {(a, b): -v if (a + e * b) % 2 else v for (a, b), v in cur.items()}
-            out_terms = [(g, -c if int(g * denom) % 2 else c) for g, c in out_terms]
-            r = -r
-        num, den = _iroot(abs(r.numerator), q), _iroot(r.denominator, q)
-        if num is None or den is None or (r < 0 and q % 2 == 0):
-            raise IrrationalRootError(
-                f"edge coefficient needs an irrational {q}-th root of {r}")
-        c = Fraction(num if r > 0 else -num, den)
+            coefs = [(-cn if x % 2 else cn, cd) for x, (cn, cd) in zip(exps, coefs)]
+            num = -num
+        root_num, root_den = _iroot(abs(num), q), _iroot(den, q)
+        if root_num is None or root_den is None or (num < 0 and q % 2 == 0):
+            r = f"{num}/{den}" if den > 1 else f"{num}"
+            raise IrrationalRootError(f"edge coefficient needs an irrational {q}-th root of {r}")
         denom *= q
         if denom > deg_y:
             raise PuiseuxError(f"internal: denominator {denom} exceeds deg_y f = {deg_y}")
-        gamma = gamma + Fraction(m, denom)
-        out_terms.append((gamma, c))
-        cur = _transform(cur, q, m, c)
+        e = e * q + m
+        exps = [x * q for x in exps] + [e]
+        coefs.append((root_num if num > 0 else -root_num, root_den))
+        cur = _transform(cur, q, m, weight, *coefs[-1])
     else:
         raise PuiseuxError(f"internal: no stop after {precision + 1} edges")
 
@@ -177,31 +184,17 @@ def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
         raise PrecisionError(
             "precision too small to separate coincident branches (edge root stays multiple)")
 
-    n = denom
-    exps = [int(g * n) for g, _ in out_terms]
-    if any(g * n != e for (g, _), e in zip(out_terms, exps)):
-        raise PuiseuxError("internal: non-integral t-exponent")
-    red = math.gcd(n, *exps) if exps else n
-    if red > 1:
-        if not exact:
-            raise PrecisionError(
-                "precision too small to separate branches (truncation is non-primitive)")
-        n //= red
-        exps = [e // red for e in exps]
-
-    y_terms: dict[int, Fraction] = {}
-    for (_, c), e in zip(out_terms, exps):
-        if e < precision:
-            y_terms[e] = y_terms.get(e, Fraction(0)) + c
-        else:
-            exact = False  # a known term falls beyond the requested truncation
-    visible = [n] + sorted(y_terms)
-    if math.gcd(*visible) > 1:
+    visible = [x for x in exps if x < precision]
+    exact = exact and len(visible) == len(exps)  # no known term beyond the truncation
+    if math.gcd(denom, *visible) > 1:
         raise PrecisionError(
             "precision too small to separate branches (truncation is non-primitive)")
-    xs = TruncatedSeries.monomial(n, 1, precision)
-    ys = TruncatedSeries.from_terms(y_terms, precision)
-    b = normalize_branch(Branch(xs, ys, label="", exact=exact))
+    y_den = math.lcm(*[cd for _, cd in coefs])
+    y_num = [0] * precision
+    for x, (cn, cd) in zip(visible, coefs):
+        y_num[x] = cn * (y_den // cd)
+    xs = _series([0] * denom + [1], 1, precision)
+    b = normalize_branch(Branch(xs, _series(y_num, y_den, precision), "", exact))
 
     res = poly_on_branch(f, b)
     if not res.is_zero():

@@ -10,9 +10,10 @@ that would need an unknown coefficient raises
 :class:`~germflow.errors.PrecisionError` instead of guessing.
 
 The kernels read and write this form directly and build no ``Fraction``:
-``Fraction`` appears only at the edges, in ``from_terms`` (the parsers'
-constructor), the read-only view ``terms``, ``leading``, ``__str__`` and the
-reference ``compose`` and ``invert_parameter`` (Newton reversion).  The
+``Fraction`` appears only at the edges, in ``from_terms`` (the constructor
+from rationals, behind ``monomial`` and ``zero``), the read-only view
+``terms``, ``leading``, ``__str__`` and the reference ``compose`` and
+``invert_parameter`` (Newton reversion).  The
 tests check ``in_terms_of`` against that reference, which the package does
 not call, and ``divide`` against inverting the divisor and multiplying
 (``divide_by_inverse`` in the tests' oracles).  Both kernels pull their

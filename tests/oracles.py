@@ -339,7 +339,7 @@ def poly_on_branch_by_terms(f: BivarPoly, b: Branch) -> TruncatedSeries:
 # -- the text grammar, one token at a time ---------------------------------------------
 
 def _tokenize(text: str, line_no: int, offset: int, variables: str):
-    token = re.compile(rf"\s*(?:(?P<int>-?[0-9]+)|(?P<sym>[{variables}^*/+-]))")
+    token = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<sym>[{variables}^*/+-]))")
     tokens = []
     pos = 0
     while pos < len(text):
@@ -416,6 +416,9 @@ class _TermParser:
     def parse_terms(self) -> dict[tuple[int, ...], Fraction]:
         acc: dict[tuple[int, ...], Fraction] = {}
         sign = 1
+        if self.peek()[0] == "-":  # the first term may follow one minus
+            self.take()
+            sign = -1
         while True:
             key, coef = self.parse_term()
             acc[key] = acc.get(key, Fraction(0)) + sign * coef

@@ -183,8 +183,9 @@ def test_from_terms_is_canonical(terms, c, parts):
     assert BivarPoly.from_terms({**terms, (7, 7): 0}) == f
     # duplicate keys: each coefficient written as two terms that the parser sums
     summands = [(k, q) for (k, v), part in zip(terms.items(), parts) for q in (part, v - part)]
-    text = " + ".join(f"{q.numerator}/{q.denominator}*x^{a}y^{b}" for (a, b), q in summands)
-    assert parse_poly(f"f = {text or 0}") == f
+    text = "".join(f" {'-' if q < 0 else '+'} {abs(q.numerator)}/{q.denominator}*x^{a}y^{b}"
+                   for (a, b), q in summands)
+    assert parse_poly(f"f = {text.removeprefix(' +') or 0}") == f
 
 
 def test_poly_text_roundtrip():
@@ -222,6 +223,7 @@ def test_parse_poly_forms():
                            (0, 0): Fraction(-1, 2)}
     h = parse_poly("f = x^2y^3")
     assert h.as_dict() == {(2, 3): Fraction(1)}
+    assert parse_poly("f = -x^3 + y^2") == parse_poly("f = y^2 -x^3") == f
 
 
 def test_parse_poly_zero_exponent_alone_is_a_term():

@@ -80,7 +80,9 @@ BRANCH_ERRORS = [
     ("x = t^2\ny = t^3 + $", "unexpected character '$'", 2, 10),
     ("x = t^2\ny = t^3 +  $", "unexpected character '$'", 2, 10),
     ("x = t^2\ny = t^3 t^5", "expected '+' or '-' between terms", 2, 9),
-    ("x = t^2\ny = t^3 -5", "expected '+' or '-' between terms", 2, 9),
+    ("x = t^2\ny = t^3 -5", "order of y must be >= 1 (nonzero constant term)", 2, 5),
+    ("x = t^2\ny = t^3 - -5 t^5", "expected a term", 2, 11),
+    ("x = t^2\ny = t^3 +-5 t^5", "expected a term", 2, 10),
     ("x = t^2\ny = 2* t^3 + 3*", "expected t after '*'", 2, 1),
     ("x = t^2\ny = 2 *+ t^3", "expected t after '*'", 2, 8),
     ("x = t\ny = t^3", "expected '^' after t", 1, 1),
@@ -90,7 +92,7 @@ BRANCH_ERRORS = [
     ("x = t^2\ny = 1/0 t^3", "expected a positive denominator", 2, 7),
     ("x = t^2\ny = 1/ -2 t^3", "expected a positive denominator", 2, 8),
     ("x = t^2\ny = t^3 +", "expected a term", 2, 1),
-    ("x = t^2\ny = - t^3", "expected a term", 2, 5),
+    ("x = t^2\ny = - - t^3", "expected a term", 2, 7),
     ("x = t^2\n  z = t^3", "expected 'x = ...' or 'y = ...'", 2, 3),
     ("x = t^2\n\tx = t^3\ny = t^5", "duplicate x-line", 2, 2),
     ("x = t^2\n  y =   # nothing", "empty polynomial", 2, 6),
@@ -112,6 +114,17 @@ def test_parse_error_message_line_and_column(text, message, line, col):
         parse_branch(text)
     assert (str(exc.value), exc.value.line, exc.value.col) == (
         f"line {line} col {col}: {message}", line, col)
+
+
+@pytest.mark.parametrize("text, same_as", [
+    ("x = t^2\ny = t^3 -5 t^5", "x = t^2\ny = t^3 - 5 t^5"),
+    ("x = t^2\ny = - t^3", "x = t^2\ny = -1 t^3"),
+    ("x = t^3\ny = -t^4", "x = t^3\ny = -1 t^4"),
+    ("x = t^3\ny = - 2/3 t^4 -1/2 t^5", "x = t^3\ny = -2/3 t^4 - 1/2 t^5"),
+])
+def test_minus_is_always_the_operator(text, same_as):
+    # integers are unsigned: "-5" after a term is the operator and 5
+    assert parse_branch(text) == parse_branch(same_as)
 
 
 def test_zero_x_has_no_order():
@@ -220,7 +233,7 @@ def _term(draw, variables, bare):
             powers += var if bare and e == 1 and draw(st.booleans()) else f"{var}^{e}"
     if powers and draw(st.booleans()):
         return powers
-    coef = str(draw(st.integers(-12, 12)))
+    coef = str(draw(st.integers(0, 12)))
     den = draw(st.sampled_from([None, None, None, None, 1, 2, 3, 6, 0]))
     if den is not None:
         coef += f"{draw(_SPACE)}/{draw(_SPACE)}{den}"
@@ -230,7 +243,7 @@ def _term(draw, variables, bare):
 @st.composite
 def _body(draw, variables, bare):
     terms = draw(st.lists(_term(variables, bare), min_size=1, max_size=5))
-    text = terms[0]
+    text = draw(st.sampled_from(["", "", "-", "- "])) + terms[0]
     for term in terms[1:]:
         text += f"{draw(_SPACE)}{draw(st.sampled_from('+-'))}{draw(_SPACE)}{term}"
     return text

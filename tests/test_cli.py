@@ -289,6 +289,12 @@ def test_isotopy_far_sample_reports_fail(capsys, tmp_path):
     assert code == 0 and err == ""
     assert "max_dist=1.959" in out and "e+103\n" in out
     assert out.endswith("FAIL\noutcome=ok\n")
+    # with --exit-status the FAIL verdict exits 2
+    code, flagged, err = run_cli(capsys, "isotopy", str(a), str(b), "--radius", "0.002",
+                                 "--samples", "3", "--precision", "32", "--no-timing",
+                                 "--exit-status")
+    assert (code, err) == (2, "")
+    assert flagged == out.replace("outcome=ok", "outcome=fail")
 
 
 def test_isotopy_image_on_the_negative_sheet_passes(capsys, tmp_path):

@@ -9,7 +9,7 @@ from oracles import edge_root_by_fractions
 
 from germflow import implicitize, newton_puiseux, parse_branch, parse_poly, poly_on_branch
 from germflow.branch import MAX_PRECISION, normalize_branch
-from germflow.errors import IrrationalRootError, PrecisionError, ReducibleError
+from germflow.errors import IrrationalRootError, PrecisionError, PuiseuxError, ReducibleError
 from germflow.puiseux import _edge_root
 
 
@@ -54,6 +54,29 @@ def test_the_precision_ceiling_is_accepted():
     assert b.ys.precision == MAX_PRECISION and b.ys.as_dict() == {3: 1}
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("f = 0", PuiseuxError, "zero polynomial"),
+    ("f = 1 + y - x^2", PuiseuxError, "f does not vanish at the origin"),
+    ("f = y^2 - 1/2*x^3", IrrationalRootError,
+     "edge coefficient needs an irrational 2-th root of 1/2"),
+    ("f = y^2 + x^3", IrrationalRootError, "edge coefficient needs an irrational 2-th root of -1"),
+])
+def test_refusal_messages(text, error, message):
+    with pytest.raises(error) as exc:
+        newton_puiseux(parse_poly(text))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_coincident_sheets_separate_with_precision():
+    # (y - x^2)^2 - x^7: the two sheets y = x^2 +- x^(7/2) agree below order 7 in t
+    f = parse_poly("f = y^2 - 2*x^2y + x^4 - x^7")
+    with pytest.raises(PrecisionError, match=r"^precision too small to separate coincident "
+                       r"branches \(edge root stays multiple\)$"):
+        newton_puiseux(f, precision=2)
+    b = newton_puiseux(f, precision=8)
+    assert b.xs.as_dict() == {2: 1} and b.ys.as_dict() == {4: 1, 7: 1}
+
+
 def test_irrational_root_refused():
     with pytest.raises(IrrationalRootError):
         newton_puiseux(parse_poly("f = y^2 - 2*x^3"))
@@ -90,6 +113,14 @@ def test_double_branch_needs_precision():
     # (y - x^2)^2 - x^51: the two sheets only separate at order 51/2
     with pytest.raises(PrecisionError):
         newton_puiseux(parse_poly("f = y^2 - 2*x^2y + x^4 - x^51"), precision=16)
+
+
+def test_a_known_term_beyond_the_precision_is_not_exact():
+    # y = x + x^5 ends exactly, but t^5 falls beyond a truncation at t^4
+    f = parse_poly("f = y - x - x^5")
+    b = newton_puiseux(f, precision=4)
+    assert b.ys.as_dict() == {1: 1} and not b.exact
+    assert newton_puiseux(f, precision=6).exact
 
 
 def test_residual_vanishes_mod_precision():
@@ -140,6 +171,9 @@ def roundtrip(text):
     "x = t^4\ny = -1 t^6 + t^7",
     "x = t^4\ny = -1 t^4 - 3 t^6 - 4/3 t^7",
     "x = t^4\ny = -1 t^6 - 4/3 t^9",
+    # the gauge after an even exponent (4 over the denominator 2) flips only
+    # the x-terms of odd degree; t^10 shows a wrong flip in the residual
+    "x = t^4\ny = -1 t^6 + t^8 + t^9 + t^10",
     # edge constants with large numerators and denominators
     "x = t^3\ny = -3813/1385 t^3 - 8396/9997 t^4",
 ])
@@ -215,4 +249,9 @@ def _edge_outcome(edge_root, psi):
 @settings(max_examples=300)
 @given(edge_polynomials())
 def test_edge_root_matches_the_fraction_reference(psi):
-    assert _edge_outcome(_edge_root, psi) == _edge_outcome(edge_root_by_fractions, psi)
+    got = _edge_outcome(_edge_root, psi)
+    if not isinstance(got, str):  # the root in lowest terms, over a positive denominator
+        num, den, d = got
+        assert den > 0 and math.gcd(num, den) == 1
+        got = Fraction(num, den), d
+    assert got == _edge_outcome(edge_root_by_fractions, psi)

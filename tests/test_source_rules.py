@@ -38,8 +38,9 @@
   ``_integer_coefficients`` and ``_clean``.  The exact kernels build no
   ``Fraction`` at all: ``TruncatedSeries.mul``, ``add``, ``divide`` and
   ``in_terms_of``, the quotient kernel ``series._quotient``, the chart step
-  ``resolution.apply_step``, ``puiseux._transform``, the residual
-  ``bivar.poly_on_branch`` and the parser's tokenizer and term loop
+  ``resolution.apply_step``, the Newton-Puiseux loop ``puiseux.newton_puiseux``
+  with its steps ``_edge_root``, ``_branch_edges`` and ``_transform``, the
+  residual ``bivar.poly_on_branch`` and the parser's tokenizer and term loop
   (``branch._tokenize``, ``_parse_terms``) hold no true division ``/`` and no
   ``Fraction(...)`` call.  ``bivar.implicitize`` and
   ``branch.normalize_branch`` read no ``.terms``, the ``Fraction`` view of a
@@ -48,9 +49,10 @@
   ``num`` and ``den`` (integer numerators of its terms over one
   denominator).  ``implicit_distance``, ``normalized``, ``poly_on_branch``,
   ``poly_to_text``, ``parse_poly`` and ``newton_puiseux`` read no
-  ``.terms``, the ``Fraction`` view of a polynomial, and ``branch.py`` names
-  no ``Fraction``: the parser reads each coefficient as an integer
-  numerator and denominator.
+  ``.terms``, the ``Fraction`` view of a polynomial, and neither
+  ``branch.py`` nor ``puiseux.py`` names ``Fraction``: the parser reads each
+  coefficient as an integer numerator and denominator, and Newton-Puiseux
+  keeps each exponent, root and coefficient in integers.
 - One resolution function, no repeated resolutions: ``resolution.resolve``
   reads a branch only as deep as its blowups need, and only
   ``resolution.py`` calls the single-attempt blowup walk ``_walk``.
@@ -230,7 +232,7 @@ def test_one_dense_integer_product(path):
 
 EXACT_KERNELS = {"series.py": ("mul", "add", "divide", "_quotient", "in_terms_of"),
                  "resolution.py": ("apply_step",),
-                 "puiseux.py": ("_transform",),
+                 "puiseux.py": ("newton_puiseux", "_edge_root", "_branch_edges", "_transform"),
                  "bivar.py": ("poly_on_branch",),
                  "branch.py": ("_tokenize", "_parse_terms")}
 
@@ -301,12 +303,13 @@ def test_one_exact_polynomial_representation():
         for func in funcs:
             reads = _terms_reads(path, func)
             assert reads == [], f"{name}: {func} reads .terms at lines {reads}"
-    # the parser reads coefficients as integer numerators and denominators
-    branch = next(p for p in SOURCES if p.name == "branch.py")
-    names = [node.lineno for node in ast.walk(_tree(branch))
-             if isinstance(node, ast.Name) and node.id == "Fraction"
-             or isinstance(node, ast.alias) and node.name == "Fraction"]
-    assert names == [], f"branch.py: Fraction at lines {names}"
+    # the parser and Newton-Puiseux keep numerators and denominators as integers
+    for path in SOURCES:
+        if path.name in ("branch.py", "puiseux.py"):
+            names = [node.lineno for node in ast.walk(_tree(path))
+                     if isinstance(node, ast.Name) and node.id == "Fraction"
+                     or isinstance(node, ast.alias) and node.name == "Fraction"]
+            assert names == [], f"{path.name}: Fraction at lines {names}"
 
 
 def _calls_of(tree, name):
