@@ -5,9 +5,9 @@ from .bivar import BivarPoly, implicitize, parse_poly, poly_on_branch, poly_to_t
 from .invariants import (CharExponents, EquisingularityVerdict, InvariantSet,
                          char_exponents, delta_from_mult, equisingular, invariant_set,
                          mult_seq_from_char, semigroup)
-from .isotopy import (BumpSpec, FlowReport, GraphMatch, IsotopyPlan, Multiplicative,
-                      Shear, apply_plan, build_plan, integrate_flow,
-                      lift_point, pushdown_point, verify_isotopy)
+from .isotopy import (FlowReport, GraphMatch, IsotopyPlan, Multiplicative, Shear,
+                      apply_plan, build_plan, integrate_flow, lift_point,
+                      pushdown_point, verify_isotopy)
 from .puiseux import newton_puiseux
 from .resolution import (ChartState, DualGraph, ResolutionData, StepRecord,
                          blowup_step, dual_graph, resolve)

@@ -40,10 +40,6 @@ class ResolutionError(GermflowError):
     """Blowup engine failure (max steps exceeded, degenerate input)."""
 
 
-class LiftError(GermflowError):
-    """A point cannot be lifted along a chart path (ill-conditioned or origin)."""
-
-
 class PlanError(GermflowError):
     """Isotopy plan construction failure."""
 
@@ -61,5 +57,5 @@ class DegenerateSlopeError(PlanError):
 
 
 class NumericError(GermflowError):
-    """A numeric run setting is out of range, or numeric integration produced
-    a non-finite value."""
+    """A numeric run setting is out of range, or a stage's closed-form flow
+    produced a non-finite value."""

@@ -26,11 +26,12 @@ updated by the stage's exact rational time-1 map, so deeper stages are
 still built from exact data.  The plan records the target's chart path once
 (a stage at level k acts in the chart of its first k steps) and the sample
 window its bumps were sized for.  Samples are carried in chart coordinates
-(``apply_plan``).  Each raw field is a translation or a linear map in the
-coordinate it moves, so wherever a trajectory stays in the ball on which the
-cut-off rho is 1 its time-1 flow is closed form; a sample that a stage cannot
-carry (a refused lift, or a trajectory that may leave that ball) is reported
-as uncontained, and FAILs.
+(``apply_plan``).  A stage's ``bump`` is the radius of the ball on which its
+cut-off rho is 1 (a shear has none).  Each raw field is a translation or a
+linear map in the coordinate it moves, so wherever a trajectory stays in that
+ball its time-1 flow is closed form; a sample that a stage cannot carry (a
+lift or trajectory for which ``lift_point`` or ``integrate_flow`` returns
+None) is reported as uncontained, and FAILs.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ from fractions import Fraction
 
 from .branch import DEFAULT_PRECISION, Branch, eval_branch
 from .bivar import implicitize
-from .errors import (DegenerateSlopeError, LiftError, NotEquisingularError,
-                     NumericError, PlanError, PrecisionError, SeriesError)
+from .errors import (DegenerateSlopeError, NotEquisingularError, NumericError,
+                     PlanError, PrecisionError, SeriesError)
 from .invariants import compare_dual_graphs
 from .resolution import (INF, ChartState, apply_step, dual_graph, initial_state,
                          is_terminal, reciprocal, resolve, state_slope, swapped)
@@ -51,16 +52,6 @@ from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
 ChartPath = tuple[tuple[str, Fraction], ...]
-
-
-# -- bump ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BumpSpec:
-    """Radii of the cut-off rho that makes a stage field compactly supported:
-    rho is 1 on the closed r_inner ball and 0 outside r_outer."""
-    r_inner: float
-    r_outer: float
 
 
 def _norm(p: Point) -> float:
@@ -71,7 +62,7 @@ def _norm(p: Point) -> float:
 # A field pushes one coordinate w (its orientation, "v" or "u") and is zero in
 # the other, `fixed`.  `flow(fixed, w)` is its float time-1 raw map of a point,
 # `contains(fixed, w, w1)` whether the raw trajectory from w to
-# w1 = flow(fixed, w) stays in the bump's r_inner ball (where the glued field
+# w1 = flow(fixed, w) stays in the ball of radius `bump` (where the glued field
 # is the raw one), `time_one` the exact time-1 raw map on chart series,
 # `params` the parameter text of a `germflow isotopy` stage line.
 
@@ -112,7 +103,7 @@ class Multiplicative:
     orientation: str
     ratio: Fraction
     shear: Fraction
-    bump: BumpSpec
+    bump: float
     level: int
     kind = "multiplicative"
 
@@ -129,7 +120,7 @@ class Multiplicative:
         # for 0 <= t <= 1, also for a negative ratio, where lambda is complex
         af = float(self.shear) * fixed
         reach = abs(af) + abs(w - af) * max(1.0, abs(float(self.ratio)))
-        return math.hypot(abs(fixed), reach) <= self.bump.r_inner
+        return math.hypot(abs(fixed), reach) <= self.bump
 
     def time_one(self, state: ChartState) -> ChartState:
         def move(fixed, w):
@@ -148,7 +139,7 @@ class GraphMatch:
     orientation: str
     s1: TruncatedSeries
     s2: TruncatedSeries
-    bump: BumpSpec
+    bump: float
     level: int
     kind = "graph-match"
 
@@ -161,7 +152,7 @@ class GraphMatch:
 
     def contains(self, fixed: complex, w: complex, w1: complex) -> bool:
         # the trajectory is the segment from w to w1, and the ball is convex
-        across, r = abs(fixed), self.bump.r_inner
+        across, r = abs(fixed), self.bump
         return math.hypot(across, abs(w)) <= r and math.hypot(across, abs(w1)) <= r
 
     def params(self) -> str:
@@ -172,12 +163,11 @@ StageField = Shear | Multiplicative | GraphMatch
 
 def integrate_flow(f: StageField, p: Point) -> Point | None:
     """Time-1 flow of the glued field, or None where the raw trajectory may
-    leave the bump's r_inner ball.
+    leave the ball of radius f.bump.
 
     The coordinate the field does not push is constant along the trajectory
-    and is returned as given.  In the r_inner ball (everywhere, for a field
-    without a bump) the glued field is the raw one, so the flow is its
-    closed form."""
+    and is returned as given.  In that ball (everywhere, for a field without
+    a bump) the glued field is the raw one, so the flow is its closed form."""
     moves_v = f.orientation == "v"
     fixed, w = p if moves_v else p[::-1]
     w1 = f.flow(fixed, w)
@@ -193,15 +183,16 @@ def integrate_flow(f: StageField, p: Point) -> Point | None:
 _LIFT_EPS = 1e-12
 
 
-def lift_point(path: ChartPath, p: Point) -> Point:
-    """Coordinates of p in the chart at the end of the blowup path; a chart-B
-    step is the chart-A step with x and y exchanged."""
+def lift_point(path: ChartPath, p: Point) -> Point | None:
+    """Coordinates of p in the chart at the end of the blowup path, or None
+    where a step's lift is ill-conditioned (p on or near the blown-down set);
+    a chart-B step is the chart-A step with x and y exchanged."""
     x, y = p
     for chart, c in path:
         if chart == "B":
             x, y = y, x
         if abs(x) < _LIFT_EPS * (1.0 + abs(y)):
-            raise LiftError("lift ill-conditioned near the blown-down set")
+            return None
         x, y = x, y / x - float(c)
         if chart == "B":
             x, y = y, x
@@ -269,13 +260,12 @@ def _state_bounds(state: ChartState, tmax: float) -> tuple[float, float]:
     return state.xs.abs_bound(tmax), state.ys.abs_bound(tmax)
 
 
-def _mult_bump(s1, t1max, ratio, a) -> BumpSpec:
+def _mult_bump(s1, t1max, ratio, a) -> float:
     # only lifts of the (moved) source germ are ever flowed, so the bump has
     # to contain their trajectories: positions scale by at most the ratio
     bu, bv = _state_bounds(s1, t1max)
     m = max(1.0, abs(float(ratio)))
-    r_inner = max(2.0 * (1.0 + m) * (1.0 + abs(float(a))) * (bu + bv), 0.05)
-    return BumpSpec(r_inner=r_inner, r_outer=2.0 * r_inner)
+    return max(2.0 * (1.0 + m) * (1.0 + abs(float(a))) * (bu + bv), 0.05)
 
 
 _SHEAR_CANDIDATES = [Fraction(k) for k in (1, -1, 2)]  # each use excludes at most two
@@ -377,22 +367,21 @@ def _graph_match_stage(s1, s2, t1max) -> PlanStage:
     # ever evaluated over that germ's transversal-coordinate range
     across, bw = _state_bounds(a, t1max)
     motion = g2.sub(g1).abs_bound(across)
-    r_inner = max(2.0 * (across + bw + motion), 0.05)
-    bump = BumpSpec(r_inner=r_inner, r_outer=2.0 * r_inner)
+    bump = max(2.0 * (across + bw + motion), 0.05)
     return PlanStage(GraphMatch("u" if moves_u else "v", g1, g2, bump, s1.level))
 
 
-def apply_plan(plan: IsotopyPlan, points: list[Point],
-               uncontained: list[int | None] | None = None) -> list[Point]:
-    """Map sample points through every stage, carried in chart coordinates.
+def apply_plan(plan: IsotopyPlan, points: list[Point]) -> tuple[list[Point], list[int | None]]:
+    """Images of the sample points under every stage, carried in chart
+    coordinates, and per point the stage (from 1) it stopped at, or None.
 
     A stage acts in the chart its level names, plan.chart_path[:level], and
     levels must not decrease (PlanError otherwise): a point is lifted only
     along the steps a stage adds, and pushed down to the plane once, after
     the last stage.  The origin stays put (every stage fixes it); any other
-    point stops at the first stage that cannot carry it, by a refused lift
-    or a trajectory that may leave the stage's bump.  A list `uncontained`
-    receives, per point, that stage's number (from 1) or None."""
+    point stops at the first stage that cannot carry it.  A refused lift
+    leaves it where the stages before put it; a trajectory that may leave
+    the stage's bump leaves it at its lift into the stage's chart."""
     path, level = plan.chart_path, 0
     carried = [(p, 0) for p in points]  # (coordinates in the chart path[:depth], depth)
     stops: list[int | None] = [None] * len(points)
@@ -403,19 +392,16 @@ def apply_plan(plan: IsotopyPlan, points: list[Point],
         level = stage.field.level
         for i in moving:
             q, depth = carried[i]
-            try:
-                q = lift_point(path[depth:level], q)
-            except LiftError:
+            q = lift_point(path[depth:level], q)
+            if q is not None:
+                carried[i] = (q, level)
+                q = integrate_flow(stage.field, q)
+            if q is None:
                 stops[i] = k
             else:
-                q1 = integrate_flow(stage.field, q)
-                if q1 is None:
-                    stops[i] = k
-                carried[i] = (q if q1 is None else q1, level)
+                carried[i] = (q, level)
         moving = [i for i in moving if stops[i] is None]
-    if uncontained is not None:
-        uncontained.extend(stops)
-    return [pushdown_point(path[:depth], q) for q, depth in carried]
+    return [pushdown_point(path[:depth], q) for q, depth in carried], stops
 
 
 # -- verification ------------------------------------------------------------------
@@ -502,8 +488,7 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
           for j in range(n_samples)]
     starts = [eval_branch(g1, complex(t)) for t in ts]
 
-    stops: list[int | None] = []
-    ends = apply_plan(plan, starts, stops)
+    ends, stops = apply_plan(plan, starts)
 
     f2 = implicitize(g2)
     records = [SampleRecord(complex(t), p0, p1,

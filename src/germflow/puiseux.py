@@ -127,7 +127,8 @@ def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
     edge whose q it divides appends an exponent prime to p (m is prime to q,
     and later heights to p), so only the truncation can leave n and the
     exponents a common factor.  x = t^n needs precision > n >= 1, so a
-    precision outside 2..MAX_PRECISION is refused."""
+    precision outside 2..MAX_PRECISION is refused, and so is one that the
+    expansion finds to be at most n."""
     if not 2 <= precision <= MAX_PRECISION:
         raise PrecisionError(f"precision {precision!r} is not between 2 and {MAX_PRECISION}")
     cur = dict(f.num)  # f cleared of its denominator
@@ -189,6 +190,8 @@ def newton_puiseux(f: BivarPoly, precision: int = DEFAULT_PRECISION) -> Branch:
     if math.gcd(denom, *visible) > 1:
         raise PrecisionError(
             "precision too small to separate branches (truncation is non-primitive)")
+    if denom >= precision:
+        raise PrecisionError(f"precision {precision} cuts away x = t^{denom}")
     y_den = math.lcm(*[cd for _, cd in coefs])
     y_num = [0] * precision
     for x, (cn, cd) in zip(visible, coefs):

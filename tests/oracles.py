@@ -59,8 +59,9 @@ raise ``ReducibleError`` in the same cases.
 ``glued_flow`` is the time-1 flow of a stage field glued by its cut-off
 ``bump_value``, integrated by fixed-step RK4 from the raw speed
 (``raw_speed``, with the multiplicative rate ``log_ratio``).  The package never
-integrates: it takes each stage's closed form inside the bump's r_inner
-ball, and these are the reference it is checked against.
+integrates: it takes each stage's closed form inside the ball of radius
+``bump`` on which the cut-off is 1, and these are the reference it is
+checked against.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ import math
 import re
 from fractions import Fraction
 
-from germflow import Branch, BivarPoly, BumpSpec, GraphMatch, Multiplicative, eval_branch
+from germflow import Branch, BivarPoly, GraphMatch, Multiplicative, eval_branch
 from germflow.errors import (ParseError, PrecisionError, ReducibleError, ResolutionError,
                              SeriesError)
 from germflow.resolution import INF, ChartState, ResolutionData, StepRecord, reciprocal, swapped
@@ -557,15 +558,15 @@ def chart_blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
 
 # -- the glued stage field, integrated by RK4 ------------------------------------------
 
-def bump_value(b: BumpSpec, p) -> float:
-    """The cut-off: 1 on the closed r_inner ball about the origin, 0 outside
-    r_outer, smooth in between."""
+def bump_value(bump: float, p) -> float:
+    """The cut-off: 1 on the closed ball of radius `bump` about the origin, 0
+    outside twice that radius, smooth in between."""
     r = math.hypot(p[0].real, p[0].imag, p[1].real, p[1].imag)
-    if r <= b.r_inner:
+    if r <= bump:
         return 1.0
-    if r >= b.r_outer:
+    if r >= 2.0 * bump:
         return 0.0
-    s = (r - b.r_inner) / (b.r_outer - b.r_inner)
+    s = (r - bump) / bump
     hi = math.exp(-1.0 / (1.0 - s))
     lo = math.exp(-1.0 / s)
     return hi / (hi + lo)
@@ -589,7 +590,7 @@ def glued_flow(f, p, h: float = 1e-3):
     """Time-1 flow of the glued field rho * raw by classical fixed-step RK4
     at step h on the moving coordinate alone; the fixed coordinate is
     returned as given.  The package once ran this wherever a trajectory may
-    leave the r_inner ball; its closed forms are checked against it."""
+    leave the ball of radius f.bump; its closed forms are checked against it."""
     moves_v = f.orientation == "v"
     fixed, w = p if moves_v else p[::-1]
     speed = raw_speed(f, fixed)

@@ -12,7 +12,6 @@ from germflow import (Multiplicative, build_plan, char_exponents, delta_from_mul
 from germflow.bivar import implicitize, poly_on_branch
 from germflow.branch import normalize_branch
 from germflow.cli import main
-from germflow.isotopy import BumpSpec
 from germflow.puiseux import newton_puiseux
 
 
@@ -75,8 +74,7 @@ def test_criterion_4_roundtrip(corpus):
 
 
 def test_criterion_5_flow_numerics():
-    bump = BumpSpec(r_inner=10.0, r_outer=20.0)
-    f = Multiplicative("v", Fraction(2), Fraction(0), bump, 0)
+    f = Multiplicative("v", Fraction(2), Fraction(0), 10.0, 0)
     lam = math.log(2.0)
     rng = random.Random(42)
     worst = 0.0
@@ -87,14 +85,14 @@ def test_criterion_5_flow_numerics():
         worst = max(worst, abs(end[0] - p[0]), abs(end[1] - p[1] * math.exp(lam)))
     assert worst < 1e-9
 
-    tight = Multiplicative("v", Fraction(2), Fraction(0), BumpSpec(0.1, 0.2), 0)
+    tight = Multiplicative("v", Fraction(2), Fraction(0), 0.1, 0)
     for k in range(20):
         z = complex(math.cos(0.3 * k), math.sin(0.3 * k))
         p = (0.5 * z, 0.4 * z.conjugate())
         assert glued_flow(tight, p, 1e-3) == p  # bit-identical outside support
 
     axis_worst = 0.0
-    g = Multiplicative("v", Fraction(3), Fraction(0), BumpSpec(0.5, 1.0), 0)
+    g = Multiplicative("v", Fraction(3), Fraction(0), 0.5, 0)
     for v in (0.05, 0.2, 0.45):
         end = glued_flow(g, (0j, complex(v)), 1e-3)
         axis_worst = max(axis_worst, abs(end[0]))

@@ -313,7 +313,7 @@ def test_isotopy_image_on_the_negative_sheet_passes(capsys, tmp_path):
 
 def test_isotopy_uncontained_sample_reports_its_stage(capsys, tmp_path):
     # isotopy_flow seed 34 op 32: the outer sample's graph-match trajectory
-    # may leave the bump's r_inner ball, so it has no closed-form image; RK4
+    # may leave the bump's ball, so it has no closed-form image; RK4
     # once carried it to max_dist=1.08e+28
     a, b, trace = tmp_path / "a.branch", tmp_path / "b.branch", tmp_path / "trace.txt"
     a.write_text("x = t^2\ny = t^3 - 4 t^4\n")

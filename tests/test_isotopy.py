@@ -18,9 +18,9 @@ from germflow import (Branch, GraphMatch, IsotopyPlan, Multiplicative, Shear, ap
                       build_plan, integrate_flow, isotopy, lift_point, parse_branch,
                       pushdown_point, verify_isotopy)
 from germflow.branch import eval_branch
-from germflow.errors import (DegenerateSlopeError, GermflowError, LiftError,
-                             NotEquisingularError, NumericError, PlanError, SeriesError)
-from germflow.isotopy import (MAX_SAMPLES, BumpSpec, PlanStage, _level0_alignment_shears,
+from germflow.errors import (DegenerateSlopeError, GermflowError, NotEquisingularError,
+                             NumericError, PlanError, SeriesError)
+from germflow.isotopy import (MAX_SAMPLES, PlanStage, _level0_alignment_shears,
                               _multiplicative_stage, distance_to_branch,
                               find_parameter_radius)
 from germflow.resolution import INF, ChartState
@@ -31,7 +31,7 @@ def S(terms, precision=32):
     return TruncatedSeries.from_terms({e: Fraction(c) for e, c in terms.items()}, precision)
 
 
-BUMP = BumpSpec(r_inner=10.0, r_outer=20.0)
+BUMP = 10.0
 
 
 def mult(c1, c2, bump):
@@ -46,18 +46,18 @@ def match(s1, s2, bump, orientation="v"):
 # -- bump ------------------------------------------------------------------
 
 def test_bump_inside_is_one():
-    b = BumpSpec(0.5, 1.0)
+    b = 0.5
     assert bump_value(b, (0j, 0j)) == 1.0
     assert bump_value(b, (0.3 + 0j, 0.2j)) == 1.0
 
 
 def test_bump_outside_is_zero():
-    b = BumpSpec(0.5, 1.0)
+    b = 0.5
     assert bump_value(b, (2.0 + 0j, 0j)) == 0.0
 
 
 def test_bump_transition_monotone():
-    b = BumpSpec(0.5, 1.0)
+    b = 0.5
     radii = [0.5 + 0.05 * k for k in range(11)]
     values = [bump_value(b, (complex(r), 0j)) for r in radii]
     mid = bump_value(b, (complex(0.75), 0j))
@@ -200,15 +200,15 @@ def test_graph_match_closed_form_linear_in_time():
 # -- gluing ---------------------------------------------------------------------
 
 def test_outside_support_bit_identical():
-    f = mult(1, 2, BumpSpec(0.1, 0.2))
+    f = mult(1, 2, 0.1)
     p = (1.0 + 0j, 1.0 + 0j)
     assert glued_flow(f, p, 1e-2) == p
 
 
 def test_outside_support_trajectory_stays_outside():
     # radius can only change where the field is nonzero, so points beyond
-    # r_outer never enter the support
-    bump = BumpSpec(0.1, 0.2)
+    # twice the bump never enter the support
+    bump = 0.1
     f = mult(1, 2, bump)
     rng = random.Random(3)
     for _ in range(25):
@@ -218,7 +218,7 @@ def test_outside_support_trajectory_stays_outside():
 
 
 def test_axis_invariance_multiplicative():
-    f = mult(1, 3, BumpSpec(0.5, 1.0))
+    f = mult(1, 3, 0.5)
     # u = 0 axis
     end = glued_flow(f, (0j, 0.2 + 0j), 1e-3)
     assert abs(end[0]) <= 1e-9
@@ -228,14 +228,14 @@ def test_axis_invariance_multiplicative():
 
 
 def test_sheared_multiplicative_keeps_labeled_axis():
-    f = Multiplicative("v", Fraction(2), Fraction(1), BumpSpec(0.5, 1.0), level=1)
+    f = Multiplicative("v", Fraction(2), Fraction(1), 0.5, level=1)
     end = integrate_flow(f, (0j, 0.2 + 0j))
     assert abs(end[0]) <= 1e-9  # {u = 0} invariant even with a shear
 
 
 def test_time_reversal_returns_to_start():
-    f = mult(1, 3, BumpSpec(0.3, 0.6))
-    back = mult(3, 1, BumpSpec(0.3, 0.6))
+    f = mult(1, 3, 0.3)
+    back = mult(3, 1, 0.3)
     p = (0.25 + 0.05j, 0.33 - 0.02j)  # partially in the transition annulus
     fwd = glued_flow(f, p, 1e-3)
     ret = glued_flow(back, fwd, 1e-3)
@@ -273,13 +273,11 @@ def test_pushdown_chart_a():
 
 
 def test_lift_origin_rejected():
-    with pytest.raises(LiftError):
-        lift_point((("A", Fraction(0)),), (0j, 0j))
+    assert lift_point((("A", Fraction(0)),), (0j, 0j)) is None
 
 
 def test_lift_on_divisor_ill_conditioned():
-    with pytest.raises(LiftError):
-        lift_point((("A", Fraction(0)),), (0j, 0.5 + 0j))
+    assert lift_point((("A", Fraction(0)),), (0j, 0.5 + 0j)) is None
 
 
 @given(st.integers(0, 3),
@@ -290,9 +288,8 @@ def test_lift_pushdown_roundtrip(tr, charts, r1, r2, phase):
     path = tuple((c, Fraction(tr if c == "A" else 0)) for c in charts)
     p = (complex(r1 * math.cos(phase), r1 * math.sin(phase)),
          complex(r2 * math.sin(phase), r2 * math.cos(phase)))
-    try:
-        q = lift_point(path, p)
-    except LiftError:
+    q = lift_point(path, p)
+    if q is None:
         return
     back = pushdown_point(path, q)
     scale = 1.0 + abs(p[0]) + abs(p[1])
@@ -306,9 +303,8 @@ def test_roundtrip_100_random_points():
     for _ in range(100):
         p = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
              complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        try:
-            q = lift_point(path, p)
-        except LiftError:
+        q = lift_point(path, p)
+        if q is None:
             continue
         back = pushdown_point(path, q)
         scale = 1.0 + abs(p[0]) + abs(p[1])
@@ -376,25 +372,24 @@ def test_plan_free_point_divergence_uses_shear_conjugation():
 def test_apply_plan_empty_points():
     g = parse_branch("x = t^2\ny = t^3")
     plan = build_plan(g, g)
-    assert apply_plan(plan, []) == []
+    assert apply_plan(plan, []) == ([], [])
 
 
 def test_apply_plan_origin_fixed():
     g1 = parse_branch("x = t^2\ny = t^3")
     g2 = parse_branch("x = t^2\ny = 2 t^3")
     plan = build_plan(g1, g2)
-    uncontained = []
-    assert apply_plan(plan, [(0j, 0j)], uncontained) == [(0j, 0j)]
     # every stage fixes the origin, so no stage stops it, though no chart
     # lift can carry it
-    assert uncontained == [None]
+    assert apply_plan(plan, [(0j, 0j)]) == ([(0j, 0j)], [None])
 
 
 def test_apply_plan_identity_within_tolerance():
     g = parse_branch("x = t^2\ny = t^3")
     plan = build_plan(g, g)
     pts = [(0.01 + 0j, 0.001 + 0j), (0.04 + 0j, 0.008 + 0j)]
-    out = apply_plan(plan, pts)
+    out, stops = apply_plan(plan, pts)
+    assert stops == [None, None]
     for p, q in zip(pts, out):
         assert abs(p[0] - q[0]) <= 1e-12
         assert abs(p[1] - q[1]) <= 1e-12
@@ -408,7 +403,7 @@ def test_divisor_probe_stays_on_axis():
     # at level 2, after the charts A0, B0: a satellite point, both axes divisors
     assert stage.field.level == 2 and plan.chart_path[:2] == (("A", 0), ("B", 0))
     bump = stage.field.bump
-    for v in (0.1, 0.5 * bump.r_inner, 0.9 * bump.r_inner):
+    for v in (0.1, 0.5 * bump, 0.9 * bump):
         end = glued_flow(stage.field, (0j, complex(v)), 1e-3)
         assert abs(end[0]) <= 1e-9
         end = glued_flow(stage.field, (complex(v), 0j), 1e-3)
@@ -463,7 +458,7 @@ def _bits(z):
     return struct.pack("<dd", z.real, z.imag)
 
 
-ORACLE_BUMP = BumpSpec(r_inner=0.3, r_outer=0.6)
+ORACLE_BUMP = 0.3
 ORACLE_FIELDS = {
     "multiplicative": lambda o: Multiplicative(o, Fraction(-3), Fraction(1, 2),
                                                ORACLE_BUMP, level=1),
@@ -480,7 +475,7 @@ ORACLE_POINTS = [(0.1 + 0.02j, 0.05 - 0.01j), (0.25 + 0.05j, 0.33 - 0.02j),
 
 
 # indices of the ORACLE_POINTS whose raw trajectory the containment rule keeps
-# in the r_inner ball; a global shear has no cut-off, so it keeps all of them
+# in the bump's ball; a global shear has no cut-off, so it keeps all of them
 CONTAINED = {"multiplicative": {0}, "graph-match": {0, 4}, "shear": set(range(5))}
 
 
@@ -538,14 +533,14 @@ def _gap_norm(p, q):
 @pytest.mark.parametrize("orientation", ["v", "u"])
 @pytest.mark.parametrize("kind", ["graph-match", "multiplicative"])
 def test_integrate_flow_matches_two_coordinate_rk4(kind, orientation):
-    # a trajectory that leaves the r_inner ball has no closed form; there the
+    # a trajectory that leaves the bump's ball has no closed form; there the
     # one-coordinate RK4 of the glued field is the two-coordinate one, bit for bit
     f = ORACLE_FIELDS[kind](orientation)
     moving = 1 if orientation == "v" else 0
     leaving = [p for k, p in enumerate(ORACLE_POINTS) if k not in CONTAINED[kind]]
     assert leaving
     for p in leaving:
-        assert _reach(f, p) > ORACLE_BUMP.r_inner
+        assert _reach(f, p) > ORACLE_BUMP
         assert integrate_flow(f, p) is None
         end = glued_flow(f, p, 1e-2)
         assert _bits(end[1 - moving]) == _bits(p[1 - moving])
@@ -559,7 +554,7 @@ def test_integrate_flow_closed_form_where_contained(kind, orientation):
     moving = 1 if orientation == "v" else 0
     for p in (ORACLE_POINTS[k] for k in sorted(CONTAINED[kind])):
         if f.bump is not None:
-            assert _reach(f, p) <= ORACLE_BUMP.r_inner
+            assert _reach(f, p) <= ORACLE_BUMP
         end = integrate_flow(f, p)
         assert [_bits(z) for z in end] == [_bits(z) for z in _closed_form_oracle(f, p)]
         rk4 = _oracle_flow(f, p, 1e-2)
@@ -590,7 +585,7 @@ def test_closed_form_agrees_with_rk4_over_contained_points(kind, orientation, ra
         f = ORACLE_FIELDS[kind](orientation)
         p = _join(f, fixed, gap)
         reach = _reach(f, p, samples=2)
-    assume(reach <= ORACLE_BUMP.r_inner)
+    assume(reach <= ORACLE_BUMP)
     end = integrate_flow(f, p)
     assert end == _closed_form_oracle(f, p)
     rk4 = _oracle_flow(f, p, 1e-3)
@@ -598,7 +593,7 @@ def test_closed_form_agrees_with_rk4_over_contained_points(kind, orientation, ra
 
 
 def test_trajectory_leaving_the_ball_is_uncontained():
-    # a translation that starts inside the r_inner ball and ends outside it,
+    # a translation that starts inside the bump's ball and ends outside it,
     # where the glued flow is not the closed form
     f = match(S({0: 0}), S({0: Fraction(1, 2)}), ORACLE_BUMP)
     p = (0.05 + 0j, 0.1 + 0j)
@@ -606,22 +601,22 @@ def test_trajectory_leaving_the_ball_is_uncontained():
     assert glued_flow(f, p, 1e-2) == _oracle_flow(f, p, 1e-2) != _closed_form_oracle(f, p)
     # a negative ratio whose end points both lie inside the ball while the
     # spiral between them leaves it
-    bump = BumpSpec(r_inner=0.28, r_outer=0.56)
+    bump = 0.28
     f = Multiplicative("v", Fraction(-3), Fraction(2), bump, level=1)
     p = (0.1j, 0.05 + 0.2j)
     closed = _closed_form_oracle(f, p)
-    assert max(math.hypot(*map(abs, q)) for q in (p, closed)) < bump.r_inner
-    assert _reach(f, p) > bump.r_inner
+    assert max(math.hypot(*map(abs, q)) for q in (p, closed)) < bump
+    assert _reach(f, p) > bump
     assert integrate_flow(f, p) is None
     assert glued_flow(f, p, 1e-2) != closed
     # the same spiral in a ball large enough to hold it takes the closed form
-    f = Multiplicative("v", Fraction(-3), Fraction(2), BumpSpec(0.37, 0.74), 1)
+    f = Multiplicative("v", Fraction(-3), Fraction(2), 0.37, 1)
     assert integrate_flow(f, p) == closed
 
 
 def test_plan_whose_trajectory_leaves_the_ball_fails_and_names_the_stage():
     # stage 2 is the translation of the test above, which carries every
-    # sample of the cusp (|p| <= 0.05) out of its r_inner ball of 0.3
+    # sample of the cusp (|p| <= 0.05) out of its bump's ball of radius 0.3
     g = parse_branch("x = t^2\ny = t^3")
     still = match(S({1: 1}), S({1: 1}), ORACLE_BUMP)
     leaving = match(S({0: 0}), S({0: Fraction(1, 2)}), ORACLE_BUMP)
@@ -637,7 +632,7 @@ def test_plan_whose_trajectory_leaves_the_ball_fails_and_names_the_stage():
     assert [rec.uncontained_stage for rec in verify_isotopy(a, b, plan, n_samples=4).records] \
         == [None] * 4
     first = plan.stages[0]
-    tiny = replace(first, field=replace(first.field, bump=BumpSpec(1e-9, 2e-9)))
+    tiny = replace(first, field=replace(first.field, bump=1e-9))
     rep = verify_isotopy(a, b, replace(plan, stages=(tiny,) + plan.stages[1:]), n_samples=4)
     assert [rec.uncontained_stage for rec in rep.records] == [1] * 4 and not rep.passed
 
@@ -660,11 +655,34 @@ def test_a_refused_lift_stops_the_sample():
     b = parse_branch("x = t^2\ny = t^3")
     plan = build_plan(a, b)
     rep = verify_isotopy(a, b, plan)
-    with pytest.raises(LiftError):
-        lift_point((("A", 0), ("B", 0), ("A", 1)), rep.records[-1].start)
+    assert lift_point((("A", 0), ("B", 0), ("A", 1)), rep.records[-1].start) is None
     assert [rec.uncontained_stage for rec in rep.records] == [1] * 40
     assert all(rec.dist == math.inf and rec.end == rec.start for rec in rep.records)
     assert rep.max_distance == math.inf and not rep.passed
+
+
+def test_a_stopped_sample_ends_where_its_transport_stopped():
+    # a refused lift keeps the image of the stages before it, pushed down from
+    # their chart: stage 1 moves the lift (0.1, 0.5) of (0.1, 0.05) onto
+    # {v = 0}, where the chart-B lift of stage 2 is refused
+    g = parse_branch("x = t^2\ny = t^3")
+    path = (("A", Fraction(0)), ("B", Fraction(0)))
+    onto_axis = GraphMatch("v", S({0: 0}), S({0: Fraction(-1, 2)}), BUMP, 1)
+    still = GraphMatch("v", S({0: 0}), S({0: 0}), BUMP, 2)
+    plan = IsotopyPlan((PlanStage(onto_axis), PlanStage(still)), g, g, path, 0.05, 1.0)
+    p = (0.1 + 0j, 0.05 + 0j)
+    assert lift_point(path[1:], (0.1 + 0j, 0j)) is None
+    ends, stops = apply_plan(plan, [p])
+    assert ends == [pushdown_point(path[:1], (0.1 + 0j, 0j))] == [(0.1 + 0j, 0j)]
+    assert stops == [2]
+    # a trajectory that may leave the ball keeps the sample's lift to the
+    # stage's chart, pushed down: a float round trip, not the start itself
+    leaving = GraphMatch("v", S({0: 0}), S({0: Fraction(1, 2)}), ORACLE_BUMP, 1)
+    plan = IsotopyPlan((PlanStage(leaving),), g, g, path[:1], 0.05, 1.0)
+    p = (0.07 + 0j, 0.003 + 0j)
+    (end,), stops = apply_plan(plan, [p])
+    assert stops == [1]
+    assert end == pushdown_point(path[:1], lift_point(path[:1], p)) != p
 
 
 def test_one_plan_and_its_check_find_the_parameter_radius_once(monkeypatch):
@@ -698,7 +716,7 @@ def test_verify_refuses_a_window_or_pair_the_plan_was_not_built_for(other):
 
 def test_deep_pair_whose_float_relift_left_the_ball_passes_by_closed_form():
     # isotopy_plan seed 4 op 52: lifting the innermost sample from the plane
-    # at every stage gave w = 0.638 at the level-6 graph match (r_inner
+    # at every stage gave w = 0.638 at the level-6 graph match (bump
     # 0.457), and that flow once ran 20 RK4 steps; carried in chart
     # coordinates every sample stays in every ball
     a = parse_branch("x = t^4\ny = -2 t^6 + t^9 + 2 t^12").with_precision(32)

@@ -77,6 +77,28 @@ def test_coincident_sheets_separate_with_precision():
     assert b.xs.as_dict() == {2: 1} and b.ys.as_dict() == {4: 1, 7: 1}
 
 
+NON_PRIMITIVE = "precision too small to separate branches (truncation is non-primitive)"
+
+
+@pytest.mark.parametrize("text, precision, outcome", [
+    # x = t^n needs precision > n; below that the truncation may also be
+    # non-primitive, and that refusal keeps its message
+    ("f = y^3 - x^2", 2, NON_PRIMITIVE),
+    ("f = y^3 - x^2", 3, "precision 3 cuts away x = t^3"),
+    ("f = y^3 - x^2", 4, ({3: 1}, {2: 1})),
+    ("f = y^2 - x^3", 2, NON_PRIMITIVE),
+    ("f = y^2 - x^3", 3, NON_PRIMITIVE),
+])
+def test_a_precision_at_most_the_multiplicity_is_refused(text, precision, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(PrecisionError) as exc:
+            newton_puiseux(parse_poly(text), precision=precision)
+        assert type(exc.value) is PrecisionError and str(exc.value) == outcome
+    else:
+        b = newton_puiseux(parse_poly(text), precision=precision)
+        assert (b.xs.as_dict(), b.ys.as_dict()) == outcome
+
+
 def test_irrational_root_refused():
     with pytest.raises(IrrationalRootError):
         newton_puiseux(parse_poly("f = y^2 - 2*x^3"))
