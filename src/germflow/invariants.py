@@ -3,8 +3,8 @@
 The multiplicity sequence, semigroup, delta and Milnor number are computed
 here from the characteristic exponents alone (Euclidean-division
 bookkeeping), which gives an oracle that is fully independent of the blowup
-engine; equisingularity itself is decided on weighted dual graphs under the
-canonical blowup-order labeling.  None of these takes a precision.
+engine; equisingularity is decided on them too, and weighted dual graphs
+only name what differs.  None of these takes a precision.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .branch import Branch
-from .errors import SeriesError
-from .resolution import DualGraph, dual_graph, resolve
+from .errors import PrecisionError, SeriesError
+from .resolution import DualGraph, dual_graph, initial_state, resolve
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,16 @@ def char_exponents(b: Branch) -> CharExponents:
     The betas are the exponents of y(t) at which the running gcd with n drops.
     When ord y < ord x, Zariski's inversion formula (Casas-Alvero, Singularities
     of Plane Curves, 2000) makes ord y the multiplicity; the exponents read are
-    then ord x and e - ord y + ord x for every later exponent e of y(t)."""
+    then ord x and e - ord y + ord x for every later exponent e of y(t).
+    As ``resolve``, it raises ResolutionError for an exact b that is not
+    primitive, and PrecisionError for a truncated b unless the running gcd
+    reaches 1 on the exponents e it knows: e < T_y, and e < T_x + ord y - n,
+    past which reparametrizing x = t^n + O(t^T_x) to t^n moves y(t)."""
     if not b.monomial_x():
         raise SeriesError("characteristic exponents need x to be the monomial t^n")
+    initial_state(b)
     n, exps = b.n, b.ys.support()
+    exps = [e for e in exps if b.exact or e < b.xs.precision + exps[0] - n]
     if exps and exps[0] < n:
         n, exps = exps[0], [n] + [e - exps[0] + n for e in exps[1:]]
     betas = []
@@ -55,6 +61,8 @@ def char_exponents(b: Branch) -> CharExponents:
         if g < e:
             betas.append(exp)
             e = g
+    if e != 1:
+        raise PrecisionError("the characteristic exponents are not all known at this precision")
     return CharExponents(n, tuple(betas))
 
 
@@ -128,10 +136,13 @@ def compare_dual_graphs(g1: DualGraph, g2: DualGraph) -> EquisingularityVerdict:
 
 
 def equisingular(a: Branch, b: Branch) -> EquisingularityVerdict:
-    """Compare the weighted dual graphs of the two desingularisations.
-
-    ``resolution.resolve`` reads each branch only as deep as its blowups
-    need, an exact one to any order up to MAX_PRECISION, so no truncation
-    setting enters the verdict."""
+    """Whether a and b are equisingular, which for plane branches is whether
+    their characteristic exponents are equal (Zariski, Studies in
+    Equisingularity I, 1965; Casas-Alvero, 2000, ch. 5).  Only when they
+    differ, or an x(t) is not t^n, are both branches resolved, only as deep
+    as their blowups need, and their dual graphs compared, for a certificate
+    that names the first difference.  No truncation setting enters."""
+    if a.monomial_x() and b.monomial_x() and char_exponents(a) == char_exponents(b):
+        return EquisingularityVerdict(True, "dual graphs identical under blowup-order labeling")
     graph_a, graph_b = [dual_graph(resolve(g)) for g in (a, b)]
     return compare_dual_graphs(graph_a, graph_b)

@@ -1,6 +1,6 @@
 """Ambient-isotopy construction between equisingular branches.
 
-Each branch is resolved only as deep as its blowups need
+``invariants.equisingular`` decides the pair, only the target is resolved
 (``resolution.resolve``), and the plan walks both branches at full precision
 along the target's recorded chart path, blowing each up in the target's
 recorded chart at each level.  Each stage of the plan is one of three field
@@ -45,9 +45,9 @@ from .branch import DEFAULT_PRECISION, Branch, eval_branch
 from .bivar import implicitize
 from .errors import (DegenerateSlopeError, NotEquisingularError, NumericError,
                      PlanError, PrecisionError, SeriesError)
-from .invariants import compare_dual_graphs
-from .resolution import (INF, ChartState, apply_step, dual_graph, initial_state,
-                         is_terminal, reciprocal, resolve, state_slope, swapped)
+from .invariants import equisingular
+from .resolution import (INF, ChartState, apply_step, initial_state, is_terminal, reciprocal,
+                         resolve, state_slope, swapped)
 from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
@@ -296,10 +296,12 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
     the origin, and its whole flow trajectory, stays in the region where the
     glued field equals the raw field.
 
-    Raises NotEquisingularError when the dual graphs differ, NumericError
-    for a sample_radius that is not finite and positive, and PrecisionError
-    for a precision outside 1..MAX_PRECISION (``Branch.with_precision``) or
-    below the order of an exact branch, which the plan would otherwise keep.
+    Raises NotEquisingularError with the certificate of ``equisingular``,
+    PlanError should the source, walked along the target's chart path, fall
+    out of step with it, NumericError for a sample_radius that is not finite
+    and positive, and PrecisionError for a precision outside 1..MAX_PRECISION
+    (``Branch.with_precision``) or below the order of an exact branch, which
+    the plan would otherwise keep.
     """
     h1, h2 = (g.with_precision(precision) if g.exact else g for g in (g1, g2))
     for h in (h1, h2):
@@ -307,10 +309,10 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
         if h.exact and order > precision:
             raise PrecisionError(f"precision {precision} is below the order {order} "
                                  f"of branch {h.label!r}")
-    rd1, rd2 = resolve(h1), resolve(h2)
-    verdict = compare_dual_graphs(dual_graph(rd1), dual_graph(rd2))
+    verdict = equisingular(h1, h2)
     if not verdict.equal:
         raise NotEquisingularError(verdict.certificate)
+    rd2 = resolve(h2)
 
     s1, s2 = initial_state(h1), initial_state(h2)
     t1max = find_parameter_radius(g1, sample_radius)

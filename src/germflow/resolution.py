@@ -89,8 +89,9 @@ def reciprocal(slope):
     return INF if slope == 0 else Fraction(0) if slope is INF else 1 / Fraction(slope)
 
 
-def _multiplicity(xs: TruncatedSeries, ys: TruncatedSeries, ox, oy) -> int:
-    """The multiplicity of the branch (xs, ys) of coordinate orders ox, oy."""
+def _multiplicity(xs: TruncatedSeries, ys: TruncatedSeries) -> int:
+    """The multiplicity of the branch (xs, ys)."""
+    ox, oy = xs.order(), ys.order()
     if ox is None:
         if oy is None:
             raise ResolutionError("degenerate state: both coordinates vanish identically")
@@ -100,8 +101,14 @@ def _multiplicity(xs: TruncatedSeries, ys: TruncatedSeries, ox, oy) -> int:
     return ox if oy is None else min(ox, oy)
 
 
-def _slope(xs: TruncatedSeries, ys: TruncatedSeries, ox, oy):
-    """The tangent direction of the branch (xs, ys) of coordinate orders ox, oy."""
+def state_slope(state: ChartState):
+    """Tangent direction of the branch at the chart origin.
+
+    Returns a Fraction (possibly 0) for the direction v = slope * u, or INF
+    for the direction along {u = 0}, the reciprocal of the exchanged state's.
+    """
+    xs, ys = state.xs, state.ys
+    ox, oy = xs.order(), ys.order()
     if ox is None and oy is None:
         raise ResolutionError("degenerate state")
     if ox is None or (oy is not None and oy < ox):  # tangent to {u = 0}
@@ -113,15 +120,6 @@ def _slope(xs: TruncatedSeries, ys: TruncatedSeries, ox, oy):
     if oy is None or oy > ox:
         return Fraction(0)
     return Fraction(ys.num[oy] * xs.den, xs.num[ox] * ys.den)
-
-
-def state_slope(state: ChartState):
-    """Tangent direction of the branch at the chart origin.
-
-    Returns a Fraction (possibly 0) for the direction v = slope * u, or INF
-    for the direction along {u = 0}, the reciprocal of the exchanged state's.
-    """
-    return _slope(state.xs, state.ys, state.xs.order(), state.ys.order())
 
 
 def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
@@ -150,15 +148,10 @@ def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
 
 
 def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
-    return _blowup_step(state, state.xs.order(), state.ys.order())
-
-
-def _blowup_step(state: ChartState, ox, oy) -> tuple[ChartState, StepRecord]:
-    """``blowup_step`` of a state whose coordinates have orders ox, oy."""
-    xs, ys = state.xs, state.ys
-    m = _multiplicity(xs, ys, ox, oy)
+    """Blow up the origin in the chart its tangent picks, and record the step."""
+    m = _multiplicity(state.xs, state.ys)
     prox = state.labels()
-    slope = _slope(xs, ys, ox, oy)  # chart B for a tangent along {u = 0}
+    slope = state_slope(state)
     chart, c = ("B", Fraction(0)) if slope is INF else ("A", slope)
     rec = StepRecord(
         centre=state.level + 1,
@@ -174,16 +167,11 @@ def _blowup_step(state: ChartState, ox, oy) -> tuple[ChartState, StepRecord]:
 def is_terminal(state: ChartState) -> bool:
     """Minimal embedded resolution reached: smooth branch, transverse to a
     single exceptional component at a free point."""
-    return _is_terminal(state, state.xs.order(), state.ys.order())
-
-
-def _is_terminal(state: ChartState, ox, oy) -> bool:
-    """``is_terminal`` of a state whose coordinates have orders ox, oy."""
     if (state.u_label is None) == (state.v_label is None):  # not a single label
         return False
-    if _multiplicity(state.xs, state.ys, ox, oy) != 1:
+    if _multiplicity(state.xs, state.ys) != 1:
         return False
-    return (ox if state.u_label is not None else oy) == 1
+    return (state.xs if state.u_label is not None else state.ys).order() == 1
 
 
 def initial_state(b: Branch) -> ChartState:
@@ -210,19 +198,14 @@ def _blowup_bound(state: ChartState) -> int:
 
 def _walk(b: Branch) -> ResolutionData:
     """Blow up until the total transform has normal crossings and the strict
-    transform meets a single exceptional component transversally; the
-    orders of each state's coordinates are read once, for both the
-    terminal test and the step."""
+    transform meets a single exceptional component transversally."""
     state = initial_state(b)
     bound = _blowup_bound(state)
     steps: list[StepRecord] = []
-    while True:
-        ox, oy = state.xs.order(), state.ys.order()
-        if state.level > 0 and _is_terminal(state, ox, oy):
-            break
+    while not (state.level > 0 and is_terminal(state)):
         if len(steps) >= bound:
             raise ResolutionError(f"internal: no termination within {bound} blowups")
-        state, rec = _blowup_step(state, ox, oy)
+        state, rec = blowup_step(state)
         if steps and rec.multiplicity > steps[-1].multiplicity:
             raise ResolutionError("internal: multiplicity sequence increased")
         steps.append(rec)

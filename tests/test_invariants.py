@@ -2,14 +2,29 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import semigroup_elements
+from test_plan_replay import FAMILIES, signed_members
 
-from germflow import (char_exponents, delta_from_mult, equisingular, invariant_set,
-                      mult_seq_from_char, parse_branch, resolve, semigroup)
+from germflow import (char_exponents, delta_from_mult, dual_graph, equisingular, implicitize,
+                      invariant_set, mult_seq_from_char, newton_puiseux, parse_branch, resolve,
+                      semigroup)
 from germflow.bivar import BivarPoly, poly_on_branch
-from germflow.invariants import CharExponents
+from germflow.branch import Branch
+from germflow.errors import PrecisionError, ResolutionError, SeriesError
+from germflow.invariants import CharExponents, compare_dual_graphs
+from germflow.series import TruncatedSeries
+
+
+def S(terms, precision):
+    return TruncatedSeries.from_terms({e: Fraction(c) for e, c in terms.items()}, precision)
+
+
+def graph_verdict(a, b):
+    """The dual-graph decider: both branches resolved, their graphs compared."""
+    return compare_dual_graphs(dual_graph(resolve(a)), dual_graph(resolve(b)))
 
 
 def test_char_exponents_cusp():
@@ -40,6 +55,34 @@ def test_char_exponents_invert_when_x_is_not_transversal():
     assert (c.n, c.betas) == (2, (7,))
     c = char_exponents(parse_branch("x = t^6\ny = t^4 + t^5"))
     assert (c.n, c.betas) == (4, (6, 7))
+
+
+def test_char_exponents_of_a_truncated_branch_need_the_gcd_to_reach_1():
+    # t^4 + O(t^7), t^6 + O(t^7): the running gcd stops at 2, as the
+    # resolution stops for want of precision
+    b = Branch(S({4: 1}, 7), S({6: 1}, 7), exact=False)
+    for read in (char_exponents, invariant_set, resolve):
+        with pytest.raises(PrecisionError):
+            read(b)
+
+
+def test_char_exponents_of_a_truncated_branch_read_y_only_where_x_is_known():
+    # x = t^4 + O(t^5), y = t^2 + t^5 + O(t^6): reparametrizing x to t^4 moves
+    # y(t) from order 5 + 2 - 4 = 3 on, so t^5 is not a known exponent
+    b = Branch(S({4: 1}, 5), S({2: 1, 5: 1}, 6), exact=False)
+    for read in (char_exponents, resolve):
+        with pytest.raises(PrecisionError):
+            read(b)
+    assert char_exponents(Branch(S({4: 1}, 8), S({2: 1, 5: 1}, 6), exact=False)) == \
+        CharExponents(2, (7,))
+
+
+def test_char_exponents_of_a_non_primitive_exact_branch_raise_as_the_resolution():
+    b = Branch(S({4: 1}, 7), S({6: 1}, 7))
+    for read in (char_exponents, invariant_set, resolve):
+        with pytest.raises(ResolutionError,
+                           match=r"^non-primitive parametrization \(gcd of exponents is 2\)$"):
+            read(b)
 
 
 @st.composite
@@ -185,7 +228,7 @@ def test_three_way_equivalence(corpus):
     names = sorted(corpus)
     for a, b in itertools.combinations(names, 2):
         ba, bb = corpus[a], corpus[b]
-        graphs_equal = equisingular(ba, bb).equal
+        graphs_equal = graph_verdict(ba, bb).equal
         mult_equal = (mult_seq_from_char(char_exponents(ba))
                       == mult_seq_from_char(char_exponents(bb)))
         char_equal = char_exponents(ba) == char_exponents(bb)
@@ -198,3 +241,48 @@ def test_milnor_is_twice_delta(corpus):
         assert inv.milnor == 2 * inv.delta
         smooth = all(m == 1 for m in resolve(b).multiplicities())
         assert (inv.delta == 0) == smooth
+
+
+@st.composite
+def _decided_pairs(draw):
+    """Two branches, each a member of one shared family, a member of any
+    family or a branch with ord y < ord x.  Each may be replaced by a
+    Newton-Puiseux round trip, a truncated branch: y(t) gains a term past
+    its others and past t^n, and the precision cuts it away."""
+    family = draw(st.sampled_from(FAMILIES))
+    pair = []
+    for _ in range(2):
+        b = draw(st.one_of(signed_members(family),
+                           st.sampled_from(FAMILIES).flatmap(signed_members),
+                           _low_ord_y_branches()))
+        if draw(st.booleans()):
+            top = max(b.n, b.ys.support()[-1])
+            tail = top + draw(st.integers(1, 4))
+            ys = b.ys.add(S({tail: draw(st.integers(-3, 3).filter(bool))}, b.ys.precision))
+            b = newton_puiseux(implicitize(Branch(b.xs, ys)), draw(st.integers(top + 1, tail)))
+            assert not b.exact
+        pair.append(b)
+    return pair
+
+
+@given(_decided_pairs())
+def test_exponents_decide_as_the_dual_graphs_do(pair):
+    try:
+        graphs = graph_verdict(*pair)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            equisingular(*pair)
+        return
+    assert equisingular(*pair) == graphs
+
+
+def test_equisingular_falls_back_to_dual_graphs_when_x_is_not_a_monomial(corpus):
+    # x = 2 t^2 and x = t^2 + t^3 reach the dual graphs: there are no exponents to read
+    twice = Branch(S({2: 2}, 8), S({3: 1}, 8))
+    bent = Branch(S({2: 1, 3: 1}, 8), S({5: 1}, 8))
+    with pytest.raises(SeriesError):
+        char_exponents(twice)
+    assert equisingular(twice, corpus["cusp"]) == graph_verdict(twice, corpus["cusp"])
+    assert equisingular(twice, corpus["cusp"]).equal
+    assert equisingular(corpus["cusp"], bent) == graph_verdict(corpus["cusp"], bent)
+    assert equisingular(corpus["cusp"], bent).certificate == "r differs (3 vs 4)"

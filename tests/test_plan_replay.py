@@ -4,7 +4,8 @@
   resolutions in lockstep, pins every stage of every ordered corpus pair
   (or its ``NotEquisingularError`` certificate).
 - ``build_plan`` takes one blowup per level on each branch, in the target's
-  recorded chart.
+  recorded chart, and resolves only the target; ``equisingular`` resolves
+  nothing for an equisingular pair.
 - Each stage's chart path extends the previous stage's, as ``apply_plan``
   requires: the plan records the target's chart path once, and a stage acts
   in its first ``level`` steps.
@@ -25,7 +26,8 @@ from conftest import CORPUS_NAMES, load_corpus
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from germflow import build_plan, equisingular, isotopy, parse_branch, resolution, resolve
+from germflow import (build_plan, equisingular, invariants, isotopy, parse_branch, resolution,
+                      resolve)
 from germflow.errors import NotEquisingularError
 from germflow.invariants import compare_dual_graphs
 from germflow.resolution import DualGraph
@@ -117,6 +119,23 @@ def test_build_plan_blows_up_each_branch_once_per_level(corpus, monkeypatch):
         assert calls == [step for step in rd.chart_path for _ in range(2)], (a, b)
         planned += 1
     assert planned == 20
+
+
+def test_resolutions_per_decision_and_per_plan(corpus, monkeypatch):
+    calls, original = [], resolution.resolve
+
+    def counted(b):
+        calls.append(b)
+        return original(b)
+
+    for module in (resolution, invariants, isotopy):
+        monkeypatch.setattr(module, "resolve", counted)
+    a, b = corpus["cusp"], corpus["cusp_t4"]
+    assert equisingular(a, b).equal and calls == []
+    build_plan(a, b)
+    assert calls == [b]
+    calls.clear()
+    assert not equisingular(a, corpus["two_pair"]).equal and len(calls) == 2
 
 
 def _families(max_n=4):

@@ -57,8 +57,11 @@
   reads a branch only as deep as its blowups need, and only
   ``resolution.py`` calls the single-attempt blowup walk ``_walk``.
   ``invariants.py`` calls ``resolve`` only in ``equisingular``, once per
-  branch, and ``isotopy.build_plan`` calls it twice, once per branch; no
-  module defines the retired ``resolve_graph``.
+  branch, and ``isotopy.build_plan`` calls it once, for the target (it asks
+  ``equisingular`` for the verdict); no module defines the retired
+  ``resolve_graph``, nor ``_is_terminal`` or ``_blowup_step``, the twins of
+  ``is_terminal`` and ``blowup_step`` that took a state's orders read
+  beforehand.
 - The implicit cross-check is exact: ``BivarPoly`` defines no float
   ``eval`` or ``grad`` (their float forms live in ``tests/oracles.py``), only
   ``implicit_distance``, which evaluates in integers and rounds once.
@@ -333,7 +336,13 @@ def test_no_repeated_resolutions():
         _calls_of(_function(invariants, "equisingular"), "resolve")
     assert len(_calls_of(_tree(invariants), "resolve")) == 1
     isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
-    assert len(_calls_of(_function(isotopy, "build_plan"), "resolve")) == 2
+    build_plan = _function(isotopy, "build_plan")
+    assert len(_calls_of(build_plan, "resolve")) == 1
+    assert len(_calls_of(build_plan, "equisingular")) == 1
+    for path in SOURCES:
+        defs = [(name, line) for name, line in _defined_names(_tree(path))
+                if name in ("_is_terminal", "_blowup_step")]
+        assert defs == [], f"{path.name}: blowup twins defined {defs}"
 
 
 def _bivar_poly_builds(func):
