@@ -40,7 +40,9 @@ from dataclasses import dataclass, field
 from .errors import ParseError, PrecisionError, SeriesError
 from .series import TruncatedSeries, _series
 
-MAX_PRECISION = 256  # truncation-order ceiling: the exact layer's cost grows steeply in it
+# truncation-order ceiling; at 256 `isotopy` takes 0.2 s on a 12-term cusp and 38 s on
+# an n = 128 pair, 37 s of it in the exact implicit check (2-CPU x86_64, CPython 3.11)
+MAX_PRECISION = 256
 DEFAULT_PRECISION = 64  # truncation order of every command, plan and expansion by default
 
 

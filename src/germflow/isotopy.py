@@ -19,7 +19,7 @@ exchanged (``resolution.swapped``), as chart B is chart A:
 - ``GraphMatch``: once the source is resolved, a translation field
   rho * (0, s2(u) - s1(u)) that matches its graph to the target's recorded
   final graph over the exceptional coordinate; each graph s(u) is read off
-  the chart series by triangular elimination (``TruncatedSeries.in_terms_of``).
+  the chart series by deflation through t/u (``TruncatedSeries.in_terms_of``).
 
 After a shear or multiplicative stage the moving branch's chart series is
 updated by the stage's exact rational time-1 map, so deeper stages are

@@ -13,19 +13,16 @@ The kernels read and write this form directly and build no ``Fraction``:
 ``Fraction`` appears only at the edges, in ``from_terms`` (the constructor
 from rationals, behind ``monomial`` and ``zero``), the read-only view
 ``terms``, ``leading``, ``__str__`` and the reference ``compose`` and
-``invert_parameter`` (Newton reversion).  The
-tests check ``in_terms_of`` against that reference, which the package does
-not call, and ``divide`` against inverting the divisor and multiplying
-(``divide_by_inverse`` in the tests' oracles).  Both kernels pull their
-output one coefficient at a time as integer numerators over one running
-common denominator (``_store_reduced``): ``in_terms_of`` is fraction-free
-triangular elimination, with O(p^3/6) integer multiply-adds at precision p,
-and ``_quotient`` is fraction-free long division, with O(p*terms) integer
-multiply-adds, or a shift when the divisor is a monomial.  ``_quotient``
-returns the unreduced numerators, so ``divide`` and the blowup's chart step
-(``resolution.apply_step``, which also translates the constant numerator)
-each reduce once with ``_series``.  ``int_poly_mul`` is the one dense
-integer polynomial product, shared with ``mul`` and implicitization.
+``invert_parameter`` (Newton reversion), which the package does not call.
+The tests check ``in_terms_of`` against that reference and against
+elimination by the base's powers, and ``divide`` against inverting the divisor
+(``in_terms_of_by_powers`` and ``divide_by_inverse`` in the tests' oracles).
+``_quotient`` is fraction-free long division, O(p*terms) integer
+multiply-adds at precision p or a shift for a monomial divisor, and returns
+its numerators unreduced, so ``divide``, ``in_terms_of`` (for the unit
+t/base, through which it then deflates at O(p^2*terms)) and the blowup's
+chart step ``resolution.apply_step`` each reduce once with ``_series``.
+``int_poly_mul`` is the one dense integer polynomial product.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
@@ -34,7 +31,6 @@ that is itself out of range saturates.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,34 +288,32 @@ class TruncatedSeries:
     def in_terms_of(self, base: "TruncatedSeries") -> "TruncatedSeries":
         """Series g with g(base(t)) = self(t) mod t^min(T_self, T_base).
 
-        Fraction-free triangular elimination against base of order exactly 1.
-        With D the base's denominator, B = D*base is its integer numerator
-        series, of t^1 coefficient lead, and h_j = g_j / D^j solves
-        self = sum_j h_j B^j, so h_k = (s_k - sum_{j<k} h_j [t^k]B^j) / lead^k.
-        The powers B^j mod t^p are dense integer lists, and the h_j integer
-        numerators over one running common denominator, rescaled only when
-        a new h_k brings a new factor: O(p^3/6) integer multiply-adds for the
-        powers and one integer dot product per k.
+        Deflation against base of order exactly 1: self = g_0 + base * S_1
+        with g_0 = self(0), and S_1 = ((self - g_0)/t) * (t/base) is known
+        to one order less, so g_k = S_k(0).  The unit t/base is one long
+        division (``_quotient``); each step is one product by it, cut to the
+        remaining precision and reduced, and the g_k are pulled as integer
+        numerators over one running common denominator: O(p^2 * terms)
+        integer multiply-adds, where terms counts the nonzero terms of
+        t/base, which is short when base is t over a polynomial.
         """
         if base.order() != 1:
             raise SeriesError("graph elimination needs a base of order exactly 1")
         p = min(self.precision, base.precision)
         if self._order_floor() >= p:  # often: the graph v = 0
             return TruncatedSeries.zero(p)
-        target = self.num[:p] + (0,) * (p - len(self.num))
-        lead = base.num[1]  # read off the numerators: p = 1 cuts t^1 from B
-        scaled = base.num[:p]
-        powers = [[1] + [0] * (p - 1)]
-        for _ in range(1, p):
-            powers.append(int_poly_mul(powers[-1], scaled, p))
-        # h_j = num[j] / (common * self.den), so the pulled sum is one dot product
-        num, common, lead_k = [0] * p, 1, 1
-        for k, column in enumerate(zip(*powers)):
-            r = target[k] * common - sum(map(operator.mul, num, column))
-            if r:
-                common = _store_reduced(num, k, r, common * lead_k, common)
-            lead_k *= lead
-        return _series([x * base.den ** k for k, x in enumerate(num)], common * self.den, p)
+        if p == 1:  # no precision is left for t/base, nor needed
+            return self.truncate(1)
+        unit = _series(*_quotient(TruncatedSeries((0, 1), 1, p), base))
+        s, num, common = self.truncate(p), [0] * p, 1
+        for k in range(p):
+            if s.num and s.num[0]:
+                common = _store_reduced(num, k, s.num[0], s.den, common)
+            if len(s.num) < 2:  # the rest of the graph is zero
+                break
+            s = _series(int_poly_mul(s.num[1:], unit.num, p - k - 1), s.den * unit.den,
+                        p - k - 1)
+        return _series(num, common, p)
 
     # -- composition -------------------------------------------------------
 

@@ -35,6 +35,12 @@ term by term in ``Fraction`` arithmetic and multiplying; it shares no code
 with the package's long division ``series._quotient``, and ``divide`` must
 give the same quotient, precision and errors.
 
+``in_terms_of_by_powers`` reads a graph off a series as the package once
+did: triangular elimination against the table of powers base^j mod t^p, with
+O(p^3/6) integer multiply-adds at precision p.  ``in_terms_of`` deflates
+through the unit t/base instead, and must give the same numerators,
+denominator and precision.
+
 ``chart_step``, ``chart_slope`` and ``chart_blowup_step`` are the blowup step
 as the package once took it, in two steps: a division (here
 ``divide_by_inverse``) and then ``add_const(-c)``, each reducing its result,
@@ -67,6 +73,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -74,7 +81,7 @@ from germflow import Branch, BivarPoly, GraphMatch, Multiplicative, eval_branch
 from germflow.errors import (ParseError, PrecisionError, ReducibleError, ResolutionError,
                              SeriesError)
 from germflow.resolution import INF, ChartState, ResolutionData, StepRecord, reciprocal, swapped
-from germflow.series import TruncatedSeries
+from germflow.series import TruncatedSeries, _series, _store_reduced, int_poly_mul
 
 
 # -- polynomial arithmetic ------------------------------------------------------
@@ -507,6 +514,32 @@ def divide_by_inverse(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries
         if s:
             inv[k] = -s / c0
     return shift(a, -ob).mul(TruncatedSeries.from_terms(inv, p)).truncate(prec)
+
+
+def in_terms_of_by_powers(s: TruncatedSeries, base: TruncatedSeries) -> TruncatedSeries:
+    """g with g(base(t)) = s(t) mod t^min(T_s, T_base), by fraction-free
+    triangular elimination against the table of powers of base."""
+    if base.order() != 1:
+        raise SeriesError("graph elimination needs a base of order exactly 1")
+    p = min(s.precision, base.precision)
+    if s._order_floor() >= p:
+        return TruncatedSeries.zero(p)
+    # with B = base.den * base, h_j = g_j / base.den^j solves s = sum_j h_j B^j,
+    # so h_k = (s_k - sum_{j<k} h_j [t^k]B^j) / lead^k, lead the t^1 numerator
+    target = s.num[:p] + (0,) * (p - len(s.num))
+    lead = base.num[1]
+    scaled = base.num[:p]
+    powers = [[1] + [0] * (p - 1)]
+    for _ in range(1, p):
+        powers.append(int_poly_mul(powers[-1], scaled, p))
+    # h_j = num[j] / (common * s.den), so the pulled sum is one dot product
+    num, common, lead_k = [0] * p, 1, 1
+    for k, column in enumerate(zip(*powers)):
+        r = target[k] * common - sum(map(operator.mul, num, column))
+        if r:
+            common = _store_reduced(num, k, r, common * lead_k, common)
+        lead_k *= lead
+    return _series([x * base.den ** k for k, x in enumerate(num)], common * s.den, p)
 
 
 # -- the blowup step in two passes ---------------------------------------------------

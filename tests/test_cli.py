@@ -1,5 +1,6 @@
 import argparse
 import os
+import signal
 
 import pytest
 
@@ -150,6 +151,32 @@ def test_isotopy_not_equisingular(capsys, corpus_dir):
                            path(corpus_dir, "two_pair"), "--no-timing")
     assert code == 2
     assert "not equisingular: r differs (3 vs 5)\noutcome=fail\n" in out
+
+
+def test_isotopy_of_a_long_cusp_at_the_precision_ceiling_finishes(capsys, corpus_dir,
+                                                                 tmp_path):
+    # C12: the graph series at precision 256 once took minutes, read off a
+    # table of the base's powers at p^3/6 multiply-adds; deflation through the
+    # short unit t/base takes well under a second
+    branch = tmp_path / "c12.branch"
+    branch.write_text("x = t^2\ny = t^3 + 1/3 t^5 - 7/11 t^7 + 13/17 t^9 + 19/23 t^11"
+                      " + 29/31 t^13 + 37/41 t^15 + 43/47 t^17 + 53/59 t^19 + 61/67 t^21"
+                      " + 71/73 t^23 + 79/83 t^25\n")
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("no result within 10 s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(capsys, "isotopy", str(branch), path(corpus_dir, "cusp"),
+                                 "--precision", "256", "--no-timing")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert (code, err) == (0, "")
+    assert "stage=1 level=3 kind=graph-match\n" in out
+    assert out.endswith("PASS\noutcome=ok\n")
 
 
 def test_isotopy_trace_format(capsys, corpus_dir, tmp_path):

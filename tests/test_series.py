@@ -3,10 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import coefficient, divide_by_inverse
+from oracles import coefficient, divide_by_inverse, in_terms_of_by_powers
 
 from germflow.errors import PrecisionError, SeriesError
 from germflow.series import TruncatedSeries
@@ -396,6 +396,54 @@ def test_in_terms_of_sparse_base_with_non_unit_negative_lead():
     assert g.as_dict() == {1: Fraction(-7, 3), 3: Fraction(-2401, 81),
                            5: Fraction(-823543, 729)}
     assert g.precision == 6
+
+
+@st.composite
+def reciprocal_pairs(draw):
+    """A target and the base t/Q(t), for a sparse polynomial Q with Q(0) != 0,
+    cut at a precision up to 64: the shape of a chart coordinate."""
+    precision = draw(st.integers(2, 64))
+    exps = [0] + draw(st.lists(st.integers(1, 8), max_size=3, unique=True))
+    coeffs = draw(st.lists(small_fractions.filter(lambda f: f != 0),
+                           min_size=len(exps), max_size=len(exps)))
+    base = S({1: 1}, precision + 1).divide(S(dict(zip(exps, coeffs)), precision + 1))
+    return draw(series_at(precision)), base
+
+
+@st.composite
+def dense_pairs(draw):
+    """A target and a base with every coefficient up to its precision nonzero."""
+    precision = draw(st.integers(2, 24))
+    coeffs = draw(st.lists(small_fractions.filter(lambda f: f != 0),
+                           min_size=precision - 1, max_size=precision - 1))
+    return draw(series_at(precision)), S(dict(enumerate(coeffs, 1)), precision)
+
+
+@st.composite
+def short_pairs(draw):
+    """Pairs read at precision 1 or 2: the target's or the base's is that low."""
+    p = draw(st.integers(1, 2))
+    base = draw(order_one_bases())
+    if p == 2 and draw(st.booleans()):
+        base = base.truncate(2)
+        return draw(series_at(draw(st.integers(2, 18)))), base
+    return draw(series_at(p)), base
+
+
+@st.composite
+def uneven_pairs(draw):
+    """A target whose precision lies above or below the base's."""
+    base = draw(order_one_bases())
+    precision = max(1, base.precision + draw(st.sampled_from([-6, -3, -1, 1, 3, 6])))
+    return draw(series_at(precision)), base
+
+
+@settings(max_examples=300)
+@given(st.one_of(reciprocal_pairs(), dense_pairs(), short_pairs(), uneven_pairs()))
+def test_in_terms_of_matches_elimination_by_powers(pair):
+    other, base = pair
+    got, want = other.in_terms_of(base), in_terms_of_by_powers(other, base)
+    assert (got.num, got.den, got.precision) == (want.num, want.den, want.precision)
 
 
 def _bench_scale_cases():

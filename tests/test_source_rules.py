@@ -29,9 +29,11 @@
   ``in_terms_of`` and ``TruncatedSeries.mul`` all call it, so no module
   keeps a second copy.
 - One long division: ``series._quotient`` is the only function with the
-  recurrence step ``r -= ... * num[k - j]``; ``TruncatedSeries.divide`` and
-  the blowup's chart step ``resolution.apply_step`` both call it, so the
-  chart step divides and translates in one integer pass.
+  recurrence step ``r -= ... * num[k - j]``; ``TruncatedSeries.divide``,
+  ``in_terms_of`` and the blowup's chart step ``resolution.apply_step`` all
+  call it, so the chart step divides and translates in one integer pass, and
+  the graph series divides once, for the unit t/base, and then deflates
+  through it by ``int_poly_mul`` products.
 - One exact representation: ``TruncatedSeries`` has exactly the fields
   ``num``, ``den`` and ``precision`` (integer numerators over one
   denominator), and no module defines the retired conversions
@@ -281,7 +283,7 @@ def test_one_long_division(path):
     owners = set(_long_division_owners(_tree(path)))
     assert owners == ({"_quotient"} if path.name == "series.py" else set()), \
         f"{path.name}: long division in {sorted(owners)}"
-    callers = {"series.py": ("divide",), "resolution.py": ("apply_step",)}
+    callers = {"series.py": ("divide", "in_terms_of"), "resolution.py": ("apply_step",)}
     for name in callers.get(path.name, ()):
         assert _calls_of(_function(path, name), "_quotient"), f"{path.name}: {name}"
 
