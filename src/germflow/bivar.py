@@ -113,10 +113,7 @@ class BivarPoly:
                 _gauss_add(gy, b * c, xp[a], yp[b - 1])
         val2 = val[0] ** 2 + val[1] ** 2
         grad2 = gx[0] ** 2 + gx[1] ** 2 + gy[0] ** 2 + gy[1] ** 2
-        if val2 >= den ** 2 << 2 * (1024 + s * deg):  # |f| >= 2^1024
-            return math.inf
-        tiny_num, tiny_den = (1e-300).as_integer_ratio()
-        if grad2 * tiny_den ** 2 <= (tiny_num * den) ** 2 << 2 * s * max(deg - 1, 0):
+        if _saturates(val2, grad2, den, s, deg):
             return math.inf
         return _sqrt_quotient(val2, grad2 << 2 * s)
 
@@ -128,6 +125,27 @@ class BivarPoly:
         if self.num[-1][1] < 0:
             g = -g
         return BivarPoly(tuple([(key, c // g) for key, c in self.num]), 1)
+
+
+_TINY_NUM, _TINY_DEN = (1e-300).as_integer_ratio()  # the gradient floor
+_TINY_SHIFT = _TINY_DEN.bit_length() - 1  # _TINY_DEN is a power of two
+
+
+def _shifted_at_least(a: int, sa: int, b: int, sb: int) -> bool:
+    """a * 2^sa >= b * 2^sb for integers a, b >= 0: by bit length where the
+    lengths differ, exactly only where they tie."""
+    if a and b and a.bit_length() + sa != b.bit_length() + sb:
+        return a.bit_length() + sa > b.bit_length() + sb
+    low = min(sa, sb)
+    return a << (sa - low) >= b << (sb - low)
+
+
+def _saturates(val2: int, grad2: int, den: int, s: int, deg: int) -> bool:
+    """Whether ``implicit_distance`` is inf: |f| >= 2^1024 or |grad f| <= 1e-300,
+    for val2 = |F|^2 and grad2 = |G|^2 of its scaled integers F = 2^(s*deg)
+    den f and G = 2^(s*(deg-1)) den grad f."""
+    return _shifted_at_least(val2, 0, den * den, 2 * (1024 + s * deg)) or \
+        _shifted_at_least((_TINY_NUM * den) ** 2, 2 * s * max(deg - 1, 0), grad2, 2 * _TINY_SHIFT)
 
 
 def _gauss_powers(re: int, im: int, top: int) -> list[tuple[int, int]]:

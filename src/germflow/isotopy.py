@@ -1,12 +1,13 @@
 """Ambient-isotopy construction between equisingular branches.
 
-``invariants.equisingular`` decides the pair, only the target is resolved
-(``resolution.resolve``), and the plan walks both branches at full precision
-along the target's recorded chart path, blowing each up in the target's
-recorded chart at each level.  Each stage of the plan is one of three field
-types, each pushing one chart coordinate.  They are written below for a
-field pushing v; one pushing u is the same field after x and y are
-exchanged (``resolution.swapped``), as chart B is chart A:
+``invariants.equisingular`` decides the pair, and the plan walks both
+branches at full precision, once each, blowing each up at every level in
+the chart the target's own state picks there (``resolution.state_slope``,
+as ``resolution.blowup_step`` picks it), until the target is resolved; no
+separate ``resolution.resolve`` walks the target first.  Each stage of the
+plan is one of three field types, each pushing one chart coordinate.  They
+are written below for a field pushing v; one pushing u is the same field
+after x and y are exchanged (``resolution.swapped``), as chart B is chart A:
 
 - ``Shear``: a global linear shear at level 0 (no exceptional divisor
   exists yet) that moves a tangent off 0 or infinity before the
@@ -47,7 +48,7 @@ from .errors import (DegenerateSlopeError, NotEquisingularError, NumericError,
                      PlanError, PrecisionError, SeriesError)
 from .invariants import equisingular
 from .resolution import (INF, ChartState, apply_step, initial_state, is_terminal, reciprocal,
-                         resolve, state_slope, swapped)
+                         state_slope, swapped)
 from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
@@ -237,8 +238,7 @@ def find_parameter_radius(b: Branch, radius: float) -> float:
         raise NumericError(f"radius {radius!r} is not finite and positive")
 
     def mag(t):
-        x, y = eval_branch(b, complex(t))
-        return math.hypot(x.real, x.imag, y.real, y.imag)
+        return math.hypot(b.xs.eval_real(t), b.ys.eval_real(t))
 
     hi = 1e-6
     while mag(hi) < radius and hi < 1e9:
@@ -312,16 +312,20 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
     verdict = equisingular(h1, h2)
     if not verdict.equal:
         raise NotEquisingularError(verdict.certificate)
-    rd2 = resolve(h2)
 
     s1, s2 = initial_state(h1), initial_state(h2)
     t1max = find_parameter_radius(g1, sample_radius)
     stages: list[PlanStage] = []
+    path: list[tuple[str, Fraction]] = []
 
-    for chart, c in rd2.chart_path:
+    # the target's own blowup walk, in the charts blowup_step picks; each
+    # step lowers a truncation order, so it ends (at the latest in a
+    # PrecisionError once no precision is left)
+    while not (s2.level > 0 and is_terminal(s2)):
         if s1.level > 0 and is_terminal(s1):
             raise PlanError("resolutions desynchronized; equisingularity violated")
-        c1, c2 = state_slope(s1), (INF if chart == "B" else c)
+        c1, c2 = state_slope(s1), state_slope(s2)
+        chart, c = ("B", Fraction(0)) if c2 is INF else ("A", c2)
         if c1 != c2 and s1.level == 0 and (INF in (c1, c2) or 0 in (c1, c2)):
             for orientation, amount in _level0_alignment_shears(c1, c2):
                 f = Shear(orientation, amount)
@@ -333,11 +337,12 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
         if state_slope(s1) != c2:
             raise PlanError("internal: the stages missed the target slope")
         s1, s2 = apply_step(s1, chart, c), apply_step(s2, chart, c)
+        path.append((chart, c))
 
     if not is_terminal(s1):
         raise PlanError("resolutions desynchronized; equisingularity violated")
     stages.append(_graph_match_stage(s1, s2, t1max))
-    return IsotopyPlan(tuple(stages), g1, g2, rd2.chart_path, sample_radius, t1max)
+    return IsotopyPlan(tuple(stages), g1, g2, tuple(path), sample_radius, t1max)
 
 
 def _multiplicative_stage(s1, c1, c2, t1max) -> PlanStage:
@@ -414,7 +419,7 @@ class SampleRecord:
     start: Point
     end: Point  # for an uncontained sample, where its transport stopped
     dist: float  # inf for an uncontained sample
-    dist_implicit: float
+    dist_implicit: float  # inf for an uncontained sample too
     uncontained_stage: int | None  # the first stage (from 1) that could not carry the sample
 
 
@@ -429,6 +434,16 @@ class FlowReport:
 _GAUSS_NEWTON_ITERS = 50  # per start; each iterate is a point of the trace
 
 
+def _real_trace(b: Branch):
+    """t -> (x(t), y(t), y'(t)) at a real t, as ``eval`` gives them: as floats
+    by ``eval_real`` when all three series are ``real_on_reals``, else the
+    complex values, whose rounding imaginary parts the distance reads."""
+    xs, ys, dy = b.xs, b.ys, b.ys.derivative()
+    if xs.real_on_reals and ys.real_on_reals and dy.real_on_reals:
+        return lambda t: (xs.eval_real(t), ys.eval_real(t), dy.eval_real(t))
+    return lambda t: (xs.eval(complex(t)), ys.eval(complex(t)), dy.eval(complex(t)))
+
+
 def distance_to_branch(p: Point, b: Branch) -> float:
     """Distance from p to the real trace of b (real t), for x(t) = t^n.
 
@@ -436,14 +451,14 @@ def distance_to_branch(p: Point, b: Branch) -> float:
     Optimization, 10.3) from both real points t = +-|Re x_p|^(1/n) of the
     fibre of x = t^n over p, one per sheet when n is even.  The origin
     (t = 0) lies on every branch, so the distance is at most |p|."""
-    n, dy = b.n, b.ys.derivative()
+    n, trace = b.n, _real_trace(b)
     best = _norm(p)
     t0 = abs(p[0].real) ** (1.0 / n)
     for t in (t0, -t0):
         for _ in range(_GAUSS_NEWTON_ITERS):
             try:
-                x, y = eval_branch(b, complex(t))
-                jx, jy = n * t ** (n - 1), dy.eval(complex(t))
+                x, y, jy = trace(t)
+                jx = n * t ** (n - 1)
                 jj = jx * jx + abs(jy) ** 2
             except OverflowError:
                 break
@@ -467,7 +482,8 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
     plan and measure how far the images land from g2 (geometric distance,
     cross-checked against the value of the implicit equation normalized by
     its gradient).  A sample that some stage cannot carry is uncontained:
-    its record names the stage, and its distance is inf, so the check FAILs.
+    its record names the stage, and both its distances are inf, so the check
+    FAILs.
 
     Every stage flow is closed form, so there is no integrator step: `h` is
     accepted and ignored, because germbench still passes it.
@@ -493,9 +509,9 @@ def verify_isotopy(g1: Branch, g2: Branch, plan: IsotopyPlan, n_samples: int = 4
     ends, stops = apply_plan(plan, starts)
 
     f2 = implicitize(g2)
-    records = [SampleRecord(complex(t), p0, p1,
-                            math.inf if stop else distance_to_branch(p1, g2),
-                            f2.implicit_distance(*p1), stop)
+    records = [SampleRecord(complex(t), p0, p1, math.inf, math.inf, stop) if stop else
+               SampleRecord(complex(t), p0, p1, distance_to_branch(p1, g2),
+                            f2.implicit_distance(*p1), None)
                for t, p0, p1, stop in zip(ts, starts, ends, stops)]
 
     max_distance = max(rec.dist for rec in records)

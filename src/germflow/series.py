@@ -26,7 +26,11 @@ chart step ``resolution.apply_step`` each reduce once with ``_series``.
 
 Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
 normal float range as a mantissa and a power-of-two scale, so only a value
-that is itself out of range saturates.
+that is itself out of range saturates.  ``eval_real`` is ``eval`` at a real
+argument in float arithmetic, with the same bits as ``eval(complex(t)).real``:
+each power is taken by the binary powering (``_powu``) that complex ``**``
+uses up to exponent 100; a series with a power above that, or a coefficient
+beyond float range, and a zero or non-finite value, go to ``eval``.
 """
 from __future__ import annotations
 
@@ -58,6 +62,23 @@ def _scaled_power(m: float, s: int, t: complex, e: int) -> complex:
     t = complex(t)
     v = m * complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)) ** e
     return complex(math.ldexp(v.real, s + k * e), math.ldexp(v.imag, s + k * e))
+
+
+_POWU_MAX = 100  # CPython's complex ** powers by squaring only up to this exponent
+
+
+def _powu(t: float, n: int) -> float:
+    """t**n for 1 <= n <= _POWU_MAX by the binary powering of CPython's
+    complex ``**`` (``c_powu``): the same products in the same order, so for
+    a real t it is (complex(t) ** n).real wherever that is finite and nonzero."""
+    r = 1.0
+    while True:
+        if n & 1:
+            r *= t
+        n >>= 1
+        if not n:
+            return r
+        t *= t
 
 
 def int_poly_mul(a, b, length: int | None = None) -> list[int]:
@@ -292,10 +313,11 @@ class TruncatedSeries:
         with g_0 = self(0), and S_1 = ((self - g_0)/t) * (t/base) is known
         to one order less, so g_k = S_k(0).  The unit t/base is one long
         division (``_quotient``); each step is one product by it, cut to the
-        remaining precision and reduced, and the g_k are pulled as integer
-        numerators over one running common denominator: O(p^2 * terms)
-        integer multiply-adds, where terms counts the nonzero terms of
-        t/base, which is short when base is t over a polynomial.
+        remaining precision and divided by its gcd, and each g_k is kept as
+        the pair (numerator, denominator) of S_k that it was read from, all
+        put over one lcm at the end: O(p^2 * terms) integer multiply-adds,
+        where terms counts the nonzero terms of t/base, which is short when
+        base is t over a polynomial.
         """
         if base.order() != 1:
             raise SeriesError("graph elimination needs a base of order exactly 1")
@@ -305,15 +327,21 @@ class TruncatedSeries:
         if p == 1:  # no precision is left for t/base, nor needed
             return self.truncate(1)
         unit = _series(*_quotient(TruncatedSeries((0, 1), 1, p), base))
-        s, num, common = self.truncate(p), [0] * p, 1
+        head = self.truncate(p)
+        s, den = list(head.num), head.den
+        coefs = []  # g_k = r / d as the pairs (r, d)
         for k in range(p):
-            if s.num and s.num[0]:
-                common = _store_reduced(num, k, s.num[0], s.den, common)
-            if len(s.num) < 2:  # the rest of the graph is zero
+            coefs.append((s[0], den) if s and s[0] else (0, 1))
+            if len(s) < 2:  # the rest of the graph is zero
                 break
-            s = _series(int_poly_mul(s.num[1:], unit.num, p - k - 1), s.den * unit.den,
-                        p - k - 1)
-        return _series(num, common, p)
+            s, den = int_poly_mul(s[1:], unit.num, p - k - 1), den * unit.den
+            while s and not s[-1]:
+                s.pop()
+            g = math.gcd(den, *s)  # keeps the numerators of S small
+            if g != 1:
+                s, den = [x // g for x in s], den // g
+        common = math.lcm(*[d for _, d in coefs])
+        return _series([r * (common // d) for r, d in coefs], common, p)
 
     # -- composition -------------------------------------------------------
 
@@ -337,7 +365,13 @@ class TruncatedSeries:
         return acc.mul(inner.pow(prev).truncate(p)).truncate(p)
 
     def derivative(self) -> "TruncatedSeries":
-        """d/dt, known to precision - 1 (PrecisionError when that is 0)."""
+        """d/dt, known to precision - 1 (PrecisionError when that is 0); built
+        once per series, so a distance check that evaluates the target's
+        slope at every iterate of every sample converts it to floats once."""
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "TruncatedSeries":
         if self.precision < 2:
             raise PrecisionError("no precision left in derivative")
         return _series([e * x for e, x in enumerate(self.num)][1:], self.den,
@@ -386,6 +420,46 @@ class TruncatedSeries:
             else:
                 scaled.append((e, *_split(Fraction(x, self.den))))
         return tuple(fits), tuple(scaled)
+
+    @cached_property
+    def real_on_reals(self) -> bool:
+        """Whether every power ``eval`` takes is at most _POWU_MAX, so that it
+        is complex ``**`` by squaring and ``eval`` at a real t has a zero (or,
+        after an overflow, a nan) imaginary part.  Above it ``**`` goes by
+        exp and log, which leaves a rounding imaginary part at t < 0."""
+        terms, scaled = self._float_terms
+        exps = [e for e, _ in terms]
+        return all(e <= _POWU_MAX for e, _, _ in scaled) and (not exps or exps[0] <= _POWU_MAX) \
+            and all(b - a <= _POWU_MAX for a, b in zip(exps, exps[1:]))
+
+    @cached_property
+    def _real_horner(self) -> tuple[float, tuple[tuple[int, float], ...], int] | None:
+        """(c, ((gap, c), ...), low) for Horner at a real argument, the steps of
+        ``eval`` over the terms by decreasing exponent; None unless
+        ``real_on_reals``, or where a coefficient is beyond float range."""
+        terms, scaled = self._float_terms
+        if scaled or not terms or not self.real_on_reals:
+            return None
+        exps = [e for e, _ in terms]
+        steps = tuple([(prev - e, c) for prev, (e, c) in zip(exps[:0:-1], terms[-2::-1])])
+        return terms[-1][1], steps, exps[0]
+
+    def eval_real(self, t: float) -> float:
+        """``eval(complex(t)).real`` for a real t, bit for bit, in float
+        arithmetic: with t real every imaginary part in ``eval`` is a zero,
+        so its real parts are these products and sums.  A zero or non-finite
+        value (where only a sign of zero or an overflow could tell the two
+        apart), and any series ``_real_horner`` rules out, go to ``eval``."""
+        form = self._real_horner
+        if form is not None:
+            acc, steps, low = form
+            for gap, c in steps:
+                acc = acc * (t if gap == 1 else _powu(t, gap)) + c
+            if low:
+                acc *= t if low == 1 else _powu(t, low)
+            if acc and math.isfinite(acc):
+                return acc
+        return self.eval(complex(t)).real
 
     def eval(self, t: complex) -> complex:
         """Horner evaluation over the stored terms at a complex argument; terms

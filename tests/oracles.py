@@ -10,6 +10,9 @@ exactly.  The ``BivarPoly`` arithmetic below exists only for this oracle.
 ``float_eval`` and ``float_grad`` evaluate a ``BivarPoly`` and its gradient in
 floating point, as the package once did for its implicit cross-check; the
 tests measure the exact ``BivarPoly.implicit_distance`` against them.
+``implicit_saturates_by_products`` is that check's overflow and flat-gradient
+guard as first written, with both comparisons built in full; the package
+decides them by bit length first and must give the same answer.
 
 ``semigroup_elements`` and ``proximity_matrix`` are the explicit forms of
 the semigroup and of the proximity relation that the invariant and
@@ -61,6 +64,10 @@ arithmetic: the root r = -psi[d-1] / (d psi[d]) and the comparison of each
 psi[k] with psi[d] C(d, k) (-r)^(d-k).  ``puiseux._edge_root`` checks the same
 identities cross-multiplied in integers, and must give the same root and
 raise ``ReducibleError`` in the same cases.
+
+``distance_by_complex_eval`` is ``isotopy.distance_to_branch`` as first
+written, reading x, y and y' through complex Horner at complex(t); the
+package reads them through ``eval_real`` and must return the same float.
 
 ``glued_flow`` is the time-1 flow of a stage field glued by its cut-off
 ``bump_value``, integrated by fixed-step RK4 from the raw speed
@@ -641,3 +648,41 @@ def glued_flow(f, p, h: float = 1e-3):
         k4 = fn(w + step * k3)
         w = w + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return (fixed, w) if moves_v else (w, fixed)
+
+
+def implicit_saturates_by_products(val2: int, grad2: int, den: int, s: int, deg: int) -> bool:
+    """The guards of ``BivarPoly.implicit_distance`` as first written, each a
+    comparison of two integers built in full (about 2000 bits for the
+    gradient floor): |f| >= 2^1024, or |grad f| <= 1e-300."""
+    if val2 >= den ** 2 << 2 * (1024 + s * deg):
+        return True
+    tiny_num, tiny_den = (1e-300).as_integer_ratio()
+    return grad2 * tiny_den ** 2 <= (tiny_num * den) ** 2 << 2 * s * max(deg - 1, 0)
+
+
+def distance_by_complex_eval(p, b: Branch, iters: int = 50) -> float:
+    """Gauss-Newton distance from p to b's real trace, every value taken by
+    complex Horner (``eval_branch``) at complex(t)."""
+    def norm(q):
+        return math.hypot(q[0].real, q[0].imag, q[1].real, q[1].imag)
+
+    n, dy = b.n, b.ys.derivative()
+    best = norm(p)
+    t0 = abs(p[0].real) ** (1.0 / n)
+    for t in (t0, -t0):
+        for _ in range(iters):
+            try:
+                x, y = eval_branch(b, complex(t))
+                jx, jy = n * t ** (n - 1), dy.eval(complex(t))
+                jj = jx * jx + abs(jy) ** 2
+            except OverflowError:
+                break
+            fx, fy = x - p[0], y - p[1]
+            best = min(best, norm((fx, fy)))
+            if not 0.0 < jj < math.inf:
+                break
+            step = (jx * fx + jy.conjugate() * fy).real / jj
+            if abs(step) < 1e-16 * abs(t):
+                break
+            t -= step
+    return best

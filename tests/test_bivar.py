@@ -6,10 +6,12 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import float_eval, float_grad, poly_on_branch_by_terms, sylvester_oracle
+from oracles import (float_eval, float_grad, implicit_saturates_by_products,
+                     poly_on_branch_by_terms, sylvester_oracle)
 
 from germflow import (Branch, BivarPoly, implicitize, parse_branch, parse_poly,
                       poly_on_branch, poly_to_text)
+from germflow.bivar import _saturates
 from germflow.branch import eval_branch
 from germflow.errors import ParseError, SeriesError
 from germflow.series import TruncatedSeries
@@ -342,3 +344,26 @@ def test_implicit_distance_matches_an_exact_rational_reference(b, tr, ti):
         assert got == math.inf
     else:
         assert got == pytest.approx(math.sqrt(ref), rel=1e-15)
+
+
+def _near(edge: int):
+    """Integers at and next to `edge`, and ones of about its bit length."""
+    return st.one_of(st.integers(-2, 2).map(lambda d: max(edge + d, 0)),
+                     st.integers(0, 4 * edge + 4),
+                     st.integers(0, 2 ** (edge.bit_length() + 64)))
+
+
+@st.composite
+def guard_inputs(draw):
+    den, s, deg = draw(st.integers(1, 10 ** 6)), draw(st.integers(0, 1100)), draw(st.integers(0, 8))
+    overflow = den * den << 2 * (1024 + s * deg)  # |f| = 2^1024
+    tiny_num, tiny_den = (1e-300).as_integer_ratio()
+    flat = ((tiny_num * den) ** 2 << 2 * s * max(deg - 1, 0)) // tiny_den ** 2  # |grad f| ~ 1e-300
+    return draw(_near(overflow)), draw(_near(flat)), den, s, deg
+
+
+@settings(max_examples=300)
+@given(guard_inputs())
+def test_implicit_distance_guards_match_the_full_products(args):
+    # the bit lengths decide, and the full comparison is built only on a tie
+    assert _saturates(*args) == implicit_saturates_by_products(*args)

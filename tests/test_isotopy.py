@@ -7,14 +7,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_NAMES
-from oracles import (bisect_parameter_radius, bump_value, glued_flow, grid_distance,
-                     log_ratio, raw_speed, two_sheet_grid)
+from oracles import (bisect_parameter_radius, bump_value, distance_by_complex_eval, glued_flow,
+                     grid_distance, log_ratio, raw_speed, two_sheet_grid)
 
-from germflow import (Branch, GraphMatch, IsotopyPlan, Multiplicative, Shear, apply_plan,
+from germflow import (BivarPoly, Branch, GraphMatch, IsotopyPlan, Multiplicative, Shear, apply_plan,
                       build_plan, integrate_flow, isotopy, lift_point, parse_branch,
                       pushdown_point, verify_isotopy)
 from germflow.branch import eval_branch
@@ -637,6 +637,27 @@ def test_plan_whose_trajectory_leaves_the_ball_fails_and_names_the_stage():
     assert [rec.uncontained_stage for rec in rep.records] == [1] * 4 and not rep.passed
 
 
+def test_a_stopped_sample_gets_no_implicit_distance(monkeypatch):
+    # a stopped sample's end is not an image of the isotopy, so neither of
+    # its distances is measured; both read inf
+    calls, original = [], BivarPoly.implicit_distance
+
+    def counted(f, x, y):
+        calls.append((x, y))
+        return original(f, x, y)
+
+    monkeypatch.setattr(BivarPoly, "implicit_distance", counted)
+    a, b = parse_branch("x = t^2\ny = t^3"), parse_branch("x = t^2\ny = 2 t^3")
+    plan = build_plan(a, b)
+    assert len(verify_isotopy(a, b, plan, n_samples=4).records) == len(calls) == 4
+    calls.clear()
+    first = plan.stages[0]
+    tiny = replace(first, field=replace(first.field, bump=1e-9))
+    rep = verify_isotopy(a, b, replace(plan, stages=(tiny,) + plan.stages[1:]), n_samples=4)
+    assert [rec.uncontained_stage for rec in rep.records] == [1] * 4 and calls == []
+    assert all(rec.dist == rec.dist_implicit == math.inf for rec in rep.records)
+
+
 def test_apply_plan_refuses_stage_paths_that_do_not_extend_each_other():
     # a stage acts in the chart chart_path[:level], so the charts of the
     # stages extend each other exactly when their levels do not decrease
@@ -935,6 +956,21 @@ def test_distance_is_no_worse_than_the_two_sheet_grid(n, ys, t0, eps, phase_x, p
     p = (x + scale * cmath.exp(1j * phase_x), y + scale * cmath.exp(1j * phase_y))
     oracle = grid_distance(p, b, two_sheet_grid(1.0, 400))
     assert distance_to_branch(p, b) <= oracle * (1.0 + 1e-9) + 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 6, 97, 101, 128]),
+       st.dictionaries(st.integers(1, 254), st.one_of(st.integers(-9, 9).filter(bool),
+                                                      st.just(3 * 10 ** 320)),
+                       min_size=1, max_size=5),
+       st.floats(-1.0, 1.0), st.floats(-1e-2, 1e-2), st.floats(-1e-3, 1e-3))
+@example(128, {245: -9}, -0.97, 1e-3, 0.0)  # a power complex ** takes by exp and log
+@example(2, {3: 1}, 0.5, 0.0, 0.0)
+def test_distance_is_the_complex_evaluation_distance_bit_for_bit(n, ys, t, dx, dy):
+    b = Branch(S({n: 1}, 256), S({n + e: c for e, c in ys.items()}, 256))
+    x, y = eval_branch(b, complex(t))
+    p = (x * (1.0 + dx), y * (1.0 + dy) + 1j * dy)
+    assert repr(distance_to_branch(p, b)) == repr(distance_by_complex_eval(p, b))
 
 
 def test_verify_refuses_a_target_whose_x_is_not_a_monomial():

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 from fractions import Fraction
 
@@ -276,6 +277,56 @@ def test_eval_saturates_a_coefficient_beyond_float_range():
         for t in (0.5, 0.5 - 0.25j):
             assert s.eval(t) == complex(math.inf, 0.0)
         assert s.abs_bound(0.5) == s.abs_bound(math.inf) == math.inf
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def real_eval_series(draw):
+    # sparse or dense, denominators up to 10^5, coefficients beyond float
+    # range, exponents above 100 (where complex ** stops powering by squaring)
+    precision = draw(st.sampled_from([8, 40, 256]))
+    if draw(st.booleans()):
+        exps = list(range(draw(st.integers(0, min(precision, 40)))))
+    else:
+        exps = draw(st.lists(st.integers(0, precision - 1), max_size=8, unique=True))
+    coefficient = st.one_of(st.fractions(max_denominator=10 ** 5).filter(bool),
+                            st.sampled_from([HUGE, -HUGE, 1 / HUGE]))
+    coeffs = draw(st.lists(coefficient, min_size=len(exps), max_size=len(exps)))
+    return S(dict(zip(exps, coeffs)), precision)
+
+
+real_points = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-8.0, 6.0)).map(
+    lambda sign_log: sign_log[0] * 10.0 ** sign_log[1])
+
+
+@given(real_eval_series(), st.lists(real_points, min_size=1, max_size=4))
+@example(S({101: 1}, 256), [-0.5, 0.5])  # a power complex ** takes by exp and log
+@example(S({60: 3, 70: -1}, 256), [1e6, -1e6])  # overflow
+@example(S({2: 1, 5: HUGE}, 8), [1e-8])  # a coefficient beyond float range
+@example(S({0: 1, 1: 1}, 8), [-1.0])  # a zero value
+@example(S({}, 8), [0.5])
+def test_eval_real_is_the_real_part_of_eval_bit_for_bit(s, ts):
+    for t in ts:
+        assert _same_bits(s.eval_real(t), s.eval(complex(t)).real), (s, t)
+
+
+def test_eval_real_takes_a_short_series_in_float_arithmetic(monkeypatch):
+    s = S({1: 2, 3: Fraction(-1, 3), 5: 7}, 8)
+    expected = [s.eval(complex(t)).real for t in (0.3, -0.3, 1e-8)]
+
+    def refuse(self, t):
+        raise AssertionError("eval_real went through complex Horner")
+
+    monkeypatch.setattr(TruncatedSeries, "eval", refuse)
+    assert [s.eval_real(t) for t in (0.3, -0.3, 1e-8)] == expected
+
+
+def test_derivative_is_built_once_per_series():
+    s = S({2: 1, 3: Fraction(5, 2)}, 8)
+    assert s.derivative() is s.derivative() == S({1: 2, 2: Fraction(15, 2)}, 7)
 
 
 def test_compose_hand_example():

@@ -59,8 +59,9 @@
   reads a branch only as deep as its blowups need, and only
   ``resolution.py`` calls the single-attempt blowup walk ``_walk``.
   ``invariants.py`` calls ``resolve`` only in ``equisingular``, once per
-  branch, and ``isotopy.build_plan`` calls it once, for the target (it asks
-  ``equisingular`` for the verdict); no module defines the retired
+  branch, and ``isotopy.py`` calls it nowhere: ``build_plan`` asks
+  ``equisingular`` for the verdict and walks the target's blowups itself,
+  applying each to both branches; no module defines the retired
   ``resolve_graph``, nor ``_is_terminal`` or ``_blowup_step``, the twins of
   ``is_terminal`` and ``blowup_step`` that took a state's orders read
   beforehand.
@@ -90,6 +91,10 @@
   stops the sample instead of skipping the stage.  No module defines the
   retired ``LiftError``, or ``BumpSpec``, whose outer radius nothing read: a
   stage's ``bump`` is the one radius its containment test reads.
+- The float kernels evaluate at a real argument: ``find_parameter_radius``
+  and ``distance_to_branch`` call neither ``eval_branch`` nor
+  ``complex(...)``, so their samples go through ``eval_real``; the one
+  complex fallback, for a series with a power above 100, is ``_real_trace``'s.
 """
 import ast
 import pathlib
@@ -339,7 +344,7 @@ def test_no_repeated_resolutions():
     assert len(_calls_of(_tree(invariants), "resolve")) == 1
     isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
     build_plan = _function(isotopy, "build_plan")
-    assert len(_calls_of(build_plan, "resolve")) == 1
+    assert _calls_of(build_plan, "resolve") == _calls_of(_tree(isotopy), "resolve") == []
     assert len(_calls_of(build_plan, "equisingular")) == 1
     for path in SOURCES:
         defs = [(name, line) for name, line in _defined_names(_tree(path))
@@ -417,3 +422,10 @@ def test_apply_plan_stops_a_sample_one_way():
     lines = [node.lineno for node in ast.walk(_function(isotopy, "apply_plan"))
              if isinstance(node, (ast.Try, ast.TryStar, ast.Continue))]
     assert lines == [], f"isotopy.py: apply_plan has a try or continue at lines {lines}"
+
+
+@pytest.mark.parametrize("name", ["find_parameter_radius", "distance_to_branch"])
+def test_the_float_kernels_evaluate_at_a_real_argument(name):
+    isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
+    func = _function(isotopy, name)
+    assert _calls_of(func, "eval_branch") == _calls_of(func, "complex") == [], name
