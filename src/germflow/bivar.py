@@ -70,19 +70,6 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
-
-    def leading(self) -> tuple[tuple[int, int], Fraction]:
-        """Leading term in lexicographic order with y > x."""
-        if not self.num:
-            raise SeriesError("zero polynomial has no leading term")
-        return self.terms[-1]
-
-    def scale(self, c) -> "BivarPoly":
-        c = Fraction(c)
-        return _poly([(key, v * c.numerator) for key, v in self.num], self.den * c.denominator)
-
     def implicit_distance(self, x: complex, y: complex) -> float:
         """|f| / |grad f| at the float point (x, y): the first-order distance
         from the point to the curve f = 0.

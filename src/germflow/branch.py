@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from .errors import ParseError, PrecisionError, SeriesError
 from .series import TruncatedSeries, _series
 
-# truncation-order ceiling; at 256 `isotopy` takes 0.2 s on a 12-term cusp and 38 s on
-# an n = 128 pair, 37 s of it in the exact implicit check (2-CPU x86_64, CPython 3.11)
+# truncation-order ceiling; at 256 `isotopy` takes 0.2 s on a 12-term cusp and about
+# 2 s on an n = 128 pair with seven characteristic exponents (2-CPU x86_64, CPython 3.11)
 MAX_PRECISION = 256
 DEFAULT_PRECISION = 64  # truncation order of every command, plan and expansion by default
 

@@ -18,9 +18,10 @@ after x and y are exchanged (``resolution.swapped``), as chart B is chart A:
   0 whenever both slopes are finite nonzero, and keeps every labeled axis
   invariant otherwise).
 - ``GraphMatch``: once the source is resolved, a translation field
-  rho * (0, s2(u) - s1(u)) that matches its graph to the target's recorded
-  final graph over the exceptional coordinate; each graph s(u) is read off
-  the chart series by deflation through t/u (``TruncatedSeries.in_terms_of``).
+  rho * (0, s2(u) - s1(u)) that matches its graph s1 to the target's
+  recorded final graph s2 over the exceptional coordinate; each graph s(u)
+  is read off the chart series by deflation through t/u
+  (``TruncatedSeries.in_terms_of``), and the stage keeps their difference.
 
 After a shear or multiplicative stage the moving branch's chart series is
 updated by the stage's exact rational time-1 map, so deeper stages are
@@ -37,7 +38,6 @@ None) is reported as uncontained, and FAILs.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -48,7 +48,7 @@ from .errors import (DegenerateSlopeError, NotEquisingularError, NumericError,
                      PlanError, PrecisionError, SeriesError)
 from .invariants import equisingular
 from .resolution import (INF, ChartState, apply_step, initial_state, is_terminal, reciprocal,
-                         state_slope, swapped)
+                         state_slope, step_chart, swapped)
 from .series import TruncatedSeries
 
 Point = tuple[complex, complex]
@@ -135,21 +135,17 @@ class Multiplicative:
 
 @dataclass(frozen=True)
 class GraphMatch:
-    """Translation field rho * (s2 - s1)(fixed); its time-1 raw flow carries
-    the graph of s1 onto the graph of s2 and keeps the fixed = 0 axis invariant."""
+    """Translation field rho * gap(fixed), gap = s2 - s1; its time-1 raw flow
+    carries the graph of s1 onto the graph of s2 and keeps the fixed = 0 axis
+    invariant."""
     orientation: str
-    s1: TruncatedSeries
-    s2: TruncatedSeries
+    gap: TruncatedSeries
     bump: float
     level: int
     kind = "graph-match"
 
-    @functools.cached_property
-    def _gap(self) -> TruncatedSeries:
-        return self.s2.sub(self.s1)
-
     def flow(self, fixed: complex, w: complex) -> complex:
-        return w + self._gap.eval(fixed)
+        return w + self.gap.eval(fixed)
 
     def contains(self, fixed: complex, w: complex, w1: complex) -> bool:
         # the trajectory is the segment from w to w1, and the ball is convex
@@ -256,16 +252,12 @@ def find_parameter_radius(b: Branch, radius: float) -> float:
     return hi
 
 
-def _state_bounds(state: ChartState, tmax: float) -> tuple[float, float]:
-    return state.xs.abs_bound(tmax), state.ys.abs_bound(tmax)
-
-
-def _mult_bump(s1, t1max, ratio, a) -> float:
-    # only lifts of the (moved) source germ are ever flowed, so the bump has
-    # to contain their trajectories: positions scale by at most the ratio
-    bu, bv = _state_bounds(s1, t1max)
-    m = max(1.0, abs(float(ratio)))
-    return max(2.0 * (1.0 + m) * (1.0 + abs(float(a))) * (bu + bv), 0.05)
+def _bump(state: ChartState, tmax: float, reach) -> float:
+    """Twice reach(bu, bv), and at least 0.05: a bump radius sized from the
+    bounds bu and bv of state's chart coordinates over |t| <= tmax.  Only
+    lifts of the (moved) source germ are ever flowed, so the bump has to
+    hold their trajectories, which reach estimates from those bounds."""
+    return max(2.0 * reach(state.xs.abs_bound(tmax), state.ys.abs_bound(tmax)), 0.05)
 
 
 _SHEAR_CANDIDATES = [Fraction(k) for k in (1, -1, 2)]  # each use excludes at most two
@@ -325,7 +317,7 @@ def build_plan(g1: Branch, g2: Branch, sample_radius: float = 0.05,
         if s1.level > 0 and is_terminal(s1):
             raise PlanError("resolutions desynchronized; equisingularity violated")
         c1, c2 = state_slope(s1), state_slope(s2)
-        chart, c = ("B", Fraction(0)) if c2 is INF else ("A", c2)
+        chart, c = step_chart(c2)
         if c1 != c2 and s1.level == 0 and (INF in (c1, c2) or 0 in (c1, c2)):
             for orientation, amount in _level0_alignment_shears(c1, c2):
                 f = Shear(orientation, amount)
@@ -360,7 +352,8 @@ def _multiplicative_stage(s1, c1, c2, t1max) -> PlanStage:
     a = Fraction(0) if 0 not in (d1, d2) else \
         next(k for k in _SHEAR_CANDIDATES if k != d1 and k != d2)
     ratio = (d2 - a) / (d1 - a)
-    bump = _mult_bump(s1, t1max, ratio, a)
+    m = max(1.0, abs(float(ratio)))  # positions scale by at most the ratio
+    bump = _bump(s1, t1max, lambda bu, bv: (1.0 + m) * (1.0 + abs(float(a))) * (bu + bv))
     return PlanStage(Multiplicative("u" if moves_u else "v", ratio, a, bump, s1.level))
 
 
@@ -369,13 +362,11 @@ def _graph_match_stage(s1, s2, t1max) -> PlanStage:
     states when {v = 0} is the exceptional axis."""
     moves_u = s1.u_label is None
     a, b = (swapped(s1), swapped(s2)) if moves_u else (s1, s2)
-    g1, g2 = a.ys.in_terms_of(a.xs), b.ys.in_terms_of(b.xs)
-    # flowed points are lifts of the moved source germ; both graphs are only
-    # ever evaluated over that germ's transversal-coordinate range
-    across, bw = _state_bounds(a, t1max)
-    motion = g2.sub(g1).abs_bound(across)
-    bump = max(2.0 * (across + bw + motion), 0.05)
-    return PlanStage(GraphMatch("u" if moves_u else "v", g1, g2, bump, s1.level))
+    gap = b.ys.in_terms_of(b.xs).sub(a.ys.in_terms_of(a.xs))
+    # the gap is only ever evaluated over the transversal-coordinate range of
+    # the moved source germ's lifts
+    bump = _bump(a, t1max, lambda across, bw: across + bw + gap.abs_bound(across))
+    return PlanStage(GraphMatch("u" if moves_u else "v", gap, bump, s1.level))
 
 
 def apply_plan(plan: IsotopyPlan, points: list[Point]) -> tuple[list[Point], list[int | None]]:
@@ -434,16 +425,6 @@ class FlowReport:
 _GAUSS_NEWTON_ITERS = 50  # per start; each iterate is a point of the trace
 
 
-def _real_trace(b: Branch):
-    """t -> (x(t), y(t), y'(t)) at a real t, as ``eval`` gives them: as floats
-    by ``eval_real`` when all three series are ``real_on_reals``, else the
-    complex values, whose rounding imaginary parts the distance reads."""
-    xs, ys, dy = b.xs, b.ys, b.ys.derivative()
-    if xs.real_on_reals and ys.real_on_reals and dy.real_on_reals:
-        return lambda t: (xs.eval_real(t), ys.eval_real(t), dy.eval_real(t))
-    return lambda t: (xs.eval(complex(t)), ys.eval(complex(t)), dy.eval(complex(t)))
-
-
 def distance_to_branch(p: Point, b: Branch) -> float:
     """Distance from p to the real trace of b (real t), for x(t) = t^n.
 
@@ -451,13 +432,13 @@ def distance_to_branch(p: Point, b: Branch) -> float:
     Optimization, 10.3) from both real points t = +-|Re x_p|^(1/n) of the
     fibre of x = t^n over p, one per sheet when n is even.  The origin
     (t = 0) lies on every branch, so the distance is at most |p|."""
-    n, trace = b.n, _real_trace(b)
+    n, xs, ys, dy = b.n, b.xs, b.ys, b.ys.derivative()
     best = _norm(p)
     t0 = abs(p[0].real) ** (1.0 / n)
     for t in (t0, -t0):
         for _ in range(_GAUSS_NEWTON_ITERS):
             try:
-                x, y, jy = trace(t)
+                x, y, jy = xs.eval_real(t), ys.eval_real(t), dy.eval_real(t)
                 jx = n * t ** (n - 1)
                 jj = jx * jx + abs(jy) ** 2
             except OverflowError:

@@ -122,6 +122,11 @@ def state_slope(state: ChartState):
     return Fraction(ys.num[oy] * xs.den, xs.num[ox] * ys.den)
 
 
+def step_chart(slope) -> tuple[str, Fraction]:
+    """The chart and translation of the blowup at a tangent of this slope."""
+    return ("B", Fraction(0)) if slope is INF else ("A", slope)
+
+
 def apply_step(state: ChartState, chart: str, c: Fraction) -> ChartState:
     """One blowup in the given chart, recentred by translation c.
 
@@ -151,8 +156,7 @@ def blowup_step(state: ChartState) -> tuple[ChartState, StepRecord]:
     """Blow up the origin in the chart its tangent picks, and record the step."""
     m = _multiplicity(state.xs, state.ys)
     prox = state.labels()
-    slope = state_slope(state)
-    chart, c = ("B", Fraction(0)) if slope is INF else ("A", slope)
+    chart, c = step_chart(state_slope(state))
     rec = StepRecord(
         centre=state.level + 1,
         multiplicity=m,

@@ -24,16 +24,17 @@ t/base, through which it then deflates at O(p^2*terms)) and the blowup's
 chart step ``resolution.apply_step`` each reduce once with ``_series``.
 ``int_poly_mul`` is the one dense integer polynomial product.
 
-Float evaluation (``eval``, ``abs_bound``) takes a coefficient beyond the
-normal float range as a mantissa and a power-of-two scale, so only a value
-that is itself out of range saturates.  ``eval_real`` is ``eval`` at a real
-argument in float arithmetic, with the same bits as ``eval(complex(t)).real``:
-each power is taken by the binary powering (``_powu``) that complex ``**``
-uses up to exponent 100; a series with a power above that, or a coefficient
-beyond float range, and a zero or non-finite value, go to ``eval``.
+Float evaluation (``eval``, ``eval_real``, ``abs_bound``) takes a
+coefficient beyond the normal float range as a mantissa and a power-of-two
+scale, so only a value that is itself out of range saturates.  ``eval`` and
+``eval_real`` walk one cached Horner form and take every power by binary
+powering (``_ipow``, ``_powu``), so ``eval`` at a real t is real at every
+exponent and ``eval_real`` gives its real part, bit for bit, in float
+arithmetic.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -60,17 +61,18 @@ def _scaled_power(m: float, s: int, t: complex, e: int) -> complex:
         raise OverflowError("infinite argument")
     k = math.frexp(abs(t))[1]  # |t| = f * 2**k with 1/2 <= f < 1
     t = complex(t)
-    v = m * complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)) ** e
+    v = m * _ipow(complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)), e)
     return complex(math.ldexp(v.real, s + k * e), math.ldexp(v.imag, s + k * e))
 
 
 _POWU_MAX = 100  # CPython's complex ** powers by squaring only up to this exponent
 
 
-def _powu(t: float, n: int) -> float:
-    """t**n for 1 <= n <= _POWU_MAX by the binary powering of CPython's
-    complex ``**`` (``c_powu``): the same products in the same order, so for
-    a real t it is (complex(t) ** n).real wherever that is finite and nonzero."""
+def _powu(t, n: int):
+    """t**n for n >= 1 by the binary powering of CPython's complex ``**``
+    (``c_powu``), the same products in the same order: up to _POWU_MAX it
+    has the bits of ``t ** n`` at a complex t, and at a real t those of
+    (complex(t) ** n).real wherever that is finite and nonzero."""
     r = 1.0
     while True:
         if n & 1:
@@ -79,6 +81,20 @@ def _powu(t: float, n: int) -> float:
         if not n:
             return r
         t *= t
+
+
+def _ipow(t: complex, n: int) -> complex:
+    """t**n for n >= 0 by binary powering at every exponent: complex ``**``
+    up to _POWU_MAX, where CPython powers by squaring in C, and ``_powu``
+    above, where ``**`` would go by exp and log and leave a rounding
+    imaginary part at a real t < 0.  Raises OverflowError, as ``**`` does,
+    where the power leaves float range."""
+    if n <= _POWU_MAX:
+        return t ** n
+    r = _powu(t, n)
+    if not cmath.isfinite(r):
+        raise OverflowError("complex exponentiation")
+    return r
 
 
 def int_poly_mul(a, b, length: int | None = None) -> list[int]:
@@ -422,23 +438,13 @@ class TruncatedSeries:
         return tuple(fits), tuple(scaled)
 
     @cached_property
-    def real_on_reals(self) -> bool:
-        """Whether every power ``eval`` takes is at most _POWU_MAX, so that it
-        is complex ``**`` by squaring and ``eval`` at a real t has a zero (or,
-        after an overflow, a nan) imaginary part.  Above it ``**`` goes by
-        exp and log, which leaves a rounding imaginary part at t < 0."""
-        terms, scaled = self._float_terms
-        exps = [e for e, _ in terms]
-        return all(e <= _POWU_MAX for e, _, _ in scaled) and (not exps or exps[0] <= _POWU_MAX) \
-            and all(b - a <= _POWU_MAX for a, b in zip(exps, exps[1:]))
-
-    @cached_property
-    def _real_horner(self) -> tuple[float, tuple[tuple[int, float], ...], int] | None:
-        """(c, ((gap, c), ...), low) for Horner at a real argument, the steps of
-        ``eval`` over the terms by decreasing exponent; None unless
-        ``real_on_reals``, or where a coefficient is beyond float range."""
-        terms, scaled = self._float_terms
-        if scaled or not terms or not self.real_on_reals:
+    def _horner(self) -> tuple[float, tuple[tuple[int, float], ...], int] | None:
+        """(c, ((gap, c), ...), low): Horner's steps over the terms whose
+        coefficient is a normal float, by decreasing exponent: the top
+        coefficient, each next one with the gap down to it, and the lowest
+        exponent; None when there is no such term."""
+        terms = self._float_terms[0]
+        if not terms:
             return None
         exps = [e for e, _ in terms]
         steps = tuple([(prev - e, c) for prev, (e, c) in zip(exps[:0:-1], terms[-2::-1])])
@@ -449,9 +455,10 @@ class TruncatedSeries:
         arithmetic: with t real every imaginary part in ``eval`` is a zero,
         so its real parts are these products and sums.  A zero or non-finite
         value (where only a sign of zero or an overflow could tell the two
-        apart), and any series ``_real_horner`` rules out, go to ``eval``."""
-        form = self._real_horner
-        if form is not None:
+        apart), and a series with a coefficient beyond float range, go to
+        ``eval``."""
+        form = self._horner
+        if form is not None and not self._float_terms[1]:
             acc, steps, low = form
             for gap, c in steps:
                 acc = acc * (t if gap == 1 else _powu(t, gap)) + c
@@ -464,19 +471,16 @@ class TruncatedSeries:
     def eval(self, t: complex) -> complex:
         """Horner evaluation over the stored terms at a complex argument; terms
         with a coefficient beyond float range are added one by one, scaled."""
-        terms, scaled = self._float_terms
+        form = self._horner
         try:
             acc = 0j
-            prev = None
-            for e, c in reversed(terms):
-                if prev is None:
-                    acc = complex(c)
-                else:
-                    acc = acc * t ** (prev - e) + c
-                prev = e
-            if prev is not None:
-                acc = acc * t ** prev
-            for e, m, s in scaled:
+            if form is not None:
+                top, steps, low = form
+                acc = complex(top)
+                for gap, c in steps:
+                    acc = acc * _ipow(t, gap) + c
+                acc = acc * _ipow(t, low)
+            for e, m, s in self._float_terms[1]:
                 acc += _scaled_power(m, s, t, e)
             return acc
         except OverflowError:

@@ -5,7 +5,9 @@ taken as the determinant of the (n+d)x(n+d) Sylvester matrix by Bareiss
 fraction-free elimination, so every intermediate entry stays a polynomial.
 ``germflow.implicitize`` computes the same resultant as a norm, from power
 sums and Newton's identities; after ``normalized()`` the two must agree
-exactly.  The ``BivarPoly`` arithmetic below exists only for this oracle.
+exactly.  The ``BivarPoly`` arithmetic below exists only for this oracle
+and the tests: ``as_dict``, ``leading`` and ``scale`` read and rescale a
+polynomial's ``Fraction`` view, which the package never needs.
 
 ``float_eval`` and ``float_grad`` evaluate a ``BivarPoly`` and its gradient in
 floating point, as the package once did for its implicit cross-check; the
@@ -67,7 +69,8 @@ raise ``ReducibleError`` in the same cases.
 
 ``distance_by_complex_eval`` is ``isotopy.distance_to_branch`` as first
 written, reading x, y and y' through complex Horner at complex(t); the
-package reads them through ``eval_real`` and must return the same float.
+package reads them through ``eval_real`` and must return the same float,
+also above exponent 100, since ``eval`` takes every power by binary powering.
 
 ``glued_flow`` is the time-1 flow of a stage field glued by its cut-off
 ``bump_value``, integrated by fixed-step RK4 from the raw speed
@@ -101,15 +104,30 @@ def const(c) -> BivarPoly:
     return BivarPoly.from_terms({(0, 0): Fraction(c)})
 
 
+def as_dict(p: BivarPoly) -> dict[tuple[int, int], Fraction]:
+    return dict(p.terms)
+
+
+def leading(p: BivarPoly) -> tuple[tuple[int, int], Fraction]:
+    """Leading term in lexicographic order with y > x."""
+    if p.is_zero():
+        raise SeriesError("zero polynomial has no leading term")
+    return p.terms[-1]
+
+
+def scale(p: BivarPoly, c) -> BivarPoly:
+    return BivarPoly.from_terms({key: v * Fraction(c) for key, v in p.terms})
+
+
 def add(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    acc = p.as_dict()
+    acc = as_dict(p)
     for k, c in q.terms:
         acc[k] = acc.get(k, Fraction(0)) + c
     return BivarPoly.from_terms(acc)
 
 
 def sub(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    return add(p, q.scale(-1))
+    return add(p, scale(q, -1))
 
 
 def mul(p: BivarPoly, q: BivarPoly) -> BivarPoly:
@@ -134,9 +152,9 @@ def exact_div(p: BivarPoly, q: BivarPoly) -> BivarPoly:
         raise ZeroDivisionError("division by zero polynomial")
     rem = p
     quo: dict[tuple[int, int], Fraction] = {}
-    (da, db), dc = q.leading()
+    (da, db), dc = leading(q)
     while not rem.is_zero():
-        (ra, rb), rc = rem.leading()
+        (ra, rb), rc = leading(rem)
         qa, qb = ra - da, rb - db
         if qa < 0 or qb < 0:
             raise SeriesError("polynomial division is not exact")
@@ -191,7 +209,7 @@ def _bareiss_det(m: list[list[BivarPoly]]) -> BivarPoly:
             m[i][k] = zero()
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    return det.scale(-1) if sign < 0 else det
+    return scale(det, -1) if sign < 0 else det
 
 
 def sylvester_resultant(p: list[BivarPoly], q: list[BivarPoly]) -> BivarPoly:
@@ -622,7 +640,7 @@ def raw_speed(f, fixed: complex):
     if isinstance(f, Multiplicative):
         rate, a = log_ratio(f), float(f.shear)
         return lambda w: rate * (w - a * fixed)
-    gap = f.s2.sub(f.s1).eval(fixed) if isinstance(f, GraphMatch) else float(f.amount) * fixed
+    gap = f.gap.eval(fixed) if isinstance(f, GraphMatch) else float(f.amount) * fixed
     return lambda w: gap
 
 

@@ -40,7 +40,7 @@ def mult(c1, c2, bump):
 
 
 def match(s1, s2, bump, orientation="v"):
-    return GraphMatch(orientation, s1, s2, bump, 0)
+    return GraphMatch(orientation, s2.sub(s1), bump, 0)
 
 
 # -- bump ------------------------------------------------------------------
@@ -320,7 +320,7 @@ def test_plan_identity_pair():
     assert len(plan.stages) == 1
     f = plan.stages[0].field
     assert f.kind == "graph-match"
-    assert f.s1 == f.s2
+    assert f.gap.is_zero()
 
 
 def test_plan_scaled_cusp_structure():
@@ -421,10 +421,9 @@ def _oracle_field(f):
         s = float(f.amount)
         raw = (lambda x, y: (0j, s * x)) if f.orientation == "v" else (lambda x, y: (s * y, 0j))
     else:
-        diff = f.s2.sub(f.s1)
-        raw = lambda x, y: (0j, diff.eval(x))
+        raw = lambda x, y: (0j, f.gap.eval(x))
         if f.orientation == "u":
-            raw = lambda x, y: (diff.eval(y), 0j)
+            raw = lambda x, y: (f.gap.eval(y), 0j)
     if f.bump is None:
         return raw
 
@@ -495,7 +494,7 @@ def _closed_form_oracle(f, p):
         return _join(f, fixed, af + (w - af) * float(f.ratio))
     if f.kind == "shear":
         return _join(f, fixed, w + float(f.amount) * fixed)
-    return _join(f, fixed, w + f.s2.sub(f.s1).eval(fixed))
+    return _join(f, fixed, w + f.gap.eval(fixed))
 
 
 def _reach(f, p, samples=1001):
@@ -506,7 +505,7 @@ def _reach(f, p, samples=1001):
         af = float(f.shear) * fixed
         at = lambda t: af + (w - af) * cmath.exp(log_ratio(f) * t)
     else:
-        gap = f.s2.sub(f.s1).eval(fixed)
+        gap = f.gap.eval(fixed)
         at = lambda t: w + t * gap
     return max(math.hypot(abs(fixed), abs(at(k / (samples - 1))))
                for k in range(samples))
@@ -688,8 +687,8 @@ def test_a_stopped_sample_ends_where_its_transport_stopped():
     # {v = 0}, where the chart-B lift of stage 2 is refused
     g = parse_branch("x = t^2\ny = t^3")
     path = (("A", Fraction(0)), ("B", Fraction(0)))
-    onto_axis = GraphMatch("v", S({0: 0}), S({0: Fraction(-1, 2)}), BUMP, 1)
-    still = GraphMatch("v", S({0: 0}), S({0: 0}), BUMP, 2)
+    onto_axis = GraphMatch("v", S({0: Fraction(-1, 2)}), BUMP, 1)
+    still = GraphMatch("v", S({}), BUMP, 2)
     plan = IsotopyPlan((PlanStage(onto_axis), PlanStage(still)), g, g, path, 0.05, 1.0)
     p = (0.1 + 0j, 0.05 + 0j)
     assert lift_point(path[1:], (0.1 + 0j, 0j)) is None
@@ -698,7 +697,7 @@ def test_a_stopped_sample_ends_where_its_transport_stopped():
     assert stops == [2]
     # a trajectory that may leave the ball keeps the sample's lift to the
     # stage's chart, pushed down: a float round trip, not the start itself
-    leaving = GraphMatch("v", S({0: 0}), S({0: Fraction(1, 2)}), ORACLE_BUMP, 1)
+    leaving = GraphMatch("v", S({0: Fraction(1, 2)}), ORACLE_BUMP, 1)
     plan = IsotopyPlan((PlanStage(leaving),), g, g, path[:1], 0.05, 1.0)
     p = (0.07 + 0j, 0.003 + 0j)
     (end,), stops = apply_plan(plan, [p])

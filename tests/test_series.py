@@ -1,3 +1,4 @@
+import cmath
 import math
 import struct
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import coefficient, divide_by_inverse, in_terms_of_by_powers
 
 from germflow.errors import PrecisionError, SeriesError
-from germflow.series import TruncatedSeries
+from germflow.series import TruncatedSeries, _ipow, _powu
 
 
 def S(terms, precision):
@@ -305,12 +306,44 @@ real_points = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-8.0, 6.0)).map(
 @given(real_eval_series(), st.lists(real_points, min_size=1, max_size=4))
 @example(S({101: 1}, 256), [-0.5, 0.5])  # a power complex ** takes by exp and log
 @example(S({60: 3, 70: -1}, 256), [1e6, -1e6])  # overflow
+@example(S({101: 1}, 256), [1e6, -1e6])  # overflow above exponent 100
 @example(S({2: 1, 5: HUGE}, 8), [1e-8])  # a coefficient beyond float range
 @example(S({0: 1, 1: 1}, 8), [-1.0])  # a zero value
 @example(S({}, 8), [0.5])
 def test_eval_real_is_the_real_part_of_eval_bit_for_bit(s, ts):
     for t in ts:
         assert _same_bits(s.eval_real(t), s.eval(complex(t)).real), (s, t)
+
+
+@given(real_eval_series(), st.lists(real_points, min_size=1, max_size=4))
+@example(S({101: 1}, 256), [-0.5])
+@example(S({2: 1, 150: 3}, 256), [-0.9])
+@example(S({0: 1, 30: 1, 60: 1, 90: 1}, 256), [1e6])  # an overflowing product
+def test_eval_at_a_real_argument_is_real(s, ts):
+    # every power is taken by binary powering, also above exponent 100,
+    # where complex ** would go by exp and log; only a product that
+    # overflows (inf * 0) can leave a nan part
+    for t in ts:
+        v = s.eval(complex(t))
+        assert v.imag == 0.0 or not cmath.isfinite(v), (s, t, v)
+
+
+@given(st.complex_numbers(max_magnitude=4.0), st.integers(1, 255))
+@example(complex(-0.5), 101)
+def test_ipow_is_one_binary_powering_at_every_exponent(t, n):
+    # complex ** is _powu's powering up to _POWU_MAX, and _ipow is _powu above
+    try:
+        got = _ipow(t, n)
+    except OverflowError:
+        return
+    want = _powu(t, n)
+    assert _same_bits(got.real, want.real) and _same_bits(got.imag, want.imag), (t, n)
+
+
+def test_a_power_above_100_saturates_as_one_below_does():
+    for s in (S({101: 1}, 256), S({60: 1}, 256)):
+        assert s.eval(1e6) == s.eval(complex(1e6)) == complex(math.inf, 0.0)
+        assert s.eval_real(1e6) == math.inf
 
 
 def test_eval_real_takes_a_short_series_in_float_arithmetic(monkeypatch):

@@ -80,7 +80,8 @@
   ``cmd_isotopy`` reads ``args.precision``, since only the plan's series
   order depends on it.
 - The isotopy plan states each fact once: ``PlanStage`` has the one field
-  ``field`` (a stage acts in the chart its level names), and only
+  ``field`` (a stage acts in the chart its level names), a graph match
+  keeps the one series its flow reads, ``gap``, and only
   ``build_plan`` calls ``find_parameter_radius``, so ``verify_isotopy``
   samples the plan's own window; ``FlowReport`` keeps no ``tol``, and
   ``build_plan`` calls no ``labels()``, since two states blown up in the
@@ -93,8 +94,11 @@
   stage's ``bump`` is the one radius its containment test reads.
 - The float kernels evaluate at a real argument: ``find_parameter_radius``
   and ``distance_to_branch`` call neither ``eval_branch`` nor
-  ``complex(...)``, so their samples go through ``eval_real``; the one
-  complex fallback, for a series with a power above 100, is ``_real_trace``'s.
+  ``complex(...)``, so their samples go through ``eval_real``, at every
+  exponent: ``eval`` takes each power by binary powering, so at a real t it
+  is real and ``eval_real`` is its real part.  No module defines the retired
+  ``real_on_reals``, ``_real_horner`` or ``_real_trace``, the flag, the
+  second Horner form and the complex fork they kept for powers above 100.
 """
 import ast
 import pathlib
@@ -152,7 +156,7 @@ RETIRED_NAMES = ("FieldSpec", "multiplicative_field", "graph_match_field", "_raw
                  "_speed", "_update_moving_state", "_slope_after_shear", "_golden_min",
                  "Config", "_rk4", "_rk4_steps", "MAX_RK4_STEPS", "bump_value",
                  "resolve_graph", "_integer_coefficients", "_clean", "LiftError",
-                 "BumpSpec")
+                 "BumpSpec", "real_on_reals", "_real_horner", "_real_trace")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -409,6 +413,7 @@ def _class_fields(path, name):
 def test_the_plan_states_each_fact_once():
     isotopy = next(p for p in SOURCES if p.name == "isotopy.py")
     assert _class_fields(isotopy, "PlanStage") == ["field"]
+    assert _class_fields(isotopy, "GraphMatch") == ["orientation", "gap", "bump", "level"]
     assert "tol" not in _class_fields(isotopy, "FlowReport")
     callers = {path.name: _calls_of(_tree(path), "find_parameter_radius") for path in SOURCES}
     assert {name: lines for name, lines in callers.items() if lines} == \
